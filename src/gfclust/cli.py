@@ -89,6 +89,25 @@ _SOLVE_FUNCS = {
 }
 
 
+def _int_field(raw: dict, key: str, default: int | None) -> int | None:
+    value = raw.get(key, default)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _float_list(key: str, values) -> list[float]:
+    if not isinstance(values, list):
+        raise ConfigError(f"grid {key} must be a list of numbers or 'default', got {values!r}")
+    try:
+        return [float(x) for x in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"grid {key} must be a list of numbers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     manifest: Path | None
@@ -125,7 +144,10 @@ class ExperimentConfig:
         normalize = raw.get("normalize", "none")
         if normalize not in NORMALIZATION_MODES:
             raise ConfigError(f"unknown normalization mode {normalize!r}")
-        solver_fields = dict(raw.get("solver", {}))
+        solver_fields = raw.get("solver", {})
+        if not isinstance(solver_fields, dict):
+            raise ConfigError("solver must be a JSON object")
+        solver_fields = dict(solver_fields)
         preset = raw.get("preset")
         if preset is not None:
             if preset not in PRESETS:
@@ -154,23 +176,22 @@ class ExperimentConfig:
                 "eta": DEFAULT_ETA_GRID,
             }
             grid = {
-                key: list(defaults[key]) if values == "default" else [float(x) for x in values]
+                key: list(defaults[key]) if values == "default" else _float_list(key, values)
                 for key, values in grid.items()
             }
             if any(not values for values in grid.values()):
                 raise ConfigError("grid lists must be non-empty")
-        repetitions = int(raw.get("repetitions", 1))
+        repetitions = _int_field(raw, "repetitions", 1)
         if repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        restarts = int(raw.get("restarts", 20))
+        restarts = _int_field(raw, "restarts", 20)
         if restarts < 1:
             raise ConfigError("restarts must be >= 1")
         variant = raw.get("variant", "full")
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}; known: {VARIANTS}")
-        k = raw.get("k")
+        k = _int_field(raw, "k", None)
         if k is not None:
-            k = int(k)
             if k < 1:
                 raise ConfigError("k must be >= 1")
         output_dir = Path(raw.get("output_dir", "results"))
@@ -185,7 +206,7 @@ class ExperimentConfig:
             k=k,
             repetitions=repetitions,
             restarts=restarts,
-            seed=int(raw.get("seed", 0)),
+            seed=_int_field(raw, "seed", 0),
             variant=variant,
             output_dir=output_dir,
         )

@@ -211,17 +211,23 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"invalid manifest JSON: {exc}") from None
-    if "views" not in manifest or not manifest["views"]:
+    if not isinstance(manifest, dict):
+        raise DatasetError("manifest must be a JSON object")
+    if not isinstance(manifest.get("views"), list) or not manifest["views"]:
         raise DatasetError("manifest lists no views")
     base = manifest_path.parent
     views = []
     names = []
-    for entry in manifest["views"]:
+    for idx, entry in enumerate(manifest["views"]):
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise DatasetError(f"manifest view {idx} needs a 'path' string")
         path = base / entry["path"]
         views.append(_read_matrix_csv(path, bool(entry.get("has_header", False))))
         names.append(entry["path"])
     labels = None
     if manifest.get("labels"):
+        if not isinstance(manifest["labels"], str):
+            raise DatasetError("manifest labels must be a path string or null")
         labels = _read_labels_csv(base / manifest["labels"])
     return MultiViewDataset(views=views, labels=labels, view_names=names)
 
@@ -264,9 +270,12 @@ def normalize_views(ds: MultiViewDataset, mode: str = "none") -> MultiViewDatase
     for view in ds.views:
         out = view.copy()
         if mode == "unit_row_norm":
+            # Scaling by the max-abs entry first keeps the squares of tiny
+            # rows from underflowing inside the norm.
+            peak = np.abs(out).max(axis=1)
+            out = out / np.where(peak > 0, peak, 1.0)[:, None]
             norms = np.linalg.norm(out, axis=1)
-            scale = np.where(norms > 0, norms, 1.0)
-            out = out / scale[:, None]
+            out = out / np.where(norms > 0, norms, 1.0)[:, None]
         else:
             out = out - out.mean(axis=0)
             std = out.std(axis=0)  # population convention (divide by n)

@@ -48,8 +48,9 @@ def normalized_laplacian(W: np.ndarray) -> np.ndarray:
 def consensus_filter(C: np.ndarray) -> np.ndarray:
     """First-order low-pass filter G = 0.75*I + 0.25*C.
 
-    No feasibility checks on C: the solver calls this every iteration on
-    iterates that only satisfy the coefficient constraints at convergence.
+    No feasibility checks on C, so it also accepts solver iterates, which
+    satisfy the coefficient constraints only at convergence. The solver does
+    not call it: its updates use the coupling 4Y^i = 3X^i + CX^i directly.
     """
     C = _require_square(C, "coefficient matrix C")
     return 0.75 * np.eye(C.shape[0]) + 0.25 * C

@@ -14,8 +14,24 @@ For views X^i the full model alternates closed-form updates of
 Two ablation variants reuse the same machinery: ``no_smoothing`` fixes
 Y^i = X^i and drops the smoothing constraint, ``frobenius`` replaces the
 consensus-filter regularizer on C^i with a plain squared Frobenius penalty.
-All linear systems are symmetric positive definite and solved via Cholesky
-factorization; no explicit inverses are formed.
+
+All linear systems are symmetric positive definite; no explicit inverses are
+formed. The updates use the structure of their matrices:
+
+* the C^i right factor is a I + U U^T with U = [sqrt(2) Y^i, sqrt(mu) 1] of
+  rank d_i + 1. When 4(d_i + 1) <= n it is inverted through the thin SVD of
+  U in O(n^2 d_i), in the form I/a - Q diag(s^2/(a(a+s^2))) Q^T, which does
+  not cancel at tiny alpha as a Woodbury difference would; wider views keep
+  the O(n^3) Cholesky solve, which is cheaper there;
+* the Z^i system matrix 2 alpha C^T C + mu I is the same for every view of an
+  iteration, so it is Cholesky-factored once per iteration;
+* Gram matrices come from one BLAS syrk call each; sum_i X^i X^i^T is formed
+  once per run; C Z^i is formed once per view per iteration and serves both
+  the objective and the next iteration's C^i update; the coupling residuals
+  4Y^i - 3X^i - CX^i serve both the constraint gaps and the multipliers.
+
+The public update functions take these shared products as optional keyword
+arguments and compute them from the state when they are not given.
 """
 
 from __future__ import annotations
@@ -24,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dsyrk
 
 from .data import MultiViewDataset
 
@@ -137,16 +154,39 @@ class SolverOutput:
     iterations: int
 
 
-def _spd_solve(A: np.ndarray, B: np.ndarray, iteration: int = -1) -> np.ndarray:
-    """Solve A X = B for symmetric positive definite A via Cholesky."""
+def _spd_factor(A: np.ndarray, iteration: int = -1):
+    """Cholesky factor of a symmetric positive definite A.
+
+    Only the upper triangle of A is read, so A may come straight from
+    ``_gram``.
+    """
     try:
-        factor = sla.cho_factor(A, check_finite=False)
-        return sla.cho_solve(factor, B, check_finite=False)
+        return sla.cho_factor(A, check_finite=False)
     except (sla.LinAlgError, ValueError) as exc:
         raise SolverNumericalError(
             f"symmetric positive definite solve failed at iteration {iteration}: {exc}",
             iteration=iteration,
         ) from None
+
+
+def _spd_solve(A: np.ndarray, B: np.ndarray, iteration: int = -1) -> np.ndarray:
+    """Solve A X = B for symmetric positive definite A via Cholesky."""
+    return sla.cho_solve(_spd_factor(A, iteration), B, check_finite=False)
+
+
+def _gram(M: np.ndarray, scale: float = 1.0, outer: bool = False) -> np.ndarray:
+    """scale * M^T M, or scale * M M^T with ``outer``, by one BLAS syrk call.
+
+    Only the upper triangle is filled (the lower one is zero); every consumer
+    is a Cholesky factorization, which reads no more. M.T of a C-ordered M is
+    Fortran-ordered, so BLAS gets it without a copy.
+    """
+    return dsyrk(scale, M.T, trans=int(outer))
+
+
+def _add_to_diagonal(M: np.ndarray, value: float) -> np.ndarray:
+    M[np.diag_indices_from(M)] += value
+    return M
 
 
 def init_state(ds: MultiViewDataset, cfg: SolverConfig) -> SolverState:
@@ -190,45 +230,68 @@ def update_view_representation(state: SolverState, ds: MultiViewDataset, i: int)
     """
     n = ds.n_samples
     X = ds.views[i]
-    ImC = np.eye(n) - state.Ci[i]
-    lhs = 2.0 * ImC.T @ ImC + 16.0 * state.mu * np.eye(n)
+    lhs = _add_to_diagonal(_gram(np.eye(n) - state.Ci[i], 2.0), 16.0 * state.mu)
     rhs = 12.0 * state.mu * X + 4.0 * state.mu * (state.C @ X) - 4.0 * state.Gamma[i]
     return _spd_solve(lhs, rhs, state.iteration)
 
 
 def update_view_coefficients(
-    state: SolverState, i: int, cfg: SolverConfig, variant: str = VARIANT_FULL
+    state: SolverState,
+    i: int,
+    cfg: SolverConfig,
+    variant: str = VARIANT_FULL,
+    *,
+    CZi: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Closed-form view coefficient matrix C^i.
+    """Closed-form view coefficient matrix C^i = L R^{-1}.
 
-    For the full model the right factor is 2 Y^i Y^i^T + 2(alpha
-    + beta gamma_i^eta) I + mu (I + 11^T) and the left collects the
-    consensus pull, the split copy Z^i, and the multiplier corrections; the
-    product C^i = L R^{-1} is computed as a transposed solve against the
-    symmetric positive definite R. The ``frobenius`` variant drops the
-    alpha C Z^i coupling from the left factor (its alpha term is a plain
-    ridge penalty); ``no_smoothing`` uses the same formula with Y^i = X^i,
-    which the state already holds.
+    The left factor L collects 2 Y^i Y^i^T, the consensus pull, the split
+    copy Z^i, and the multiplier corrections. The ``frobenius`` variant drops
+    the alpha C Z^i coupling from it (its alpha term is a plain ridge
+    penalty); ``no_smoothing`` uses the same formula with Y^i = X^i, which
+    the state already holds. ``CZi`` is the product C Z^i if the caller has
+    it.
+
+    The right factor 2 Y^i Y^i^T + 2(alpha + beta gamma_i^eta) I
+    + mu (I + 11^T) is a I + U U^T with U = [sqrt(2) Y^i, sqrt(mu) 1] of
+    d_i + 1 columns. When 4(d_i + 1) <= n the thin SVD U = Q S W^T gives
+    R^{-1} = I/a - Q diag(s^2 / (a(a + s^2))) Q^T in O(n^2 d_i); otherwise
+    the product is a transposed Cholesky solve against R in O(n^3).
     """
     n = state.C.shape[0]
     Y = state.Y[i]
+    mu = state.mu
     w = cfg.beta * state.gamma[i] ** cfg.eta
-    YYt = Y @ Y.T
-    ones = np.ones(n)
-    J11 = np.ones((n, n))
-    if variant == VARIANT_FROBENIUS:
-        coupling = 2.0 * w * state.C
-    else:
-        coupling = 2.0 * (cfg.alpha * (state.C @ state.Zi[i]) + w * state.C)
-    left = (
-        2.0 * YYt
-        + coupling
-        + state.mu * (state.Zi[i] + J11)
-        - state.Lam[i]
-        - np.outer(state.Omega[i], ones)
-    )
-    right = 2.0 * YYt + 2.0 * (cfg.alpha + w) * np.eye(n) + state.mu * (np.eye(n) + J11)
-    return _spd_solve(right, left.T, state.iteration).T
+    left = 2.0 * (Y @ Y.T) + 2.0 * w * state.C + mu * (state.Zi[i] + 1.0)
+    left -= state.Lam[i]
+    left -= state.Omega[i][:, None]
+    if variant != VARIANT_FROBENIUS:
+        if CZi is None:
+            CZi = state.C @ state.Zi[i]
+        left += 2.0 * cfg.alpha * CZi
+    a = 2.0 * (cfg.alpha + w) + mu
+    U = np.column_stack([np.sqrt(2.0) * Y, np.full(n, np.sqrt(mu))])
+    if 4 * U.shape[1] > n:
+        right = _add_to_diagonal(_gram(U, outer=True), a)
+        return _spd_solve(right, left.T, state.iteration).T
+    try:
+        Q, s, _ = np.linalg.svd(U, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverNumericalError(
+            f"SVD failed at iteration {state.iteration}: {exc}", iteration=state.iteration
+        ) from None
+    s2 = s * s
+    return left / a - ((left @ Q) * (s2 / (a * (a + s2)))) @ Q.T
+
+
+def _view_auxiliary_factor(state: SolverState, cfg: SolverConfig):
+    """Cholesky factor of 2 alpha C^T C + mu I, the Z^i system matrix.
+
+    It depends on C and mu only, so one factor serves every view of an
+    iteration.
+    """
+    M = _add_to_diagonal(_gram(state.C, 2.0 * cfg.alpha), state.mu)
+    return _spd_factor(M, state.iteration)
 
 
 def update_view_auxiliary(
@@ -237,26 +300,39 @@ def update_view_auxiliary(
     cfg: SolverConfig,
     variant: str = VARIANT_FULL,
     project: bool = True,
+    *,
+    factor=None,
 ) -> np.ndarray:
     """Auxiliary Z^i: linear solve (or multiplier shift) then constraint projection.
 
     Full/no-smoothing: solve (2 alpha C^T C + mu I) Z = 2 alpha C^T C^i
-    + mu C^i + Lam^i. Frobenius drops the data term, leaving Z = C^i
-    + Lam^i/mu. ``project=False`` returns the pre-projection solution, which
-    is the stationary point of the quadratic subproblem.
+    + mu C^i + Lam^i against ``factor`` (from ``_view_auxiliary_factor``,
+    computed here when not given). Frobenius drops the data term, leaving
+    Z = C^i + Lam^i/mu. ``project=False`` returns the pre-projection
+    solution, which is the stationary point of the quadratic subproblem.
     """
-    n = state.C.shape[0]
     if variant == VARIANT_FROBENIUS:
         Z = state.Ci[i] + state.Lam[i] / state.mu
     else:
-        lhs = 2.0 * cfg.alpha * (state.C.T @ state.C) + state.mu * np.eye(n)
+        if factor is None:
+            factor = _view_auxiliary_factor(state, cfg)
         rhs = 2.0 * cfg.alpha * (state.C.T @ state.Ci[i]) + state.mu * state.Ci[i] + state.Lam[i]
-        Z = _spd_solve(lhs, rhs, state.iteration)
+        Z = sla.cho_solve(factor, rhs, check_finite=False)
     return project_constraints(Z) if project else Z
 
 
+def _feature_gram(ds: MultiViewDataset) -> np.ndarray:
+    """Sum over views of X^i X^i^T, constant for a whole run."""
+    return sum(X @ X.T for X in ds.views)
+
+
 def update_consensus_coefficients(
-    state: SolverState, ds: MultiViewDataset, cfg: SolverConfig, variant: str = VARIANT_FULL
+    state: SolverState,
+    ds: MultiViewDataset,
+    cfg: SolverConfig,
+    variant: str = VARIANT_FULL,
+    *,
+    XXt: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-form consensus C = A B^{-1} as a transposed SPD solve.
 
@@ -264,32 +340,29 @@ def update_consensus_coefficients(
     for smoothing variants the feature-coupling terms) plus the consensus
     auxiliary and multiplier corrections; B is the matching Gram-plus-shift
     right factor. ``no_smoothing`` drops the feature-coupling terms,
-    ``frobenius`` drops the alpha terms.
+    ``frobenius`` drops the alpha terms. ``XXt`` is ``_feature_gram(ds)`` if
+    the caller has it.
     """
     n = ds.n_samples
-    ones = np.ones(n)
-    J11 = np.ones((n, n))
-    A_sum = np.zeros((n, n))
-    B_sum = np.zeros((n, n))
+    mu = state.mu
+    A = mu * (state.Z + 1.0) - state.Theta - state.Phi[:, None]
+    B = np.full((n, n), mu)
+    shift = mu
     for i in range(ds.n_views):
         w = cfg.beta * state.gamma[i] ** cfg.eta
+        A += 2.0 * w * state.Ci[i]
+        shift += 2.0 * w
         if variant != VARIANT_FROBENIUS:
-            A_sum += 2.0 * cfg.alpha * (state.Ci[i] @ state.Zi[i].T) + 2.0 * w * state.Ci[i]
-            B_sum += 2.0 * cfg.alpha * (state.Zi[i] @ state.Zi[i].T) + 2.0 * w * np.eye(n)
-        else:
-            A_sum += 2.0 * w * state.Ci[i]
-            B_sum += 2.0 * w * np.eye(n)
+            A += 2.0 * cfg.alpha * (state.Ci[i] @ state.Zi[i].T)
+            B += _gram(state.Zi[i], 2.0 * cfg.alpha, outer=True)
         if variant != VARIANT_NO_SMOOTHING:
-            X = ds.views[i]
-            XXt = X @ X.T
-            A_sum += (
-                4.0 * state.mu * (state.Y[i] @ X.T)
-                - 3.0 * state.mu * XXt
-                + state.Gamma[i] @ X.T
-            )
-            B_sum += state.mu * XXt
-    A = A_sum + state.mu * (state.Z + J11) - state.Theta - np.outer(state.Phi, ones)
-    B = B_sum + state.mu * (np.eye(n) + J11)
+            A += (4.0 * mu * state.Y[i] + state.Gamma[i]) @ ds.views[i].T
+    if variant != VARIANT_NO_SMOOTHING:
+        if XXt is None:
+            XXt = _feature_gram(ds)
+        A -= 3.0 * mu * XXt
+        B += mu * XXt
+    _add_to_diagonal(B, shift)
     return _spd_solve(B, A.T, state.iteration).T
 
 
@@ -299,23 +372,34 @@ def update_consensus_auxiliary(state: SolverState, project: bool = True) -> np.n
     return project_constraints(Z) if project else Z
 
 
+def _feature_couplings(state: SolverState, ds: MultiViewDataset) -> list[np.ndarray]:
+    """Per-view feature-coupling residuals 4Y^i - 3X^i - CX^i."""
+    return [4.0 * Y - 3.0 * X - state.C @ X for Y, X in zip(state.Y, ds.views)]
+
+
 def constraint_gaps(
-    state: SolverState, ds: MultiViewDataset, variant: str = VARIANT_FULL
+    state: SolverState,
+    ds: MultiViewDataset,
+    variant: str = VARIANT_FULL,
+    *,
+    couplings: list[np.ndarray] | None = None,
 ) -> dict[str, float]:
     """Max-norms of all coupling-constraint violations at the current state.
 
     gap_Y is reported as 0 for the no-smoothing variant, whose model has no
-    feature-coupling constraint.
+    feature-coupling constraint. ``couplings`` is ``_feature_couplings`` of the
+    current state if the caller has it.
     """
     gap_Y = 0.0
+    if variant != VARIANT_NO_SMOOTHING:
+        if couplings is None:
+            couplings = _feature_couplings(state, ds)
+        gap_Y = max(float(np.abs(coupling).max()) for coupling in couplings)
     gap_CiZi = 0.0
     gap_Ci1 = 0.0
-    for i in range(ds.n_views):
-        if variant != VARIANT_NO_SMOOTHING:
-            coupling = 4.0 * state.Y[i] - 3.0 * ds.views[i] - state.C @ ds.views[i]
-            gap_Y = max(gap_Y, float(np.abs(coupling).max()))
-        gap_CiZi = max(gap_CiZi, float(np.abs(state.Ci[i] - state.Zi[i]).max()))
-        gap_Ci1 = max(gap_Ci1, float(np.abs(state.Ci[i].sum(axis=1) - 1.0).max()))
+    for Ci, Zi in zip(state.Ci, state.Zi):
+        gap_CiZi = max(gap_CiZi, float(np.abs(Ci - Zi).max()))
+        gap_Ci1 = max(gap_Ci1, float(np.abs(Ci.sum(axis=1) - 1.0).max()))
     return {
         "gap_Y": gap_Y,
         "gap_CiZi": gap_CiZi,
@@ -326,18 +410,26 @@ def constraint_gaps(
 
 
 def update_multipliers(
-    state: SolverState, ds: MultiViewDataset, cfg: SolverConfig, variant: str = VARIANT_FULL
+    state: SolverState,
+    ds: MultiViewDataset,
+    cfg: SolverConfig,
+    variant: str = VARIANT_FULL,
+    *,
+    couplings: list[np.ndarray] | None = None,
 ) -> SolverState:
     """Ascend all multipliers with the current mu, then grow mu.
 
     The multiplier steps use the mu that produced the current iterates; only
-    afterwards is mu scaled to min(mu_max, rho * mu).
+    afterwards is mu scaled to min(mu_max, rho * mu). ``couplings`` is
+    ``_feature_couplings`` of the current state if the caller has it.
     """
     mu = state.mu
-    for i in range(ds.n_views):
-        if variant != VARIANT_NO_SMOOTHING:
-            coupling = 4.0 * state.Y[i] - 3.0 * ds.views[i] - state.C @ ds.views[i]
+    if variant != VARIANT_NO_SMOOTHING:
+        if couplings is None:
+            couplings = _feature_couplings(state, ds)
+        for i, coupling in enumerate(couplings):
             state.Gamma[i] = state.Gamma[i] + mu * coupling
+    for i in range(ds.n_views):
         state.Lam[i] = state.Lam[i] + mu * (state.Ci[i] - state.Zi[i])
         state.Omega[i] = state.Omega[i] + mu * (state.Ci[i].sum(axis=1) - 1.0)
     state.Theta = state.Theta + mu * (state.C - state.Z)
@@ -364,10 +456,16 @@ def update_view_weights(state: SolverState, cfg: SolverConfig) -> np.ndarray:
 
 
 def objective_value(
-    state: SolverState, ds: MultiViewDataset, cfg: SolverConfig, variant: str = VARIANT_FULL
+    state: SolverState,
+    ds: MultiViewDataset,
+    cfg: SolverConfig,
+    variant: str = VARIANT_FULL,
+    *,
+    CZ: list[np.ndarray] | None = None,
 ) -> float:
     """Model objective at the current iterates, using the split form C Z^i of
-    the consensus-filter regularizer."""
+    the consensus-filter regularizer. ``CZ`` lists the products C Z^i if the
+    caller has them."""
     total = 0.0
     for i in range(ds.n_views):
         w = cfg.beta * state.gamma[i] ** cfg.eta
@@ -375,7 +473,8 @@ def objective_value(
         if variant == VARIANT_FROBENIUS:
             total += cfg.alpha * float(np.sum(state.Ci[i] ** 2))
         else:
-            total += cfg.alpha * float(np.sum((state.Ci[i] - state.C @ state.Zi[i]) ** 2))
+            CZi = state.C @ state.Zi[i] if CZ is None else CZ[i]
+            total += cfg.alpha * float(np.sum((state.Ci[i] - CZi) ** 2))
         total += w * float(np.sum((state.C - state.Ci[i]) ** 2))
     return total
 
@@ -402,26 +501,36 @@ def _solve(
         state.Y = [x.copy() for x in ds.views]
     diagnostics = Diagnostics()
     converged = False
+    smoothing = variant != VARIANT_NO_SMOOTHING
+    split = variant != VARIANT_FROBENIUS
+    XXt = _feature_gram(ds) if smoothing else None
+    # C Z^i of the previous iteration's end: C and Z^i are unchanged until
+    # the C^i update of view i has used it.
+    CZ = [None] * ds.n_views
     for iteration in range(1, cfg.max_iter + 1):
         state.iteration = iteration
         C_prev = state.C
         Z_prev = state.Z
+        factor = _view_auxiliary_factor(state, cfg) if split else None
         for i in range(ds.n_views):
-            if variant != VARIANT_NO_SMOOTHING:
+            if smoothing:
                 state.Y[i] = update_view_representation(state, ds, i)
-            state.Ci[i] = update_view_coefficients(state, i, cfg, variant)
-            state.Zi[i] = update_view_auxiliary(state, i, cfg, variant)
-        state.C = update_consensus_coefficients(state, ds, cfg, variant)
+            state.Ci[i] = update_view_coefficients(state, i, cfg, variant, CZi=CZ[i])
+            state.Zi[i] = update_view_auxiliary(state, i, cfg, variant, factor=factor)
+        state.C = update_consensus_coefficients(state, ds, cfg, variant, XXt=XXt)
         state.Z = update_consensus_auxiliary(state)
-        gaps = constraint_gaps(state, ds, variant)
-        update_multipliers(state, ds, cfg, variant)
+        couplings = _feature_couplings(state, ds) if smoothing else None
+        gaps = constraint_gaps(state, ds, variant, couplings=couplings)
+        update_multipliers(state, ds, cfg, variant, couplings=couplings)
         state.gamma = update_view_weights(state, cfg)
+        if split:
+            CZ = [state.C @ Zi for Zi in state.Zi]
 
         diagnostics.residual_C.append(float(np.sum((state.C - C_prev) ** 2)))
         diagnostics.residual_Z.append(float(np.sum((state.Z - Z_prev) ** 2)))
         for key, value in gaps.items():
             getattr(diagnostics, key).append(value)
-        diagnostics.objective.append(objective_value(state, ds, cfg, variant))
+        diagnostics.objective.append(objective_value(state, ds, cfg, variant, CZ=CZ))
         diagnostics.J.append(view_mismatches(state))
 
         _check_finite(state, diagnostics)

@@ -1,13 +1,15 @@
 """Independent brute-force reference implementations used to check the
-package's metrics, assignment, and clustering routines. Everything here works
-by explicit enumeration and stays deliberately separate from the library's
-code paths."""
+package's metrics, assignment, and clustering routines, and the dense form of
+the solver's ADMM updates. Everything here works by explicit enumeration or
+plain dense algebra and stays deliberately separate from the library's code
+paths."""
 
 import itertools
 import math
 from collections import Counter
 
 import numpy as np
+import scipy.linalg
 
 
 def all_partitions(n, max_blocks):
@@ -160,3 +162,175 @@ def central_difference_gradient(func, M, step=1e-5):
         flat[idx] = original
         grad_flat[idx] = (f_plus - f_minus) / (2.0 * step)
     return grad
+
+
+# ---- dense ADMM updates ----
+#
+# The solver's updates as plain dense algebra: every Gram matrix formed by a
+# general product, every linear system solved by its own Cholesky
+# factorization, no product shared between updates. The solver exploits the
+# structure of these matrices (a low-rank C^i right factor, one Z^i factor per
+# iteration, shared products); these are the reference it is checked against.
+# They read a `gfclust.solver.SolverState` and never modify it.
+
+VARIANT_FULL = "full"
+VARIANT_NO_SMOOTHING = "no_smoothing"
+VARIANT_FROBENIUS = "frobenius"
+
+
+def _cholesky_solve(A, B):
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), B)
+
+
+def dense_view_representation(state, ds, i):
+    n = ds.n_samples
+    X = ds.views[i]
+    ImC = np.eye(n) - state.Ci[i]
+    lhs = 2.0 * ImC.T @ ImC + 16.0 * state.mu * np.eye(n)
+    rhs = 12.0 * state.mu * X + 4.0 * state.mu * (state.C @ X) - 4.0 * state.Gamma[i]
+    return _cholesky_solve(lhs, rhs)
+
+
+def dense_view_coefficients(state, i, cfg, variant=VARIANT_FULL):
+    n = state.C.shape[0]
+    Y = state.Y[i]
+    w = cfg.beta * state.gamma[i] ** cfg.eta
+    YYt = Y @ Y.T
+    ones = np.ones(n)
+    J11 = np.ones((n, n))
+    if variant == VARIANT_FROBENIUS:
+        coupling = 2.0 * w * state.C
+    else:
+        coupling = 2.0 * (cfg.alpha * (state.C @ state.Zi[i]) + w * state.C)
+    left = (
+        2.0 * YYt
+        + coupling
+        + state.mu * (state.Zi[i] + J11)
+        - state.Lam[i]
+        - np.outer(state.Omega[i], ones)
+    )
+    right = 2.0 * YYt + 2.0 * (cfg.alpha + w) * np.eye(n) + state.mu * (np.eye(n) + J11)
+    return _cholesky_solve(right, left.T).T
+
+
+def dense_view_auxiliary(state, i, cfg, variant=VARIANT_FULL):
+    """Pre-projection Z^i."""
+    n = state.C.shape[0]
+    if variant == VARIANT_FROBENIUS:
+        return state.Ci[i] + state.Lam[i] / state.mu
+    lhs = 2.0 * cfg.alpha * (state.C.T @ state.C) + state.mu * np.eye(n)
+    rhs = 2.0 * cfg.alpha * (state.C.T @ state.Ci[i]) + state.mu * state.Ci[i] + state.Lam[i]
+    return _cholesky_solve(lhs, rhs)
+
+
+def dense_consensus_coefficients(state, ds, cfg, variant=VARIANT_FULL):
+    n = ds.n_samples
+    ones = np.ones(n)
+    J11 = np.ones((n, n))
+    A_sum = np.zeros((n, n))
+    B_sum = np.zeros((n, n))
+    for i in range(ds.n_views):
+        w = cfg.beta * state.gamma[i] ** cfg.eta
+        if variant != VARIANT_FROBENIUS:
+            A_sum += 2.0 * cfg.alpha * (state.Ci[i] @ state.Zi[i].T) + 2.0 * w * state.Ci[i]
+            B_sum += 2.0 * cfg.alpha * (state.Zi[i] @ state.Zi[i].T) + 2.0 * w * np.eye(n)
+        else:
+            A_sum += 2.0 * w * state.Ci[i]
+            B_sum += 2.0 * w * np.eye(n)
+        if variant != VARIANT_NO_SMOOTHING:
+            X = ds.views[i]
+            XXt = X @ X.T
+            A_sum += (
+                4.0 * state.mu * (state.Y[i] @ X.T)
+                - 3.0 * state.mu * XXt
+                + state.Gamma[i] @ X.T
+            )
+            B_sum += state.mu * XXt
+    A = A_sum + state.mu * (state.Z + J11) - state.Theta - np.outer(state.Phi, ones)
+    B = B_sum + state.mu * (np.eye(n) + J11)
+    return _cholesky_solve(B, A.T).T
+
+
+def dense_constraint_gaps(state, ds, variant=VARIANT_FULL):
+    gap_Y = 0.0
+    gap_CiZi = 0.0
+    gap_Ci1 = 0.0
+    for i in range(ds.n_views):
+        if variant != VARIANT_NO_SMOOTHING:
+            coupling = 4.0 * state.Y[i] - 3.0 * ds.views[i] - state.C @ ds.views[i]
+            gap_Y = max(gap_Y, float(np.abs(coupling).max()))
+        gap_CiZi = max(gap_CiZi, float(np.abs(state.Ci[i] - state.Zi[i]).max()))
+        gap_Ci1 = max(gap_Ci1, float(np.abs(state.Ci[i].sum(axis=1) - 1.0).max()))
+    return {
+        "gap_Y": gap_Y,
+        "gap_CiZi": gap_CiZi,
+        "gap_Ci1": gap_Ci1,
+        "gap_CZ": float(np.abs(state.C - state.Z).max()),
+        "gap_C1": float(np.abs(state.C.sum(axis=1) - 1.0).max()),
+    }
+
+
+def dense_multiplier_steps(state, ds, variant=VARIANT_FULL):
+    """The multipliers after one ascent step with the current mu, as a dict."""
+    mu = state.mu
+    out = {"Gamma": [], "Lam": [], "Omega": []}
+    for i in range(ds.n_views):
+        if variant != VARIANT_NO_SMOOTHING:
+            coupling = 4.0 * state.Y[i] - 3.0 * ds.views[i] - state.C @ ds.views[i]
+            out["Gamma"].append(state.Gamma[i] + mu * coupling)
+        else:
+            out["Gamma"].append(state.Gamma[i])
+        out["Lam"].append(state.Lam[i] + mu * (state.Ci[i] - state.Zi[i]))
+        out["Omega"].append(state.Omega[i] + mu * (state.Ci[i].sum(axis=1) - 1.0))
+    out["Theta"] = state.Theta + mu * (state.C - state.Z)
+    out["Phi"] = state.Phi + mu * (state.C.sum(axis=1) - 1.0)
+    return out
+
+
+def dense_objective_value(state, ds, cfg, variant=VARIANT_FULL):
+    total = 0.0
+    for i in range(ds.n_views):
+        w = cfg.beta * state.gamma[i] ** cfg.eta
+        total += float(np.sum((state.Y[i] - state.Ci[i] @ state.Y[i]) ** 2))
+        if variant == VARIANT_FROBENIUS:
+            total += cfg.alpha * float(np.sum(state.Ci[i] ** 2))
+        else:
+            total += cfg.alpha * float(np.sum((state.Ci[i] - state.C @ state.Zi[i]) ** 2))
+        total += w * float(np.sum((state.C - state.Ci[i]) ** 2))
+    return total
+
+
+def dense_solve(ds, cfg, variant, iterations):
+    """Run `iterations` ADMM iterations with the dense updates, in the
+    solver's order; returns the final state and the objective per iteration.
+
+    The updates whose structure the solver does not exploit (projections,
+    consensus auxiliary, view weights) are taken from the library.
+    """
+    from gfclust.solver import (
+        init_state,
+        project_constraints,
+        update_consensus_auxiliary,
+        update_view_weights,
+    )
+
+    state = init_state(ds, cfg)
+    if variant == VARIANT_NO_SMOOTHING:
+        state.Y = [x.copy() for x in ds.views]
+    objectives = []
+    for iteration in range(1, iterations + 1):
+        state.iteration = iteration
+        for i in range(ds.n_views):
+            if variant != VARIANT_NO_SMOOTHING:
+                state.Y[i] = dense_view_representation(state, ds, i)
+            state.Ci[i] = dense_view_coefficients(state, i, cfg, variant)
+            state.Zi[i] = project_constraints(dense_view_auxiliary(state, i, cfg, variant))
+        state.C = dense_consensus_coefficients(state, ds, cfg, variant)
+        state.Z = update_consensus_auxiliary(state)
+        steps = dense_multiplier_steps(state, ds, variant)
+        for name, value in steps.items():
+            setattr(state, name, value)
+        state.mu = min(cfg.mu_max, cfg.rho * state.mu)
+        state.gamma = update_view_weights(state, cfg)
+        objectives.append(dense_objective_value(state, ds, cfg, variant))
+    return state, objectives

@@ -177,6 +177,27 @@ def test_exit_code_when_k_unresolvable(tmp_path):
     assert main(["run", "--config", str(config)]) == 1
 
 
+def test_exit_code_on_non_integer_repetitions(tmp_path, capsys):
+    config = write_config(tmp_path, repetitions="abc")
+    assert main(["run", "--config", str(config)]) == 1
+    assert "config error: repetitions must be an integer" in capsys.readouterr().err
+
+
+def test_exit_code_on_scalar_grid_values(tmp_path, capsys):
+    config = write_config(tmp_path, grid={"alpha": 0.5})
+    assert main(["run", "--config", str(config)]) == 1
+    assert "config error: grid alpha must be a list" in capsys.readouterr().err
+
+
+def test_exit_code_on_manifest_view_without_path(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"views": [{"has_header": False}], "labels": None}))
+    config = write_config(tmp_path, dataset={"manifest": str(manifest)})
+    assert main(["run", "--config", str(config)]) == 1
+    assert "config error: manifest view 0 needs a 'path'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_when_all_points_fail(tmp_path, capsys):
     config = write_config(tmp_path, k=50, grid={"alpha": [0.1, 0.5]})  # k > n = 18
     assert main(["run", "--config", str(config)]) == 2
@@ -260,6 +281,8 @@ def test_config_validation_errors(tmp_path):
         ExperimentConfig.from_dict(
             {"dataset": {"synthetic": SMALL_SYNTHETIC}, "variant": "bogus"}
         )
+    with pytest.raises(ConfigError, match="solver must be a JSON object"):
+        ExperimentConfig.from_dict({"dataset": {"synthetic": SMALL_SYNTHETIC}, "solver": []})
 
 
 def test_default_grid_expansion(tmp_path):

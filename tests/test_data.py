@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfclust.data import (
@@ -72,6 +72,23 @@ def test_load_dataset_missing_view_file(tmp_path):
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(DatasetError, match="manifest not found"):
         load_dataset(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ([], "JSON object"),
+        ({"views": [{"has_header": False}]}, "view 0 needs a 'path'"),
+        ({"views": ["v0.csv"]}, "view 0 needs a 'path'"),
+        ({"views": [{"path": "v0.csv"}], "labels": 3}, "labels must be a path"),
+    ],
+)
+def test_load_dataset_malformed_manifest(tmp_path, manifest, message):
+    _manifest(tmp_path, [VIEW_A])
+    path = tmp_path / "bad.json"
+    _write(path, json.dumps(manifest))
+    with pytest.raises(DatasetError, match=message):
+        load_dataset(path)
 
 
 def test_load_dataset_ragged_rows(tmp_path):
@@ -236,6 +253,7 @@ def test_normalize_unknown_mode():
         max_size=8,
     )
 )
+@example(rows=[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0985555399091895e-157]])
 def test_unit_row_norm_property(rows):
     ds = MultiViewDataset(views=[np.asarray(rows)])
     out = normalize_views(ds, "unit_row_norm")

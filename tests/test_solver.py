@@ -3,13 +3,20 @@ import pytest
 
 from gfclust.data import MultiViewDataset, SyntheticSpec, generate_synthetic
 from gfclust.solver import (
+    VARIANTS,
     Diagnostics,
     SolverConfig,
     SolverNumericalError,
+    _feature_couplings,
+    _feature_gram,
+    _view_auxiliary_factor,
+    constraint_gaps,
     init_state,
     objective_value,
     project_constraints,
     solve,
+    solve_ablation_frobenius,
+    solve_ablation_no_smoothing,
     update_consensus_auxiliary,
     update_consensus_coefficients,
     update_multipliers,
@@ -19,6 +26,8 @@ from gfclust.solver import (
     update_view_weights,
     view_mismatches,
 )
+
+import oracles
 from oracles import central_difference_gradient
 
 CFG = SolverConfig(alpha=0.7, beta=0.3, eta=0.5, mu0=1e-6)
@@ -625,3 +634,134 @@ def test_benchmark_gamma_simplex_every_iteration(benchmark_run):
     recorder = benchmark_run["recorder"]
     assert all(abs(total - 1.0) <= 1e-12 for total in recorder.gamma_sum)
     assert all(low > 0.0 for low in recorder.gamma_min)
+
+
+# ---- structured updates against the dense reference ----
+#
+# The solver exploits the matrix structure of its updates (thin-SVD C^i solve
+# when 4(d_i + 1) <= n, one Z^i factor per iteration, syrk Gram matrices,
+# products shared between updates), which reorders floating-point work. Every
+# update must match the dense forms in oracles.py to EQUIV_RTOL, relative to
+# the largest entry of the reference: about 4500 units of double-precision
+# rounding, far above the 1e-14 observed and far below any modelling change.
+
+EQUIV_RTOL = 1e-12
+
+
+def assert_equivalent(actual, expected, rtol=EQUIV_RTOL):
+    expected = np.asarray(expected)
+    scale = max(1.0, float(np.abs(expected).max()))
+    assert np.abs(np.asarray(actual) - expected).max() <= rtol * scale
+
+
+# (n, d): d=3 and d=9 at n=40 take the thin-SVD C^i solve (4(d+1) <= n),
+# d=10 at n=40 and d=4 at n=5 the Cholesky solve.
+STRUCTURE_CASES = [(5, 4), (40, 3), (40, 9), (40, 10)]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n,d", STRUCTURE_CASES)
+def test_updates_match_dense_reference(variant, n, d):
+    ds = toy_dataset(n=n, v=2, d=d, seed=60 + n + d)
+    state = random_state(ds, seed=61 + d)
+    for i in range(ds.n_views):
+        assert_equivalent(
+            update_view_representation(state, ds, i),
+            oracles.dense_view_representation(state, ds, i),
+        )
+        assert_equivalent(
+            update_view_coefficients(state, i, CFG, variant),
+            oracles.dense_view_coefficients(state, i, CFG, variant),
+        )
+        assert_equivalent(
+            update_view_auxiliary(state, i, CFG, variant, project=False),
+            oracles.dense_view_auxiliary(state, i, CFG, variant),
+        )
+    assert_equivalent(
+        update_consensus_coefficients(state, ds, CFG, variant),
+        oracles.dense_consensus_coefficients(state, ds, CFG, variant),
+    )
+    gaps = constraint_gaps(state, ds, variant)
+    expected_gaps = oracles.dense_constraint_gaps(state, ds, variant)
+    assert gaps.keys() == expected_gaps.keys()
+    for key, value in expected_gaps.items():
+        assert_equivalent(gaps[key], value)
+    assert objective_value(state, ds, CFG, variant) == pytest.approx(
+        oracles.dense_objective_value(state, ds, CFG, variant), rel=EQUIV_RTOL
+    )
+    steps = oracles.dense_multiplier_steps(state, ds, variant)
+    update_multipliers(state, ds, CFG, variant)
+    for name in ("Gamma", "Lam", "Omega"):
+        for actual, expected in zip(getattr(state, name), steps[name]):
+            assert_equivalent(actual, expected)
+    assert_equivalent(state.Theta, steps["Theta"])
+    assert_equivalent(state.Phi, steps["Phi"])
+
+
+@pytest.mark.parametrize("d", [3, 10])
+def test_view_coefficients_tiny_alpha_large_mu(d):
+    # the MSRC-v1 preset's alpha with a late-run penalty: the regime where a
+    # Woodbury difference of the low-rank C^i solve would cancel
+    cfg = SolverConfig(alpha=1e-5, beta=0.5, eta=0.5)
+    ds = toy_dataset(n=40, v=2, d=d, seed=62)
+    state = random_state(ds, cfg, seed=63)
+    for mu in (1e4, 1e8):
+        state.mu = mu
+        for i in range(ds.n_views):
+            assert_equivalent(
+                update_view_coefficients(state, i, cfg),
+                oracles.dense_view_coefficients(state, i, cfg),
+            )
+
+
+def test_shared_products_match_their_defaults():
+    ds = toy_dataset(n=40, v=3, d=5, seed=64)
+    state = random_state(ds, seed=65)
+    factor = _view_auxiliary_factor(state, CFG)
+    CZ = [state.C @ Zi for Zi in state.Zi]
+    for i in range(ds.n_views):
+        np.testing.assert_array_equal(
+            update_view_auxiliary(state, i, CFG, factor=factor),
+            update_view_auxiliary(state, i, CFG),
+        )
+        np.testing.assert_array_equal(
+            update_view_coefficients(state, i, CFG, CZi=CZ[i]),
+            update_view_coefficients(state, i, CFG),
+        )
+    np.testing.assert_array_equal(
+        update_consensus_coefficients(state, ds, CFG, XXt=_feature_gram(ds)),
+        update_consensus_coefficients(state, ds, CFG),
+    )
+    assert objective_value(state, ds, CFG, CZ=CZ) == objective_value(state, ds, CFG)
+    couplings = _feature_couplings(state, ds)
+    assert constraint_gaps(state, ds, couplings=couplings) == constraint_gaps(state, ds)
+
+
+SOLVE_FUNCS = {
+    "full": solve,
+    "no_smoothing": solve_ablation_no_smoothing,
+    "frobenius": solve_ablation_frobenius,
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solve_matches_dense_reference_iterations(variant):
+    # Checks that the shared products reach the right updates. View dims 3
+    # and 12 at n=40 put one view on each side of the C^i cut-off. mu0 = 1e-2
+    # keeps the run out of the small-mu start, where rounding differences of
+    # any two orderings (even of the dense reference on inputs perturbed by
+    # 1e-15) grow to 1e-7 within 40 iterations; here they stay below 1e-13.
+    spec = SyntheticSpec(
+        k=2, n_per_cluster=20, subspace_dim=2, view_dims=(3, 12), noise_sigma=0.05, seed=66
+    )
+    ds = generate_synthetic(spec)
+    iterations = 40
+    cfg = SolverConfig(alpha=0.5, beta=0.5, eta=0.5, mu0=1e-2, max_iter=iterations)
+    out = SOLVE_FUNCS[variant](ds, cfg)
+    assert out.iterations == iterations
+    state, objectives = oracles.dense_solve(ds, cfg, variant, iterations)
+    assert_equivalent(out.consensus_C, state.C, rtol=1e-10)
+    for actual, expected in zip(out.view_C, state.Ci):
+        assert_equivalent(actual, expected, rtol=1e-10)
+    np.testing.assert_allclose(out.gamma, state.gamma, rtol=1e-10)
+    np.testing.assert_allclose(out.diagnostics.objective, objectives, rtol=1e-10)
