@@ -15,7 +15,7 @@ from .data import (
     normalize_views,
     write_dataset,
 )
-from .graph import GraphSpectrum, consensus_filter, filter_spectrum, normalized_laplacian, smooth_features
+from .graph import GraphSpectrum, consensus_filter, filter_spectrum
 from .metrics import EvaluationReport, ari, clustering_accuracy, evaluate, f_score, hungarian, nmi
 from .solver import (
     Diagnostics,
@@ -56,8 +56,6 @@ __all__ = [
     "load_dataset",
     "nmi",
     "normalize_views",
-    "normalized_laplacian",
-    "smooth_features",
     "solve",
     "solve_ablation_frobenius",
     "solve_ablation_no_smoothing",

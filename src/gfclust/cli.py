@@ -69,6 +69,11 @@ PRESETS = {
 
 DEFAULT_ALPHA_BETA_GRID = [1e-5, 1e-4, 0.001, 0.01, 0.1, 0.2, 0.5, 0.8, 1.0, 2.0, 5.0, 8.0, 10.0]
 DEFAULT_ETA_GRID = [-5.0, -2.0, -1.0, 0.1, 0.5, 1.5, 2.0, 5.0]
+DEFAULT_GRID = {
+    "alpha": DEFAULT_ALPHA_BETA_GRID,
+    "beta": DEFAULT_ALPHA_BETA_GRID,
+    "eta": DEFAULT_ETA_GRID,
+}
 
 TRACE_COLUMNS = (
     "iter",
@@ -97,6 +102,11 @@ def _int_field(raw: dict, key: str, default: int | None) -> int | None:
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _expand_default_grid(grid):
+    """A whole-grid ``"default"`` as one ``"default"`` entry per grid key."""
+    return dict.fromkeys(DEFAULT_GRID, "default") if grid == "default" else grid
 
 
 def _float_list(key: str, values) -> list[float]:
@@ -160,23 +170,12 @@ class ExperimentConfig:
             solver = SolverConfig(**solver_fields)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid solver config: {exc}") from None
-        grid = raw.get("grid")
-        if grid == "default":
-            grid = {
-                "alpha": list(DEFAULT_ALPHA_BETA_GRID),
-                "beta": list(DEFAULT_ALPHA_BETA_GRID),
-                "eta": list(DEFAULT_ETA_GRID),
-            }
-        elif grid is not None:
-            if not isinstance(grid, dict) or not set(grid) <= {"alpha", "beta", "eta"}:
+        grid = _expand_default_grid(raw.get("grid"))
+        if grid is not None:
+            if not isinstance(grid, dict) or not set(grid) <= set(DEFAULT_GRID):
                 raise ConfigError("grid may only list alpha, beta, and eta values")
-            defaults = {
-                "alpha": DEFAULT_ALPHA_BETA_GRID,
-                "beta": DEFAULT_ALPHA_BETA_GRID,
-                "eta": DEFAULT_ETA_GRID,
-            }
             grid = {
-                key: list(defaults[key]) if values == "default" else _float_list(key, values)
+                key: list(DEFAULT_GRID[key]) if values == "default" else _float_list(key, values)
                 for key, values in grid.items()
             }
             if any(not values for values in grid.values()):
@@ -212,15 +211,18 @@ class ExperimentConfig:
         )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
+def _read_config(path: Path):
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid config JSON: {exc}") from None
-    return ExperimentConfig.from_dict(raw, base_dir=path.parent)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    path = Path(path)
+    return ExperimentConfig.from_dict(_read_config(path), base_dir=path.parent)
 
 
 def grid_points(cfg: ExperimentConfig) -> list[dict[str, float]]:
@@ -289,20 +291,17 @@ def run_grid_point(
 
     k = cfg.k if cfg.k is not None else ds.n_classes
     W = build_affinity(output.consensus_C)
+    reports = []
+    for r in range(cfg.repetitions):
+        assignment = spectral_clustering(W, k, seed=cfg.seed + r, restarts=cfg.restarts)
+        if ds.labels is not None:
+            reports.append(evaluate(assignment.labels, ds.labels))
     metrics = None
-    if ds.labels is not None:
-        per_metric = {"acc": [], "nmi": [], "ari": [], "f_score": []}
-        for r in range(cfg.repetitions):
-            assignment = spectral_clustering(W, k, seed=cfg.seed + r, restarts=cfg.restarts)
-            report = evaluate(assignment.labels, ds.labels)
-            per_metric["acc"].append(report.acc)
-            per_metric["nmi"].append(report.nmi)
-            per_metric["ari"].append(report.ari)
-            per_metric["f_score"].append(report.f_score)
-        metrics = {name: _metric_summary(vals) for name, vals in per_metric.items()}
-    else:
-        for r in range(cfg.repetitions):
-            spectral_clustering(W, k, seed=cfg.seed + r, restarts=cfg.restarts)
+    if reports:
+        metrics = {
+            name: _metric_summary([getattr(report, name) for report in reports])
+            for name in ("acc", "nmi", "ari", "f_score")
+        }
 
     result = {
         "params": params,
@@ -447,36 +446,34 @@ def emit_convergence_plot(trace_path: str | Path, out_path: str | Path) -> Path:
     return out_path
 
 
-def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    solver = cfg.solver
-    grid = cfg.grid
-    for name in ("alpha", "beta", "eta"):
-        value = getattr(args, name)
-        if value is not None:
-            solver = replace(solver, **{name: value})
-            if grid and name in grid:
-                grid = {key: vals for key, vals in grid.items() if key != name}
-                grid = grid or None
-    if args.max_iter is not None:
-        solver = replace(solver, max_iter=args.max_iter)
-    if args.eps is not None:
-        solver = replace(solver, eps=args.eps)
-    updates: dict = {"solver": solver, "grid": grid}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.repetitions is not None:
-        if args.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
-        updates["repetitions"] = args.repetitions
-    if args.variant is not None:
-        updates["variant"] = args.variant
-    if args.k is not None:
-        updates["k"] = args.k
-    if args.normalize is not None:
-        updates["normalize"] = args.normalize
+def _with_flags(raw, args: argparse.Namespace):
+    """The raw config with every given flag written over its JSON value.
+
+    Solver flags beat both the JSON ``solver`` values and a preset, and an
+    explicit ``--alpha``, ``--beta`` or ``--eta`` drops that key from the
+    grid. ``ExperimentConfig.from_dict`` checks the result, so a bad flag
+    value fails exactly as the same value in the JSON does.
+    """
+    if not isinstance(raw, dict):
+        return raw
+    raw = dict(raw)
+    solver_flags = {
+        name: getattr(args, name)
+        for name in ("alpha", "beta", "eta", "max_iter", "eps")
+        if getattr(args, name) is not None
+    }
+    solver = raw.get("solver", {})
+    if isinstance(solver, dict):
+        raw["solver"] = {**solver, **solver_flags}
+    grid = _expand_default_grid(raw.get("grid"))
+    if isinstance(grid, dict):
+        raw["grid"] = {key: vals for key, vals in grid.items() if key not in solver_flags} or None
+    for name in ("seed", "repetitions", "variant", "k", "normalize"):
+        if getattr(args, name) is not None:
+            raw[name] = getattr(args, name)
     if args.output is not None:
-        updates["output_dir"] = Path(args.output)
-    return replace(cfg, **updates)
+        raw["output_dir"] = str(Path(args.output).absolute())
+    return raw
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -495,9 +492,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--eps", type=float, default=None)
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--repetitions", type=int, default=None)
-    run_p.add_argument("--variant", choices=VARIANTS, default=None)
+    run_p.add_argument("--variant", default=None)
     run_p.add_argument("--k", type=int, default=None)
-    run_p.add_argument("--normalize", choices=NORMALIZATION_MODES, default=None)
+    run_p.add_argument("--normalize", default=None)
     run_p.add_argument("--output", default=None, help="output directory override")
 
     plot_p = sub.add_parser("plot", help="render a residual trace CSV as SVG")
@@ -510,8 +507,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         try:
-            cfg = load_config(args.config)
-            cfg = _apply_overrides(cfg, args)
+            path = Path(args.config)
+            raw = _with_flags(_read_config(path), args)
+            cfg = ExperimentConfig.from_dict(raw, base_dir=path.parent)
             code = run_experiment(cfg)
         except (ConfigError, DatasetError) as exc:
             print(f"config error: {exc}", file=sys.stderr)

@@ -34,7 +34,6 @@ class MultiViewDataset:
 
     views: list[np.ndarray]
     labels: np.ndarray | None = None
-    view_names: list[str] | None = None
 
     def __post_init__(self):
         if not self.views:
@@ -79,8 +78,6 @@ class MultiViewDataset:
             labels = labels.copy()
             labels.flags.writeable = False
             object.__setattr__(self, "labels", labels)
-        if self.view_names is not None and len(self.view_names) != len(views):
-            raise DatasetError("view_names length does not match view count")
 
     @property
     def n_samples(self) -> int:
@@ -217,19 +214,17 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
         raise DatasetError("manifest lists no views")
     base = manifest_path.parent
     views = []
-    names = []
     for idx, entry in enumerate(manifest["views"]):
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise DatasetError(f"manifest view {idx} needs a 'path' string")
         path = base / entry["path"]
         views.append(_read_matrix_csv(path, bool(entry.get("has_header", False))))
-        names.append(entry["path"])
     labels = None
     if manifest.get("labels"):
         if not isinstance(manifest["labels"], str):
             raise DatasetError("manifest labels must be a path string or null")
         labels = _read_labels_csv(base / manifest["labels"])
-    return MultiViewDataset(views=views, labels=labels, view_names=names)
+    return MultiViewDataset(views=views, labels=labels)
 
 
 def write_dataset(ds: MultiViewDataset, out_dir: str | Path, name: str = "dataset") -> Path:
@@ -281,4 +276,4 @@ def normalize_views(ds: MultiViewDataset, mode: str = "none") -> MultiViewDatase
             std = out.std(axis=0)  # population convention (divide by n)
             out = out / np.where(std > 0, std, 1.0)
         views.append(out)
-    return MultiViewDataset(views=views, labels=ds.labels, view_names=ds.view_names)
+    return MultiViewDataset(views=views, labels=ds.labels)

@@ -49,6 +49,11 @@ VARIANT_NO_SMOOTHING = "no_smoothing"
 VARIANT_FROBENIUS = "frobenius"
 VARIANTS = (VARIANT_FULL, VARIANT_NO_SMOOTHING, VARIANT_FROBENIUS)
 
+# Bound on the squared successive changes of C and Z at convergence.
+RESID_TOL = 1e-6
+# Floor on each J^i in the view-weight update (see update_view_weights).
+J_FLOOR = 1e-12
+
 
 class SolverNumericalError(RuntimeError):
     """A linear solve failed or an iterate went non-finite.
@@ -66,11 +71,9 @@ class SolverNumericalError(RuntimeError):
 class SolverConfig:
     """Hyper-parameters and ADMM constants.
 
-    ``eps`` bounds the constraint-gap max-norms at convergence; ``resid_tol``
-    additionally requires the squared successive changes of C and Z to settle
-    before the run stops. ``j_floor`` guards the view-weight update against
-    J^i = 0 (all-zero first iterate), where a negative exponent would be
-    undefined.
+    ``eps`` bounds the constraint-gap max-norms at convergence; the squared
+    successive changes of C and Z must also settle below ``RESID_TOL``
+    before the run stops.
     """
 
     alpha: float = 0.5
@@ -80,9 +83,7 @@ class SolverConfig:
     mu_max: float = 1e30
     rho: float = 1.1
     eps: float = 1e-4
-    resid_tol: float = 1e-6
     max_iter: int = 1000
-    j_floor: float = 1e-12
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
@@ -95,12 +96,8 @@ class SolverConfig:
             raise ValueError("rho must be >= 1")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.resid_tol <= 0:
-            raise ValueError("resid_tol must be positive")
         if not 1 <= self.max_iter <= 10_000:
             raise ValueError("max_iter must be in [1, 1e4]")
-        if self.j_floor <= 0:
-            raise ValueError("j_floor must be positive")
 
 
 @dataclass
@@ -446,11 +443,11 @@ def view_mismatches(state: SolverState) -> np.ndarray:
 def update_view_weights(state: SolverState, cfg: SolverConfig) -> np.ndarray:
     """Closed-form simplex weights gamma_i proportional to J_i^{1/(1-eta)}.
 
-    Each J^i is floored at cfg.j_floor before exponentiation so the first
+    Each J^i is floored at J_FLOOR before exponentiation so the first
     iteration (all J^i = 0) yields uniform weights instead of 0 to a negative
     power.
     """
-    J = np.maximum(view_mismatches(state), cfg.j_floor)
+    J = np.maximum(view_mismatches(state), J_FLOOR)
     powered = J ** (1.0 / (1.0 - cfg.eta))
     return powered / powered.sum()
 
@@ -542,8 +539,8 @@ def _solve(
         )
         if (
             worst_gap <= cfg.eps
-            and diagnostics.residual_C[-1] <= cfg.resid_tol
-            and diagnostics.residual_Z[-1] <= cfg.resid_tol
+            and diagnostics.residual_C[-1] <= RESID_TOL
+            and diagnostics.residual_Z[-1] <= RESID_TOL
         ):
             converged = True
             break
@@ -564,7 +561,7 @@ def solve(ds: MultiViewDataset, cfg: SolverConfig, callback=None) -> SolverOutpu
     sequentially against the previous iteration's consensus), then C, Z, the
     multipliers with the current mu, mu itself, and finally the view weights.
     The run stops once every constraint-gap max-norm is <= cfg.eps and the
-    squared successive changes of C and Z are <= cfg.resid_tol. The optional
+    squared successive changes of C and Z are <= RESID_TOL. The optional
     ``callback(state)`` fires after each completed iteration.
     """
     return _solve(ds, cfg, VARIANT_FULL, callback)

@@ -144,6 +144,21 @@ def test_flag_overrides_beat_config(tmp_path):
     assert result["repetitions"] == 2
 
 
+def test_flags_collapse_default_grid_and_output_is_cwd_relative(tmp_path, monkeypatch):
+    from gfclust.cli import DEFAULT_ETA_GRID
+
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    config = write_config(config_dir, grid="default")
+    monkeypatch.chdir(tmp_path)
+    argv = ["--alpha", "0.2", "--beta", "0.3", "--max-iter", "20", "--output", "rel"]
+    assert main(["run", "--config", str(config), *argv]) == 0
+    results = read_results(tmp_path / "rel")
+    assert sorted(r["params"]["eta"] for r in results.values()) == sorted(DEFAULT_ETA_GRID)
+    assert all(r["params"]["alpha"] == 0.2 and r["params"]["beta"] == 0.3 for r in results.values())
+    assert not (config_dir / "rel").exists()
+
+
 def test_variant_override_runs_ablation(tmp_path):
     config = write_config(tmp_path, solver={"max_iter": 300})
     main(["run", "--config", str(config), "--variant", "no_smoothing"])
@@ -196,6 +211,56 @@ def test_exit_code_on_manifest_view_without_path(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 1
     assert "config error: manifest view 0 needs a 'path'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, key, json_value",
+    [
+        ("--alpha", "-1", "solver.alpha", -1.0),
+        ("--beta", "0", "solver.beta", 0.0),
+        ("--eta", "1", "solver.eta", 1.0),
+        ("--eps", "0", "solver.eps", 0.0),
+        ("--max-iter", "0", "solver.max_iter", 0),
+        ("--k", "0", "k", 0),
+        ("--repetitions", "0", "repetitions", 0),
+        ("--variant", "bogus", "variant", "bogus"),
+        ("--normalize", "bogus", "normalize", "bogus"),
+    ],
+)
+def test_bad_flag_fails_like_bad_json(tmp_path, capsys, flag, value, key, json_value):
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config), flag, value]) == 1
+    flag_err = capsys.readouterr().err
+    assert flag_err.startswith("config error: ")
+    assert flag_err.count("\n") == 1 and "Traceback" not in flag_err
+
+    raw = json.loads(config.read_text())
+    if key.startswith("solver."):
+        raw["solver"][key.split(".")[1]] = json_value
+    else:
+        raw[key] = json_value
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == flag_err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unlabeled_manifest_with_explicit_k(tmp_path):
+    views_dir = tmp_path / "data"
+    views_dir.mkdir()
+    rng = np.random.default_rng(0)
+    np.savetxt(views_dir / "v0.csv", rng.standard_normal((8, 3)), delimiter=",")
+    manifest = views_dir / "manifest.json"
+    manifest.write_text(json.dumps({"views": [{"path": "v0.csv"}], "labels": None}))
+    config = write_config(
+        tmp_path, dataset={"manifest": str(manifest)}, solver={"max_iter": 50}, repetitions=2
+    )
+    assert main(["run", "--config", str(config), "--k", "2"]) == 0
+    (result,) = read_results(tmp_path / "out").values()
+    assert result["k"] == 2
+    assert result["metrics"] is None
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["best"] is None
 
 
 def test_exit_code_when_all_points_fail(tmp_path, capsys):

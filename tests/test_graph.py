@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from gfclust.graph import (
-    GraphSpectrum,
-    consensus_filter,
-    filter_spectrum,
-    normalized_laplacian,
-    smooth_features,
-)
+from gfclust.graph import GraphSpectrum, consensus_filter, filter_spectrum
 
 
 def sinkhorn_symmetric(M, iterations=200):
@@ -28,43 +22,6 @@ def feasible_consensus(n, seed):
     C = sinkhorn_symmetric(rng.random((n, n)) + 0.1)
     assert np.abs(C.sum(axis=1) - 1.0).max() < 1e-10
     return C
-
-
-def test_laplacian_zero_adjacency_is_zero():
-    L = normalized_laplacian(np.zeros((2, 2)))
-    np.testing.assert_array_equal(L, np.zeros((2, 2)))
-
-
-def test_laplacian_single_edge_hand_value():
-    L = normalized_laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(L, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
-    np.testing.assert_allclose(np.linalg.eigvalsh(L), [0.0, 1.0], atol=1e-15)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_laplacian_spectrum_bounds(seed):
-    rng = np.random.default_rng(seed)
-    n = rng.integers(2, 7)
-    W = rng.random((n, n))
-    W = 0.5 * (W + W.T)
-    L = normalized_laplacian(W)
-    np.testing.assert_allclose(L, L.T, atol=1e-14)
-    eigenvalues = np.linalg.eigvalsh(L)
-    assert abs(eigenvalues.min()) <= 1e-10
-    assert eigenvalues.max() <= 2.0 + 1e-10
-    # D^{1/2} 1 spans the null space
-    d_sqrt = np.sqrt((W + np.eye(n)).sum(axis=1))
-    assert np.abs(L @ d_sqrt).max() <= 1e-10
-
-
-def test_laplacian_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        normalized_laplacian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_laplacian_rejects_negative():
-    with pytest.raises(ValueError, match="nonnegative"):
-        normalized_laplacian(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
 def test_consensus_filter_zero_coefficients():
@@ -93,56 +50,6 @@ def test_consensus_filter_preserves_row_sums():
     C = feasible_consensus(6, seed=0)
     G = consensus_filter(C)
     np.testing.assert_allclose(G.sum(axis=1), np.ones(6), atol=1e-12)
-
-
-def test_smooth_identity_filter():
-    X = np.arange(6.0).reshape(3, 2)
-    np.testing.assert_array_equal(smooth_features(np.eye(3), X), X)
-
-
-def test_smooth_scalar_filter():
-    X = np.arange(8.0).reshape(4, 2)
-    np.testing.assert_allclose(smooth_features(0.75 * np.eye(4), X), 0.75 * X)
-
-
-def test_smooth_attenuates_high_frequency():
-    G = np.array([[0.75, 0.25], [0.25, 0.75]])
-    X = np.array([[1.0], [-1.0]])
-    np.testing.assert_allclose(smooth_features(G, X), [[0.5], [-0.5]], atol=1e-15)
-
-
-def test_smooth_linearity():
-    rng = np.random.default_rng(2)
-    G = consensus_filter(feasible_consensus(5, seed=2))
-    X1 = rng.standard_normal((5, 3))
-    X2 = rng.standard_normal((5, 3))
-    lhs = smooth_features(G, 2.5 * X1 - 1.25 * X2)
-    rhs = 2.5 * smooth_features(G, X1) - 1.25 * smooth_features(G, X2)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_smooth_never_raises_rayleigh_quotient(seed):
-    """Low-pass contract: filtering cannot increase any column's frequency."""
-    rng = np.random.default_rng(seed)
-    C = feasible_consensus(7, seed=seed + 10)
-    G = consensus_filter(C)
-    L = normalized_laplacian(C)
-    X = rng.standard_normal((7, 4))
-    smoothed = smooth_features(G, X)
-    for col in range(X.shape[1]):
-        x = X[:, col]
-        y = smoothed[:, col]
-        if y @ y < 1e-20:
-            continue
-        before = (x @ L @ x) / (x @ x)
-        after = (y @ L @ y) / (y @ y)
-        assert after <= before + 1e-10
-
-
-def test_smooth_shape_mismatch():
-    with pytest.raises(ValueError, match="conform"):
-        smooth_features(np.eye(3), np.ones((4, 2)))
 
 
 def test_filter_spectrum_identity():

@@ -78,6 +78,10 @@ def test_accuracy_unequal_cluster_counts():
 
 def test_nmi_identical_partitions():
     assert nmi([0, 1, 0, 1], [1, 0, 1, 0]) == pytest.approx(1.0)
+    # Unclipped, rounding put this one at 1.0000000000000004.
+    y = np.repeat(np.arange(3), 100)
+    assert nmi(y, y) == pytest.approx(1.0)
+    assert nmi(y, y) <= 1.0
 
 
 def test_nmi_independent_partitions():
