@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -75,17 +75,23 @@ DEFAULT_GRID = {
     "eta": DEFAULT_ETA_GRID,
 }
 
-TRACE_COLUMNS = (
-    "iter",
-    "residual_C",
-    "residual_Z",
-    "gap_Y",
-    "gap_CiZi",
-    "gap_Ci1",
-    "gap_CZ",
-    "gap_C1",
-    "objective",
-)
+METRIC_NAMES = ("acc", "nmi", "ari", "f_score")
+
+# Every `run` flag but --config and --output, with its argparse type. A flag
+# named after a SolverConfig field sets that field, the others a top-level
+# config key of the same name.
+RUN_FLAGS = {
+    "alpha": float,
+    "beta": float,
+    "eta": float,
+    "max_iter": int,
+    "eps": float,
+    "seed": int,
+    "repetitions": int,
+    "variant": str,
+    "k": int,
+    "normalize": str,
+}
 
 _SOLVE_FUNCS = {
     "full": solve,
@@ -162,10 +168,8 @@ class ExperimentConfig:
         if preset is not None:
             if preset not in PRESETS:
                 raise ConfigError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
-            alpha, beta, eta = PRESETS[preset]
-            solver_fields.setdefault("alpha", alpha)
-            solver_fields.setdefault("beta", beta)
-            solver_fields.setdefault("eta", eta)
+            for key, value in zip(DEFAULT_GRID, PRESETS[preset]):
+                solver_fields.setdefault(key, value)
         try:
             solver = SolverConfig(**solver_fields)
         except (TypeError, ValueError) as exc:
@@ -228,13 +232,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def grid_points(cfg: ExperimentConfig) -> list[dict[str, float]]:
     """Cartesian product of the grid lists, singleton solver values elsewhere."""
     grid = cfg.grid or {}
-    alphas = grid.get("alpha", [cfg.solver.alpha])
-    betas = grid.get("beta", [cfg.solver.beta])
-    etas = grid.get("eta", [cfg.solver.eta])
-    return [
-        {"alpha": a, "beta": b, "eta": e}
-        for a, b, e in itertools.product(alphas, betas, etas)
-    ]
+    axes = [grid.get(key, [getattr(cfg.solver, key)]) for key in DEFAULT_GRID]
+    return [dict(zip(DEFAULT_GRID, values)) for values in itertools.product(*axes)]
 
 
 def grid_point_hash(params: dict[str, float]) -> str:
@@ -255,17 +254,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_trace_csv(path: Path, output: SolverOutput) -> None:
+    """One row per iteration: ``iter``, then every scalar series of the
+    diagnostics in field order (J holds one array per iteration)."""
     diag = output.diagnostics
-    lines = [",".join(TRACE_COLUMNS)]
-    for idx in range(len(diag)):
-        row = [
-            str(idx + 1),
-            *(
-                format(getattr(diag, col)[idx], ".17g")
-                for col in TRACE_COLUMNS[1:]
-            ),
-        ]
-        lines.append(",".join(row))
+    columns = [f.name for f in fields(diag) if f.name != "J"]
+    lines = [",".join(["iter", *columns])]
+    for idx, row in enumerate(zip(*(getattr(diag, name) for name in columns)), start=1):
+        lines.append(",".join([str(idx), *(format(x, ".17g") for x in row)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -281,8 +276,9 @@ def _metric_summary(values: list[float]) -> dict:
 def run_grid_point(
     ds: MultiViewDataset, cfg: ExperimentConfig, params: dict[str, float], point_dir: Path
 ) -> dict:
-    """Solve one grid point, run the clustering repetitions, write artifacts."""
-    point_dir.mkdir(parents=True, exist_ok=True)
+    """Solve one grid point, run the clustering repetitions, write the trace,
+    consensus and plot artifacts into the existing point_dir; return the
+    point's record."""
     solver_cfg = replace(cfg.solver, **params)
     output = _SOLVE_FUNCS[cfg.variant](ds, solver_cfg)
     _write_trace_csv(point_dir / "trace.csv", output)
@@ -300,10 +296,10 @@ def run_grid_point(
     if reports:
         metrics = {
             name: _metric_summary([getattr(report, name) for report in reports])
-            for name in ("acc", "nmi", "ari", "f_score")
+            for name in METRIC_NAMES
         }
 
-    result = {
+    return {
         "params": params,
         "variant": cfg.variant,
         "normalize": cfg.normalize,
@@ -316,10 +312,7 @@ def run_grid_point(
         "iterations": output.iterations,
         "gamma": [float(g) for g in output.gamma],
         "metrics": metrics,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _write_json(point_dir / "result.json", result)
-    return result
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -330,44 +323,37 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.k is None and ds.labels is None:
         raise ConfigError("k is required when the dataset has no labels")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    points = []
-    n_failed = 0
+    points = []  # (hash, record) per grid point; a failed point's record has "error"
     for params in grid_points(cfg):
         digest = grid_point_hash(params)
         point_dir = cfg.output_dir / digest
+        point_dir.mkdir(exist_ok=True)
         try:
-            result = run_grid_point(ds, cfg, params, point_dir)
-            points.append({"hash": digest, "params": params, "ok": True, "result": result})
+            record = run_grid_point(ds, cfg, params, point_dir)
         except (SolverNumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            n_failed += 1
-            point_dir.mkdir(parents=True, exist_ok=True)
-            _write_json(
-                point_dir / "result.json",
-                {
-                    "params": params,
-                    "variant": cfg.variant,
-                    "error": str(exc),
-                    "timestamp": datetime.now(timezone.utc).isoformat(),
-                },
-            )
-            points.append({"hash": digest, "params": params, "ok": False, "error": str(exc)})
+            record = {"params": params, "variant": cfg.variant, "error": str(exc)}
+        record["timestamp"] = datetime.now(timezone.utc).isoformat()
+        _write_json(point_dir / "result.json", record)
+        points.append((digest, record))
+    n_failed = sum("error" in record for _, record in points)
+    scored = [(digest, record) for digest, record in points if record.get("metrics") is not None]
     best = None
-    scored = [p for p in points if p["ok"] and p["result"]["metrics"] is not None]
     if scored:
         best = {}
-        for metric in ("acc", "nmi", "ari", "f_score"):
-            top = max(scored, key=lambda p: p["result"]["metrics"][metric]["mean"])
+        for metric in METRIC_NAMES:
+            digest, top = max(scored, key=lambda p: p[1]["metrics"][metric]["mean"])
             best[metric] = {
-                "hash": top["hash"],
+                "hash": digest,
                 "params": top["params"],
-                "mean": top["result"]["metrics"][metric]["mean"],
+                "mean": top["metrics"][metric]["mean"],
             }
     summary = {
         "variant": cfg.variant,
         "n_points": len(points),
         "n_failed": n_failed,
         "points": [
-            {key: p[key] for key in ("hash", "params", "ok")} for p in points
+            {"hash": digest, "params": record["params"], "ok": "error" not in record}
+            for digest, record in points
         ],
         "best": best,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -457,20 +443,16 @@ def _with_flags(raw, args: argparse.Namespace):
     if not isinstance(raw, dict):
         return raw
     raw = dict(raw)
-    solver_flags = {
-        name: getattr(args, name)
-        for name in ("alpha", "beta", "eta", "max_iter", "eps")
-        if getattr(args, name) is not None
-    }
+    given = {name: getattr(args, name) for name in RUN_FLAGS if getattr(args, name) is not None}
+    solver_names = {f.name for f in fields(SolverConfig)}
+    solver_flags = {name: value for name, value in given.items() if name in solver_names}
+    raw.update({name: value for name, value in given.items() if name not in solver_names})
     solver = raw.get("solver", {})
     if isinstance(solver, dict):
         raw["solver"] = {**solver, **solver_flags}
     grid = _expand_default_grid(raw.get("grid"))
     if isinstance(grid, dict):
         raw["grid"] = {key: vals for key, vals in grid.items() if key not in solver_flags} or None
-    for name in ("seed", "repetitions", "variant", "k", "normalize"):
-        if getattr(args, name) is not None:
-            raw[name] = getattr(args, name)
     if args.output is not None:
         raw["output_dir"] = str(Path(args.output).absolute())
     return raw
@@ -485,16 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment described by a JSON config")
     run_p.add_argument("--config", required=True, help="experiment config JSON")
-    run_p.add_argument("--alpha", type=float, default=None)
-    run_p.add_argument("--beta", type=float, default=None)
-    run_p.add_argument("--eta", type=float, default=None)
-    run_p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    run_p.add_argument("--eps", type=float, default=None)
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--repetitions", type=int, default=None)
-    run_p.add_argument("--variant", default=None)
-    run_p.add_argument("--k", type=int, default=None)
-    run_p.add_argument("--normalize", default=None)
+    for name, type_ in RUN_FLAGS.items():
+        run_p.add_argument("--" + name.replace("_", "-"), type=type_, dest=name)
     run_p.add_argument("--output", default=None, help="output directory override")
 
     plot_p = sub.add_parser("plot", help="render a residual trace CSV as SVG")

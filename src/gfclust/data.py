@@ -177,20 +177,14 @@ def _read_matrix_csv(path: Path, has_header: bool) -> np.ndarray:
 
 
 def _read_labels_csv(path: Path) -> np.ndarray:
-    if not path.is_file():
-        raise DatasetError(f"file not found: {path}")
-    values = []
-    with path.open("r", encoding="utf-8") as handle:
-        for row_idx, line in enumerate(handle.read().splitlines()):
-            if not line.strip():
-                continue
-            try:
-                values.append(int(line.strip()))
-            except ValueError:
-                raise DatasetError(
-                    f"non-integer label {line.strip()!r} at {path} row {row_idx}"
-                ) from None
-    return np.asarray(values, dtype=int)
+    values = _read_matrix_csv(path, has_header=False)
+    if values.shape[1] != 1:
+        raise DatasetError(f"labels file {path} has {values.shape[1]} columns, expected 1")
+    labels = values[:, 0]
+    integral = np.isfinite(labels) & (labels == np.round(labels))
+    if not integral.all():
+        raise DatasetError(f"non-integer label {labels[~integral][0]:g} in {path}")
+    return labels.astype(int)
 
 
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:

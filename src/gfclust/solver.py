@@ -118,10 +118,6 @@ class SolverState:
     mu: float
     iteration: int = 0
 
-    @property
-    def n_views(self) -> int:
-        return len(self.Y)
-
 
 @dataclass
 class Diagnostics:
@@ -534,11 +530,8 @@ def _solve(
         if callback is not None:
             callback(state)
 
-        worst_gap = max(
-            gaps[k] for k in ("gap_Y", "gap_CiZi", "gap_Ci1", "gap_CZ", "gap_C1")
-        )
         if (
-            worst_gap <= cfg.eps
+            max(gaps.values()) <= cfg.eps
             and diagnostics.residual_C[-1] <= RESID_TOL
             and diagnostics.residual_Z[-1] <= RESID_TOL
         ):
