@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -36,6 +37,7 @@ from .data import (
     NORMALIZATION_MODES,
     SyntheticSpec,
     generate_synthetic,
+    is_int,
     load_dataset,
     normalize_views,
 )
@@ -75,6 +77,21 @@ DEFAULT_GRID = {
     "eta": DEFAULT_ETA_GRID,
 }
 
+# The top-level keys of an experiment config.
+CONFIG_KEYS = (
+    "dataset",
+    "normalize",
+    "preset",
+    "solver",
+    "grid",
+    "k",
+    "repetitions",
+    "restarts",
+    "seed",
+    "variant",
+    "output_dir",
+)
+
 METRIC_NAMES = ("acc", "nmi", "ari", "f_score")
 
 # Every `run` flag but --config and --output, with its argparse type. A flag
@@ -102,12 +119,9 @@ _SOLVE_FUNCS = {
 
 def _int_field(raw: dict, key: str, default: int | None) -> int | None:
     value = raw.get(key, default)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if value is not None and not is_int(value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _expand_default_grid(grid):
@@ -115,13 +129,18 @@ def _expand_default_grid(grid):
     return dict.fromkeys(DEFAULT_GRID, "default") if grid == "default" else grid
 
 
-def _float_list(key: str, values) -> list[float]:
+def _grid_axis(key: str, values, solver: SolverConfig) -> list[float]:
+    """The grid values of one solver field, each checked as that field of ``solver``."""
+    if values == "default":
+        values = DEFAULT_GRID[key]
     if not isinstance(values, list):
         raise ConfigError(f"grid {key} must be a list of numbers or 'default', got {values!r}")
-    try:
-        return [float(x) for x in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"grid {key} must be a list of numbers, got {values!r}") from None
+    for value in values:
+        try:
+            replace(solver, **{key: value})
+        except ValueError as exc:
+            raise ConfigError(f"invalid grid {key} value {value!r}: {exc}") from None
+    return [float(x) for x in values]
 
 
 @dataclass(frozen=True)
@@ -143,12 +162,17 @@ class ExperimentConfig:
         base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(raw) - set(CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; known: {sorted(CONFIG_KEYS)}")
         dataset = raw.get("dataset")
         if not isinstance(dataset, dict) or ("manifest" in dataset) == ("synthetic" in dataset):
             raise ConfigError("dataset must specify exactly one of 'manifest' or 'synthetic'")
         manifest = None
         synthetic = None
         if "manifest" in dataset:
+            if not isinstance(dataset["manifest"], (str, os.PathLike)):
+                raise ConfigError("dataset manifest must be a path string")
             manifest = Path(dataset["manifest"])
             if not manifest.is_absolute():
                 manifest = base_dir / manifest
@@ -166,7 +190,7 @@ class ExperimentConfig:
         solver_fields = dict(solver_fields)
         preset = raw.get("preset")
         if preset is not None:
-            if preset not in PRESETS:
+            if not isinstance(preset, str) or preset not in PRESETS:
                 raise ConfigError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
             for key, value in zip(DEFAULT_GRID, PRESETS[preset]):
                 solver_fields.setdefault(key, value)
@@ -178,10 +202,7 @@ class ExperimentConfig:
         if grid is not None:
             if not isinstance(grid, dict) or not set(grid) <= set(DEFAULT_GRID):
                 raise ConfigError("grid may only list alpha, beta, and eta values")
-            grid = {
-                key: list(DEFAULT_GRID[key]) if values == "default" else _float_list(key, values)
-                for key, values in grid.items()
-            }
+            grid = {key: _grid_axis(key, values, solver) for key, values in grid.items()}
             if any(not values for values in grid.values()):
                 raise ConfigError("grid lists must be non-empty")
         repetitions = _int_field(raw, "repetitions", 1)
@@ -197,7 +218,13 @@ class ExperimentConfig:
         if k is not None:
             if k < 1:
                 raise ConfigError("k must be >= 1")
-        output_dir = Path(raw.get("output_dir", "results"))
+        seed = _int_field(raw, "seed", 0)
+        if seed < 0:
+            raise ConfigError("seed must be >= 0")
+        output_dir = raw.get("output_dir", "results")
+        if not isinstance(output_dir, (str, os.PathLike)):
+            raise ConfigError("output_dir must be a path string")
+        output_dir = Path(output_dir)
         if not output_dir.is_absolute():
             output_dir = base_dir / output_dir
         return ExperimentConfig(
@@ -209,7 +236,7 @@ class ExperimentConfig:
             k=k,
             repetitions=repetitions,
             restarts=restarts,
-            seed=_int_field(raw, "seed", 0),
+            seed=seed,
             variant=variant,
             output_dir=output_dir,
         )

@@ -9,7 +9,9 @@ runs can share them read-only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,25 @@ class DatasetError(ValueError):
 
 
 NORMALIZATION_MODES = ("none", "unit_row_norm", "zscore_columns")
+
+
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; bools and floats are not integers."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_field_types(obj, error: type[Exception]) -> None:
+    """Raise ``error`` unless every ``int`` field of the dataclass ``obj``
+    holds an integer and every ``float`` field a finite number; a bool is
+    neither. Field types are read as the strings that postponed annotations
+    make them."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and not is_int(value):
+            raise error(f"{f.name} must be an integer, got {value!r}")
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if f.type == "float" and not (number and math.isfinite(value)):
+            raise error(f"{f.name} must be a finite number, got {value!r}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -106,6 +127,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self, DatasetError)
+        if not all(is_int(d) for d in self.view_dims):
+            raise DatasetError(f"view_dims must be integers, got {list(self.view_dims)!r}")
         object.__setattr__(self, "view_dims", tuple(int(d) for d in self.view_dims))
         if self.k < 2:
             raise DatasetError("need at least two clusters")
@@ -119,6 +143,8 @@ class SyntheticSpec:
             raise DatasetError("each view dimension must exceed the subspace dimension")
         if self.noise_sigma < 0:
             raise DatasetError("noise sigma must be nonnegative")
+        if self.seed < 0:
+            raise DatasetError("seed must be nonnegative")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> MultiViewDataset:

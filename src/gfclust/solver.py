@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import dsyrk
 
-from .data import MultiViewDataset
+from .data import MultiViewDataset, check_field_types
 
 VARIANT_FULL = "full"
 VARIANT_NO_SMOOTHING = "no_smoothing"
@@ -86,6 +86,7 @@ class SolverConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
+        check_field_types(self, ValueError)
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
         if self.eta == 1:

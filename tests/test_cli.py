@@ -225,6 +225,8 @@ def test_exit_code_on_manifest_view_without_path(tmp_path, capsys):
         ("--repetitions", "0", "repetitions", 0),
         ("--variant", "bogus", "variant", "bogus"),
         ("--normalize", "bogus", "normalize", "bogus"),
+        ("--alpha", "nan", "solver.alpha", float("nan")),
+        ("--eps", "inf", "solver.eps", float("inf")),
     ],
 )
 def test_bad_flag_fails_like_bad_json(tmp_path, capsys, flag, value, key, json_value):
@@ -348,6 +350,38 @@ def test_config_validation_errors(tmp_path):
         )
     with pytest.raises(ConfigError, match="solver must be a JSON object"):
         ExperimentConfig.from_dict({"dataset": {"synthetic": SMALL_SYNTHETIC}, "solver": []})
+    with pytest.raises(ConfigError, match="max_iter must be an integer, got 10.5"):
+        ExperimentConfig.from_dict(
+            {"dataset": {"synthetic": SMALL_SYNTHETIC}, "solver": {"max_iter": 10.5}}
+        )
+    with pytest.raises(ConfigError, match="max_iter must be an integer, got True"):
+        ExperimentConfig.from_dict(
+            {"dataset": {"synthetic": SMALL_SYNTHETIC}, "solver": {"max_iter": True}}
+        )
+    with pytest.raises(ConfigError, match="repetitions must be an integer, got 2.5"):
+        ExperimentConfig.from_dict(
+            {"dataset": {"synthetic": SMALL_SYNTHETIC}, "repetitions": 2.5}
+        )
+    with pytest.raises(ConfigError, match="invalid synthetic spec: k must be an integer"):
+        ExperimentConfig.from_dict({"dataset": {"synthetic": {**SMALL_SYNTHETIC, "k": 2.5}}})
+    with pytest.raises(ConfigError, match="invalid grid alpha value -1.0"):
+        ExperimentConfig.from_dict(
+            {"dataset": {"synthetic": SMALL_SYNTHETIC}, "grid": {"alpha": [0.5, -1.0]}}
+        )
+    with pytest.raises(ConfigError, match="invalid grid eta value 1.0"):
+        ExperimentConfig.from_dict(
+            {"dataset": {"synthetic": SMALL_SYNTHETIC}, "grid": {"eta": [1.0]}}
+        )
+    with pytest.raises(ConfigError, match=r"unknown config keys \['repetiton'\]; known: .*'repetitions'"):
+        ExperimentConfig.from_dict({"dataset": {"synthetic": SMALL_SYNTHETIC}, "repetiton": 3})
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        ExperimentConfig.from_dict({"dataset": {"synthetic": SMALL_SYNTHETIC}, "seed": -1})
+    with pytest.raises(ConfigError, match="manifest must be a path string"):
+        ExperimentConfig.from_dict({"dataset": {"manifest": 5}})
+    with pytest.raises(ConfigError, match="output_dir must be a path string"):
+        ExperimentConfig.from_dict({"dataset": {"synthetic": SMALL_SYNTHETIC}, "output_dir": 5})
+    with pytest.raises(ConfigError, match="unknown preset"):
+        ExperimentConfig.from_dict({"dataset": {"synthetic": SMALL_SYNTHETIC}, "preset": []})
 
 
 def test_default_grid_expansion(tmp_path):

@@ -109,6 +109,25 @@ def test_load_dataset_labels_length_mismatch(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("0\n1\nx\n1\n", None),
+        ("0\n1.5\n1\n0\n", None),
+        ("0,1\n1,0\n0,1\n1,0\n", None),
+        ("0\n1\n\n2\n3.0\n", [0, 1, 2, 3]),
+    ],
+)
+def test_load_dataset_labels_csv(tmp_path, text, expected):
+    path = _manifest(tmp_path, [VIEW_A], labels=[0, 0, 1, 1])
+    _write(tmp_path / "y.csv", text)
+    if expected is None:
+        with pytest.raises(DatasetError, match="y.csv"):
+            load_dataset(path)
+    else:
+        np.testing.assert_array_equal(load_dataset(path).labels, expected)
+
+
 def test_load_dataset_header_skipped(tmp_path):
     rows = [["a", "b"], [1.0, 2.0], [3.0, 4.0]]
     path = _manifest(tmp_path, [rows], has_header=True)
@@ -211,6 +230,12 @@ def test_generate_synthetic_membership_survives_shuffling():
         dict(k=2, n_per_cluster=5, subspace_dim=6, view_dims=(6,)),
         dict(k=2, n_per_cluster=5, subspace_dim=2, view_dims=()),
         dict(k=2, n_per_cluster=5, subspace_dim=2, view_dims=(6,), noise_sigma=-0.1),
+        dict(k=2.5, n_per_cluster=5, subspace_dim=2, view_dims=(6,)),
+        dict(k=2, n_per_cluster=5, subspace_dim=True, view_dims=(6,)),
+        dict(k=2, n_per_cluster=2.5, subspace_dim=2, view_dims=(6,)),
+        dict(k=2, n_per_cluster=5, subspace_dim=2, view_dims=(20.7,)),
+        dict(k=2, n_per_cluster=5, subspace_dim=2, view_dims=(6,), noise_sigma=float("nan")),
+        dict(k=2, n_per_cluster=5, subspace_dim=2, view_dims=(6,), seed=-1),
     ],
 )
 def test_synthetic_spec_validation(kwargs):

@@ -163,6 +163,17 @@ def test_config_validation():
         SolverConfig(max_iter=20_000)
     with pytest.raises(ValueError):
         SolverConfig(mu0=1.0, mu_max=0.1)
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        SolverConfig(max_iter=10.5)
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        SolverConfig(max_iter=True)
+    with pytest.raises(ValueError, match="alpha must be a finite number"):
+        SolverConfig(alpha=float("nan"))
+    with pytest.raises(ValueError, match="beta must be a finite number"):
+        SolverConfig(beta=True)
+    with pytest.raises(ValueError, match="eps must be a finite number"):
+        SolverConfig(eps=float("inf"))
+    assert SolverConfig(max_iter=np.int64(5)).max_iter == 5
 
 
 # ---- view representation update ----
