@@ -36,6 +36,7 @@ from .data import (
     MultiViewDataset,
     NORMALIZATION_MODES,
     SyntheticSpec,
+    check_known_keys,
     generate_synthetic,
     is_int,
     load_dataset,
@@ -91,6 +92,9 @@ CONFIG_KEYS = (
     "variant",
     "output_dir",
 )
+
+# The keys of the config's dataset object; exactly one of them is given.
+DATASET_KEYS = ("manifest", "synthetic")
 
 METRIC_NAMES = ("acc", "nmi", "ari", "f_score")
 
@@ -162,10 +166,10 @@ class ExperimentConfig:
         base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = sorted(set(raw) - set(CONFIG_KEYS))
-        if unknown:
-            raise ConfigError(f"unknown config keys {unknown}; known: {sorted(CONFIG_KEYS)}")
+        check_known_keys(raw, CONFIG_KEYS, "config", ConfigError)
         dataset = raw.get("dataset")
+        if isinstance(dataset, dict):
+            check_known_keys(dataset, DATASET_KEYS, "dataset", ConfigError)
         if not isinstance(dataset, dict) or ("manifest" in dataset) == ("synthetic" in dataset):
             raise ConfigError("dataset must specify exactly one of 'manifest' or 'synthetic'")
         manifest = None

@@ -23,6 +23,10 @@ class DatasetError(ValueError):
 
 NORMALIZATION_MODES = ("none", "unit_row_norm", "zscore_columns")
 
+# The keys of a dataset manifest and of each of its view entries.
+MANIFEST_KEYS = ("views", "labels", "name")
+VIEW_KEYS = ("path", "has_header")
+
 
 def is_int(value) -> bool:
     """True for a Python or numpy integer; bools and floats are not integers."""
@@ -41,6 +45,13 @@ def check_field_types(obj, error: type[Exception]) -> None:
         number = isinstance(value, numbers.Real) and not isinstance(value, bool)
         if f.type == "float" and not (number and math.isfinite(value)):
             raise error(f"{f.name} must be a finite number, got {value!r}")
+
+
+def check_known_keys(raw: dict, known, what: str, error: type[Exception]) -> None:
+    """Raise ``error`` listing the keys of ``raw`` that are not in ``known``."""
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise error(f"unknown {what} keys {unknown}; known: {sorted(known)}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -219,7 +230,8 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     The manifest is an object ``{"views": [{"path": str, "has_header": bool}],
     "labels": str|null, "name": str}``; file paths are resolved relative to the
     manifest's directory. Each view CSV holds one sample per row, the optional
-    labels CSV one integer per row.
+    labels CSV one integer per row. Unknown keys are rejected, so a misspelt
+    key cannot silently drop the labels or a header setting.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
@@ -230,6 +242,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
         raise DatasetError(f"invalid manifest JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise DatasetError("manifest must be a JSON object")
+    check_known_keys(manifest, MANIFEST_KEYS, "manifest", DatasetError)
     if not isinstance(manifest.get("views"), list) or not manifest["views"]:
         raise DatasetError("manifest lists no views")
     base = manifest_path.parent
@@ -237,8 +250,13 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     for idx, entry in enumerate(manifest["views"]):
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise DatasetError(f"manifest view {idx} needs a 'path' string")
-        path = base / entry["path"]
-        views.append(_read_matrix_csv(path, bool(entry.get("has_header", False))))
+        check_known_keys(entry, VIEW_KEYS, f"manifest view {idx}", DatasetError)
+        has_header = entry.get("has_header", False)
+        if not isinstance(has_header, bool):
+            raise DatasetError(
+                f"manifest view {idx} has_header must be true or false, got {has_header!r}"
+            )
+        views.append(_read_matrix_csv(base / entry["path"], has_header))
     labels = None
     if manifest.get("labels"):
         if not isinstance(manifest["labels"], str):

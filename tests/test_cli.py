@@ -214,6 +214,29 @@ def test_exit_code_on_manifest_view_without_path(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "manifest_fields, view_fields, message",
+    [
+        ({"label": "labels.csv"}, {}, r"unknown manifest keys \['label'\]; known: \["),
+        ({}, {"has_headr": True}, r"unknown manifest view 0 keys \['has_headr'\]; known: \["),
+        ({}, {"has_header": "false"}, "has_header must be true or false, got 'false'"),
+    ],
+    ids=["label", "has_headr", "has_header_string"],
+)
+def test_exit_code_on_misspelt_manifest_keys(tmp_path, capsys, manifest_fields, view_fields, message):
+    np.savetxt(tmp_path / "v0.csv", np.eye(6)[:, :3], delimiter=",")
+    np.savetxt(tmp_path / "labels.csv", np.arange(6) % 2, fmt="%d")
+    manifest = tmp_path / "manifest.json"
+    view = {"path": "v0.csv", **view_fields}
+    manifest.write_text(json.dumps({"views": [view], **manifest_fields}))
+    config = write_config(tmp_path, dataset={"manifest": str(manifest)}, k=2)
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert re.search("config error: .*" + message, err)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "flag, value, key, json_value",
     [
         ("--alpha", "-1", "solver.alpha", -1.0),
@@ -378,6 +401,11 @@ def test_config_validation_errors(tmp_path):
         ExperimentConfig.from_dict({"dataset": {"synthetic": SMALL_SYNTHETIC}, "seed": -1})
     with pytest.raises(ConfigError, match="manifest must be a path string"):
         ExperimentConfig.from_dict({"dataset": {"manifest": 5}})
+    with pytest.raises(
+        ConfigError,
+        match=r"unknown dataset keys \['normalise'\]; known: \['manifest', 'synthetic'\]",
+    ):
+        ExperimentConfig.from_dict({"dataset": {"manifest": "x", "normalise": "unit_row_norm"}})
     with pytest.raises(ConfigError, match="output_dir must be a path string"):
         ExperimentConfig.from_dict({"dataset": {"synthetic": SMALL_SYNTHETIC}, "output_dir": 5})
     with pytest.raises(ConfigError, match="unknown preset"):

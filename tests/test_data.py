@@ -81,6 +81,18 @@ def test_load_dataset_missing_manifest(tmp_path):
         ({"views": [{"has_header": False}]}, "view 0 needs a 'path'"),
         ({"views": ["v0.csv"]}, "view 0 needs a 'path'"),
         ({"views": [{"path": "v0.csv"}], "labels": 3}, "labels must be a path"),
+        (
+            {"views": [{"path": "v0.csv"}], "label": "y.csv"},
+            r"unknown manifest keys \['label'\]; known: \['labels', 'name', 'views'\]",
+        ),
+        (
+            {"views": [{"path": "v0.csv", "has_headr": True}]},
+            r"unknown manifest view 0 keys \['has_headr'\]; known: \['has_header', 'path'\]",
+        ),
+        (
+            {"views": [{"path": "v0.csv", "has_header": "false"}]},
+            "view 0 has_header must be true or false, got 'false'",
+        ),
     ],
 )
 def test_load_dataset_malformed_manifest(tmp_path, manifest, message):

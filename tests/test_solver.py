@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from gfclust.data import MultiViewDataset, SyntheticSpec, generate_synthetic
 from gfclust.solver import (
@@ -7,8 +8,13 @@ from gfclust.solver import (
     Diagnostics,
     SolverConfig,
     SolverNumericalError,
+    _add_to_diagonal,
     _feature_couplings,
     _feature_gram,
+    _gram,
+    _spd_apply_left,
+    _spd_apply_right,
+    _spd_inverse_factor,
     _view_auxiliary_factor,
     constraint_gaps,
     init_state,
@@ -617,6 +623,13 @@ def test_spd_solve_reports_failed_factorization():
         _spd_solve(indefinite, np.eye(2), iteration=3)
 
 
+def test_spd_inverse_factor_reports_failed_factorization():
+    indefinite = np.array([[1.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(SolverNumericalError, match="solve failed") as excinfo:
+        _spd_inverse_factor(indefinite, iteration=3)
+    assert excinfo.value.iteration == 3
+
+
 def test_solve_aborts_on_non_finite_iterates():
     huge = 1e200
     views = [huge * np.eye(4) + np.ones((4, 4)), huge * np.eye(4)[:, :3] + 1.0]
@@ -725,6 +738,22 @@ def test_view_coefficients_tiny_alpha_large_mu(d):
             )
 
 
+@pytest.mark.parametrize("n", [120, 300])
+def test_spd_inverse_factor_matches_cholesky_solve(n):
+    # The Z^i matrix 2 alpha C^T C + mu I at the first iterations' mu = 1e-6,
+    # with a near-block consensus C of rank about 3: condition 1.6e6-1.9e6.
+    rng = np.random.default_rng(n)
+    labels = rng.integers(0, 3, n)
+    C = (labels[:, None] == labels[None, :]) / np.bincount(labels)[labels][:, None]
+    C = C + 1e-3 * rng.random((n, n))
+    A = _add_to_diagonal(_gram(C, 2.0 * CFG.alpha), 1e-6)
+    B = rng.standard_normal((n, n))
+    factor = sla.cho_factor(A)
+    Ri = _spd_inverse_factor(A)
+    assert_equivalent(_spd_apply_left(Ri, B), sla.cho_solve(factor, B), rtol=1e-10)
+    assert_equivalent(_spd_apply_right(B, Ri), sla.cho_solve(factor, B.T).T, rtol=1e-10)
+
+
 def test_shared_products_match_their_defaults():
     ds = toy_dataset(n=40, v=3, d=5, seed=64)
     state = random_state(ds, seed=65)
@@ -744,8 +773,20 @@ def test_shared_products_match_their_defaults():
         update_consensus_coefficients(state, ds, CFG),
     )
     assert objective_value(state, ds, CFG, CZ=CZ) == objective_value(state, ds, CFG)
-    couplings = _feature_couplings(state, ds)
+    CX = [state.C @ X for X in ds.views]
+    for i in range(ds.n_views):
+        np.testing.assert_array_equal(
+            update_view_representation(state, ds, i, CX=CX[i]),
+            update_view_representation(state, ds, i),
+        )
+    couplings = _feature_couplings(state, ds, CX=CX)
+    for actual, expected in zip(couplings, _feature_couplings(state, ds)):
+        np.testing.assert_array_equal(actual, expected)
     assert constraint_gaps(state, ds, couplings=couplings) == constraint_gaps(state, ds)
+    np.testing.assert_array_equal(
+        update_view_weights(state, CFG, J=view_mismatches(state)),
+        update_view_weights(state, CFG),
+    )
 
 
 SOLVE_FUNCS = {
