@@ -15,7 +15,6 @@ from .data import (
     normalize_views,
     write_dataset,
 )
-from .graph import GraphSpectrum, consensus_filter, filter_spectrum
 from .metrics import EvaluationReport, ari, clustering_accuracy, evaluate, f_score, hungarian, nmi
 from .solver import (
     Diagnostics,
@@ -36,7 +35,6 @@ __all__ = [
     "DatasetError",
     "Diagnostics",
     "EvaluationReport",
-    "GraphSpectrum",
     "MultiViewDataset",
     "SolverConfig",
     "SolverNumericalError",
@@ -46,10 +44,8 @@ __all__ = [
     "ari",
     "build_affinity",
     "clustering_accuracy",
-    "consensus_filter",
     "evaluate",
     "f_score",
-    "filter_spectrum",
     "generate_synthetic",
     "hungarian",
     "kmeans",

@@ -41,6 +41,7 @@ from .data import (
     is_int,
     load_dataset,
     normalize_views,
+    read_text,
 )
 from .metrics import evaluate
 from .solver import (
@@ -250,7 +251,7 @@ def _read_config(path: Path):
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid config JSON: {exc}") from None
 
@@ -353,7 +354,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     ds = _load_experiment_dataset(cfg)
     if cfg.k is None and ds.labels is None:
         raise ConfigError("k is required when the dataset has no labels")
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {cfg.output_dir}: {exc.strerror}") from None
     points = []  # (hash, record) per grid point; a failed point's record has "error"
     for params in grid_points(cfg):
         digest = grid_point_hash(params)
@@ -409,12 +413,17 @@ def emit_convergence_plot(trace_path: str | Path, out_path: str | Path) -> Path:
     data_rows = [line.split(",") for line in rows[1:] if line.strip()]
     if not data_rows:
         raise ValueError(f"empty trace: {trace_path}")
-    idx_iter = header.index("iter")
-    idx_rc = header.index("residual_C")
-    idx_rz = header.index("residual_Z")
-    iters = [float(r[idx_iter]) for r in data_rows]
-    res_c = [max(float(r[idx_rc]), 1e-300) for r in data_rows]
-    res_z = [max(float(r[idx_rz]), 1e-300) for r in data_rows]
+    for idx, row in enumerate(data_rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(
+                f"ragged rows in {trace_path}: row {idx} has {len(row)} cells, header has {len(header)}"
+            )
+    columns = [header.index(name) for name in ("iter", "residual_C", "residual_Z")]
+    iters, res_c, res_z = ([float(r[col]) for r in data_rows] for col in columns)
+    if not all(map(math.isfinite, iters + res_c + res_z)):
+        raise ValueError(f"non-finite iteration or residual in {trace_path}")
+    res_c = [max(x, 1e-300) for x in res_c]
+    res_z = [max(x, 1e-300) for x in res_z]
 
     width, height = 640.0, 420.0
     left, right, top, bottom = 72.0, 16.0, 16.0, 48.0

@@ -54,6 +54,14 @@ def check_known_keys(raw: dict, known, what: str, error: type[Exception]) -> Non
         raise error(f"unknown {what} keys {unknown}; known: {sorted(known)}")
 
 
+def read_text(path: Path, error: type[Exception]) -> str:
+    """The UTF-8 text of ``path``; ``error`` naming the file if it does not decode."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float) if arr.dtype != np.float64 else arr.copy()
     out.flags.writeable = False
@@ -185,8 +193,7 @@ def _read_matrix_csv(path: Path, has_header: bool) -> np.ndarray:
         raise DatasetError(f"file not found: {path}")
     rows = []
     width = None
-    with path.open("r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = read_text(path, DatasetError).splitlines()
     if has_header:
         lines = lines[1:]
     for row_idx, line in enumerate(lines):
@@ -237,7 +244,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     if not manifest_path.is_file():
         raise DatasetError(f"manifest not found: {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(read_text(manifest_path, DatasetError))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"invalid manifest JSON: {exc}") from None
     if not isinstance(manifest, dict):

@@ -606,8 +606,8 @@ def _solve(
             break
     return SolverOutput(
         consensus_C=state.C,
-        view_C=[Ci.copy() for Ci in state.Ci],
-        gamma=state.gamma.copy(),
+        view_C=state.Ci,
+        gamma=state.gamma,
         diagnostics=diagnostics,
         converged=converged,
         iterations=state.iteration,

@@ -236,6 +236,29 @@ def test_exit_code_on_misspelt_manifest_keys(tmp_path, capsys, manifest_fields, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", ["config", "manifest", "view", "labels", "output_dir"])
+def test_exit_code_on_unreadable_input_or_output(tmp_path, capsys, bad):
+    np.savetxt(tmp_path / "v0.csv", np.eye(6)[:, :3], delimiter=",")
+    np.savetxt(tmp_path / "labels.csv", np.arange(6) % 2, fmt="%d")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"views": [{"path": "v0.csv"}], "labels": "labels.csv"}))
+    config = write_config(tmp_path, dataset={"manifest": str(manifest)})
+    files = {"config": config, "manifest": manifest, "view": tmp_path / "v0.csv",
+             "labels": tmp_path / "labels.csv", "output_dir": tmp_path / "out"}
+    if bad == "output_dir":
+        files[bad].write_text("a file")
+        expected = "cannot create output_dir"
+    else:
+        files[bad].write_bytes(b"\xff\xfe1,2\n")
+        expected = "is not UTF-8 text"
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and expected in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before and not files["output_dir"].is_dir()
+
+
 @pytest.mark.parametrize(
     "flag, value, key, json_value",
     [
@@ -332,6 +355,26 @@ def test_plot_empty_trace_errors(tmp_path, capsys):
     trace.write_text("iter,residual_C,residual_Z,gap_Y,gap_CiZi,gap_Ci1,gap_CZ,gap_C1,objective\n")
     assert main(["plot", str(trace), "--out", str(tmp_path / "p.svg")]) == 1
     assert "empty trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,0.5\n", "row 1 has 2 cells, header has 9"),
+        ("1,nan,0.25,1,1,1,1,1,10\n", "non-finite"),
+        ("1,0.5,inf,1,1,1,1,1,10\n", "non-finite"),
+    ],
+    ids=["short_row", "nan", "inf"],
+)
+def test_plot_malformed_trace_errors(tmp_path, capsys, row, message):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("iter,residual_C,residual_Z,gap_Y,gap_CiZi,gap_Ci1,gap_CZ,gap_C1,objective\n" + row)
+    out = tmp_path / "p.svg"
+    assert main(["plot", str(trace), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("plot error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_plot_axis_spans_data_range(tmp_path):
