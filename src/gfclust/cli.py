@@ -362,7 +362,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     for params in grid_points(cfg):
         digest = grid_point_hash(params)
         point_dir = cfg.output_dir / digest
-        point_dir.mkdir(exist_ok=True)
+        try:
+            point_dir.mkdir(exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create grid point directory {point_dir}: {exc.strerror}"
+            ) from None
         try:
             record = run_grid_point(ds, cfg, params, point_dir)
         except (SolverNumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

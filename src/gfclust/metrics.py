@@ -7,8 +7,13 @@ Conventions (documented because the literature varies):
   entropies, with natural logarithms.
 * The F-score is the pairwise variant: precision and recall are computed
   over same-cluster sample pairs.
-* Accuracy matches predicted to true clusters with the Hungarian algorithm
-  on the negated contingency table, zero-padded to square.
+* Accuracy matches predicted to true clusters by a minimum-cost assignment
+  on the negated contingency table, zero-padded to square. The assignment
+  solver is in this module (shortest augmenting paths, Jonker-Volgenant as
+  laid out by Crouse 2016), so no gfclust process imports scipy.optimize,
+  which would add about 0.3 s and 20 MB to every start. Ties between
+  optimal matchings go to the lexicographically smallest one, found from
+  the solve's dual potentials.
 * NMI and the F-score are clipped to [0, 1] and ARI to at most 1: rounding
   can put a perfect match a few ulps past 1 (NMI read 1.0000000000000004 on
   three equal clusters of 100 samples).
@@ -19,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass
@@ -33,13 +37,65 @@ class EvaluationReport:
     k_true: int
 
 
+def _shortest_augmenting_path(cost: np.ndarray):
+    """Minimum-cost assignment of a square cost matrix with its dual potentials.
+
+    The shortest augmenting path method of Jonker and Volgenant, laid out as
+    in Crouse (IEEE TAES, 2016): each row in turn is matched through a
+    Dijkstra search over reduced costs, then the potentials are updated so
+    that ``cost - u[:, None] - v[None, :]`` stays nonnegative and is zero on
+    every matched edge. Returns (column per row, u, v).
+    """
+    k = cost.shape[0]
+    u = np.zeros(k)
+    v = np.zeros(k)
+    col4row = np.full(k, -1)
+    row4col = np.full(k, -1)
+    for cur_row in range(k):
+        shortest = np.full(k, np.inf)
+        path = np.full(k, -1)
+        seen_rows = np.zeros(k, dtype=bool)
+        seen_cols = np.zeros(k, dtype=bool)
+        min_val = 0.0
+        i = cur_row
+        while True:
+            seen_rows[i] = True
+            reduced = min_val + cost[i] - u[i] - v
+            better = ~seen_cols & (reduced < shortest)
+            path[better] = i
+            shortest[better] = reduced[better]
+            open_cols = np.flatnonzero(~seen_cols)
+            j = open_cols[np.argmin(shortest[open_cols])]
+            min_val = shortest[j]
+            seen_cols[j] = True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        others = seen_rows.copy()
+        others[cur_row] = False
+        u[cur_row] += min_val
+        u[others] += min_val - shortest[col4row[others]]
+        v[seen_cols] -= min_val - shortest[seen_cols]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row, u, v
+
+
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost assignment of rows to columns of a square cost matrix.
 
     Returns the assigned column index per row. Among minimum-cost
     assignments, the lexicographically smallest one (viewed as the vector of
-    column indices) is returned, fixed row by row against optimal-completion
-    checks.
+    column indices) is returned. The minimum-cost assignments are exactly the
+    perfect matchings on the edges of zero reduced cost under the optimal
+    dual potentials (taken as reduced cost <= 1e-9 max(1, |optimum|), which
+    is exact on integer costs), so the tie-break needs no further solve: row
+    by row, the smallest such column is taken whenever the rows below can be
+    re-matched around it along an alternating path.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -47,27 +103,37 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
     k = cost.shape[0]
-    rows, cols = linear_sum_assignment(cost)
-    best = float(cost[rows, cols].sum())
-    tol = 1e-9 * max(1.0, abs(best))
-    assignment = np.empty(k, dtype=int)
-    free_cols = list(range(k))
-    fixed = 0.0
+    col4row, u, v = _shortest_augmenting_path(cost)
+    best = float(cost[np.arange(k), col4row].sum())
+    tight = cost - u[:, None] - v[None, :] <= 1e-9 * max(1.0, abs(best))
+    tight[np.arange(k), col4row] = True  # zero reduced cost, whatever the rounding of u, v
+    row4col = np.argsort(col4row)
+
+    def rematch(row, fixed, seen):
+        # Kuhn's augmenting path from `row` over tight edges, avoiding the
+        # columns held by rows <= fixed; a free column (-1) ends the path.
+        for col in np.flatnonzero(tight[row]):
+            if col in seen or 0 <= row4col[col] <= fixed:
+                continue
+            seen.add(col)
+            if row4col[col] < 0 or rematch(row4col[col], fixed, seen):
+                row4col[col], col4row[row] = row, col
+                return True
+        return False
+
     for i in range(k):
-        for j in free_cols:
-            remaining_cols = [c for c in free_cols if c != j]
-            if remaining_cols:
-                sub = cost[np.ix_(range(i + 1, k), remaining_cols)]
-                r, c = linear_sum_assignment(sub)
-                completion = float(sub[r, c].sum())
-            else:
-                completion = 0.0
-            if fixed + cost[i, j] + completion <= best + tol:
-                assignment[i] = j
-                fixed += cost[i, j]
-                free_cols.remove(j)
+        for j in np.flatnonzero(tight[i]):
+            if j == col4row[i]:
                 break
-    return assignment
+            if row4col[j] < i:
+                continue
+            held = col4row[i]
+            row4col[held] = -1
+            if rematch(row4col[j], i, {j}):
+                row4col[j], col4row[i] = i, j
+                break
+            row4col[held] = i
+    return col4row
 
 
 def _as_labels(pred, truth):

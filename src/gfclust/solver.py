@@ -34,9 +34,10 @@ same forward error. The updates use the structure of their matrices:
   once per run; C Z^i and C X^i are formed once per view per iteration, C Z^i
   serving both the objective and the next iteration's C^i update, C X^i both
   the coupling residuals and the next iteration's Y^i update; the coupling
-  residuals 4Y^i - 3X^i - CX^i serve both the constraint gaps and the
-  multipliers; the mismatches J^i serve both the view weights and the
-  diagnostics.
+  residuals 4Y^i - 3X^i - CX^i and the split and row-sum residuals
+  C^i - Z^i, C^i 1 - 1, C - Z and C 1 - 1 serve both the constraint gaps and
+  the multipliers; the mismatches J^i serve the view weights, the objective
+  and the diagnostics.
 
 The public update functions take these shared products as optional keyword
 arguments and compute them from the state when they are not given.
@@ -428,35 +429,51 @@ def _feature_couplings(
     return [4.0 * Y - 3.0 * X - CXi for Y, X, CXi in zip(state.Y, ds.views, CX)]
 
 
+def _split_residuals(state: SolverState):
+    """Residuals of the split and row-sum constraints: C^i - Z^i and
+    C^i 1 - 1 per view, then C - Z and C 1 - 1."""
+    return (
+        [Ci - Zi for Ci, Zi in zip(state.Ci, state.Zi)],
+        [Ci.sum(axis=1) - 1.0 for Ci in state.Ci],
+        state.C - state.Z,
+        state.C.sum(axis=1) - 1.0,
+    )
+
+
 def constraint_gaps(
     state: SolverState,
     ds: MultiViewDataset,
     variant: str = VARIANT_FULL,
     *,
     couplings: list[np.ndarray] | None = None,
+    residuals: tuple | None = None,
 ) -> dict[str, float]:
     """Max-norms of all coupling-constraint violations at the current state.
 
     gap_Y is reported as 0 for the no-smoothing variant, whose model has no
-    feature-coupling constraint. ``couplings`` is ``_feature_couplings`` of the
-    current state if the caller has it.
+    feature-coupling constraint. ``couplings`` is ``_feature_couplings`` and
+    ``residuals`` is ``_split_residuals`` of the current state if the caller
+    has them.
     """
     gap_Y = 0.0
     if variant != VARIANT_NO_SMOOTHING:
         if couplings is None:
             couplings = _feature_couplings(state, ds)
         gap_Y = max(float(np.abs(coupling).max()) for coupling in couplings)
+    if residuals is None:
+        residuals = _split_residuals(state)
+    Ci_Zi, Ci_1, C_Z, C_1 = residuals
     gap_CiZi = 0.0
     gap_Ci1 = 0.0
-    for Ci, Zi in zip(state.Ci, state.Zi):
-        gap_CiZi = max(gap_CiZi, float(np.abs(Ci - Zi).max()))
-        gap_Ci1 = max(gap_Ci1, float(np.abs(Ci.sum(axis=1) - 1.0).max()))
+    for split, rows in zip(Ci_Zi, Ci_1):
+        gap_CiZi = max(gap_CiZi, float(np.abs(split).max()))
+        gap_Ci1 = max(gap_Ci1, float(np.abs(rows).max()))
     return {
         "gap_Y": gap_Y,
         "gap_CiZi": gap_CiZi,
         "gap_Ci1": gap_Ci1,
-        "gap_CZ": float(np.abs(state.C - state.Z).max()),
-        "gap_C1": float(np.abs(state.C.sum(axis=1) - 1.0).max()),
+        "gap_CZ": float(np.abs(C_Z).max()),
+        "gap_C1": float(np.abs(C_1).max()),
     }
 
 
@@ -467,12 +484,14 @@ def update_multipliers(
     variant: str = VARIANT_FULL,
     *,
     couplings: list[np.ndarray] | None = None,
+    residuals: tuple | None = None,
 ) -> SolverState:
     """Ascend all multipliers with the current mu, then grow mu.
 
     The multiplier steps use the mu that produced the current iterates; only
     afterwards is mu scaled to min(mu_max, rho * mu). ``couplings`` is
-    ``_feature_couplings`` of the current state if the caller has it.
+    ``_feature_couplings`` and ``residuals`` is ``_split_residuals`` of the
+    current state if the caller has them.
     """
     mu = state.mu
     if variant != VARIANT_NO_SMOOTHING:
@@ -480,11 +499,14 @@ def update_multipliers(
             couplings = _feature_couplings(state, ds)
         for i, coupling in enumerate(couplings):
             state.Gamma[i] = state.Gamma[i] + mu * coupling
+    if residuals is None:
+        residuals = _split_residuals(state)
+    Ci_Zi, Ci_1, C_Z, C_1 = residuals
     for i in range(ds.n_views):
-        state.Lam[i] = state.Lam[i] + mu * (state.Ci[i] - state.Zi[i])
-        state.Omega[i] = state.Omega[i] + mu * (state.Ci[i].sum(axis=1) - 1.0)
-    state.Theta = state.Theta + mu * (state.C - state.Z)
-    state.Phi = state.Phi + mu * (state.C.sum(axis=1) - 1.0)
+        state.Lam[i] = state.Lam[i] + mu * Ci_Zi[i]
+        state.Omega[i] = state.Omega[i] + mu * Ci_1[i]
+    state.Theta = state.Theta + mu * C_Z
+    state.Phi = state.Phi + mu * C_1
     state.mu = min(cfg.mu_max, cfg.rho * mu)
     return state
 
@@ -517,10 +539,13 @@ def objective_value(
     variant: str = VARIANT_FULL,
     *,
     CZ: list[np.ndarray] | None = None,
+    J: np.ndarray | None = None,
 ) -> float:
     """Model objective at the current iterates, using the split form C Z^i of
-    the consensus-filter regularizer. ``CZ`` lists the products C Z^i if the
-    caller has them."""
+    the consensus-filter regularizer. ``CZ`` lists the products C Z^i and
+    ``J`` is ``view_mismatches(state)`` if the caller has them."""
+    if J is None:
+        J = view_mismatches(state)
     total = 0.0
     for i in range(ds.n_views):
         w = cfg.beta * state.gamma[i] ** cfg.eta
@@ -530,7 +555,7 @@ def objective_value(
         else:
             CZi = state.C @ state.Zi[i] if CZ is None else CZ[i]
             total += cfg.alpha * float(np.sum((state.Ci[i] - CZi) ** 2))
-        total += w * float(np.sum((state.C - state.Ci[i]) ** 2))
+        total += w * J[i]
     return total
 
 
@@ -579,8 +604,9 @@ def _solve(
         if smoothing:
             CX = [state.C @ X for X in ds.views]
             couplings = _feature_couplings(state, ds, CX=CX)
-        gaps = constraint_gaps(state, ds, variant, couplings=couplings)
-        update_multipliers(state, ds, cfg, variant, couplings=couplings)
+        residuals = _split_residuals(state)
+        gaps = constraint_gaps(state, ds, variant, couplings=couplings, residuals=residuals)
+        update_multipliers(state, ds, cfg, variant, couplings=couplings, residuals=residuals)
         J = view_mismatches(state)
         state.gamma = update_view_weights(state, cfg, J=J)
         if split:
@@ -590,7 +616,7 @@ def _solve(
         diagnostics.residual_Z.append(float(np.sum((state.Z - Z_prev) ** 2)))
         for key, value in gaps.items():
             getattr(diagnostics, key).append(value)
-        diagnostics.objective.append(objective_value(state, ds, cfg, variant, CZ=CZ))
+        diagnostics.objective.append(objective_value(state, ds, cfg, variant, CZ=CZ, J=J))
         diagnostics.J.append(J)
 
         _check_finite(state, diagnostics)

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +262,19 @@ def test_exit_code_on_unreadable_input_or_output(tmp_path, capsys, bad):
     assert sorted(tmp_path.iterdir()) == before and not files["output_dir"].is_dir()
 
 
+def test_exit_code_when_point_directory_is_a_file(tmp_path, capsys):
+    # 792d2f780e6c is the hash of alpha=0.1, beta=0.5, eta=0.5.
+    config = write_config(tmp_path, solver={"alpha": 0.1, "beta": 0.5, "eta": 0.5})
+    point = tmp_path / "out" / "792d2f780e6c"
+    point.parent.mkdir()
+    point.touch()
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create grid point directory")
+    assert str(point) in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "flag, value, key, json_value",
     [
@@ -502,3 +518,20 @@ def test_manifest_dataset_with_normalization(tmp_path):
     assert result["n"] == 16
     assert result["metrics"] is not None
     assert result["converged"] is True
+
+
+def test_cli_process_does_not_import_scipy_optimize():
+    # scipy.optimize adds about 0.3 s and 20 MB to every process start; the
+    # metrics layer has its own assignment solver. A fresh interpreter also
+    # catches an import deferred into a function body.
+    code = (
+        "import sys\n"
+        "import gfclust.cli\n"
+        "from gfclust.metrics import evaluate\n"
+        "evaluate([0, 0, 1, 1, 2, 2], [1, 1, 0, 0, 2, 0])\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from gfclust.metrics import ari, clustering_accuracy, evaluate, f_score, hungarian, nmi
 from oracles import (
@@ -47,6 +48,54 @@ def test_hungarian_lexicographic_ties_on_integer_costs(size):
         np.testing.assert_array_equal(hungarian(cost), expected)
 
 
+def scipy_total(cost):
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].sum()
+
+
+def row_by_row_assignment(cost):
+    """The lexicographic tie-break rule fixed row by row: row i takes the
+    smallest free column that still has an optimal completion, checked by a
+    scipy solve of the remaining rows and columns."""
+    k = cost.shape[0]
+    best = scipy_total(cost)
+    tol = 1e-9 * max(1.0, abs(best))
+    assignment = np.empty(k, dtype=int)
+    free_cols = list(range(k))
+    fixed = 0.0
+    for i in range(k):
+        for j in free_cols:
+            rest = [c for c in free_cols if c != j]
+            completion = scipy_total(cost[np.ix_(range(i + 1, k), rest)]) if rest else 0.0
+            if fixed + cost[i, j] + completion <= best + tol:
+                assignment[i] = j
+                fixed += cost[i, j]
+                free_cols.remove(j)
+                break
+    return assignment
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 10, 20, 40])
+def test_hungarian_matches_scipy_optimum(size):
+    rng = np.random.default_rng(200 + size)
+    costs = [rng.random((size, size)) for _ in range(10)]
+    costs += [rng.integers(0, 4, size=(size, size)).astype(float) for _ in range(10)]
+    for cost in costs:
+        got = hungarian(cost)
+        np.testing.assert_array_equal(np.sort(got), np.arange(size))
+        expected = scipy_total(cost)
+        assert abs(cost[np.arange(size), got].sum() - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("size", [8, 9, 10, 11, 12])
+def test_hungarian_lexicographic_ties_match_row_by_row_rule(size):
+    rng = np.random.default_rng(300 + size)
+    for high in (2, 3, 5):
+        for _ in range(4):
+            cost = rng.integers(0, high, size=(size, size)).astype(float)
+            np.testing.assert_array_equal(hungarian(cost), row_by_row_assignment(cost))
+
+
 def test_hungarian_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         hungarian(np.array([[0.0, np.inf], [1.0, 0.0]]))
@@ -74,6 +123,20 @@ def test_accuracy_unequal_cluster_counts():
     pred = [0, 1, 2, 2]
     truth = [0, 0, 1, 1]
     assert clustering_accuracy(pred, truth) == brute_force_acc(pred, truth)
+
+
+@pytest.mark.parametrize("k_pred, k_true", [(7, 4), (4, 7), (12, 9)])
+def test_accuracy_unequal_cluster_counts_matches_scipy(k_pred, k_true):
+    # The zero-padded contingency table has all-zero rows or columns, so
+    # many matchings tie; the matched count must still be the optimum.
+    rng = np.random.default_rng(10 * k_pred + k_true)
+    for _ in range(5):
+        pred = rng.integers(0, k_pred, size=120)
+        truth = rng.integers(0, k_true, size=120)
+        table = np.zeros((k_pred, k_true))
+        np.add.at(table, (pred, truth), 1.0)
+        expected = -scipy_total(-table) / 120
+        assert clustering_accuracy(pred, truth) == expected
 
 
 def test_nmi_identical_partitions():

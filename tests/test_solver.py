@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from gfclust.cli import DEFAULT_ETA_GRID, PRESETS
 from gfclust.data import MultiViewDataset, SyntheticSpec, generate_synthetic
 from gfclust.solver import (
     VARIANTS,
@@ -15,6 +18,7 @@ from gfclust.solver import (
     _spd_apply_left,
     _spd_apply_right,
     _spd_inverse_factor,
+    _split_residuals,
     _view_auxiliary_factor,
     constraint_gaps,
     init_state,
@@ -495,6 +499,45 @@ def test_weights_match_grid_minimizer_for_eta_2():
         assert abs(gamma[1] - (1.0 - best)) <= 2e-3
 
 
+# The closed form gamma ∝ J^{1/(1-eta)} is the stationary point of
+# sum_i gamma_i^eta J_i on the simplex: its minimum where gamma^eta is convex
+# (eta < 0 or eta > 1), its maximum where gamma^eta is concave (0 < eta < 1).
+WEIGHT_J = np.array([1.0, 2.0])
+WEIGHT_GRID = np.linspace(1e-6, 1.0 - 1e-6, 200_000)
+
+
+def weight_objective(gamma, eta):
+    return gamma[..., 0] ** eta * WEIGHT_J[0] + gamma[..., 1] ** eta * WEIGHT_J[1]
+
+
+@pytest.mark.parametrize("eta", DEFAULT_ETA_GRID)
+def test_weights_regime_across_default_eta_grid(eta):
+    cfg = SolverConfig(eta=eta)
+    state = init_state(toy_dataset(n=2, v=2), cfg)
+    gamma = update_view_weights(state, cfg, J=WEIGHT_J)
+    value = weight_objective(gamma, eta)
+    grid = weight_objective(np.column_stack([WEIGHT_GRID, 1.0 - WEIGHT_GRID]), eta)
+    if 0.0 < eta < 1.0:
+        assert grid.max() <= value * (1.0 + 1e-12)
+        assert value - grid.max() <= 1e-9 * value
+    else:
+        assert value <= grid.min() * (1.0 + 1e-12)
+        assert grid.min() - value <= 1e-9 * value
+
+
+def test_weights_maximize_at_the_preset_eta():
+    # Every preset uses eta = 0.5: the closed form sits at the maximum, not
+    # the minimum, which a vertex reaches.
+    assert {preset[2] for preset in PRESETS.values()} == {0.5}
+    state = init_state(toy_dataset(n=2, v=2), CFG)
+    gamma = update_view_weights(state, CFG, J=WEIGHT_J)
+    np.testing.assert_allclose(gamma, [0.2, 0.8], rtol=1e-15)
+    grid = weight_objective(np.column_stack([WEIGHT_GRID, 1.0 - WEIGHT_GRID]), 0.5)
+    assert weight_objective(gamma, 0.5) == pytest.approx(np.sqrt(5.0), abs=1e-12)
+    assert round(float(grid.min()), 4) == 1.0020
+    assert WEIGHT_GRID[grid.argmin()] == 1.0 - 1e-6
+
+
 # ---- objective ----
 
 
@@ -773,6 +816,12 @@ def test_shared_products_match_their_defaults():
         update_consensus_coefficients(state, ds, CFG),
     )
     assert objective_value(state, ds, CFG, CZ=CZ) == objective_value(state, ds, CFG)
+    J = view_mismatches(state)
+    assert objective_value(state, ds, CFG, J=J) == objective_value(state, ds, CFG)
+    for variant in VARIANTS:
+        assert objective_value(state, ds, CFG, variant, CZ=CZ, J=J) == objective_value(
+            state, ds, CFG, variant
+        )
     CX = [state.C @ X for X in ds.views]
     for i in range(ds.n_views):
         np.testing.assert_array_equal(
@@ -783,6 +832,18 @@ def test_shared_products_match_their_defaults():
     for actual, expected in zip(couplings, _feature_couplings(state, ds)):
         np.testing.assert_array_equal(actual, expected)
     assert constraint_gaps(state, ds, couplings=couplings) == constraint_gaps(state, ds)
+    residuals = _split_residuals(state)
+    for variant in VARIANTS:
+        assert constraint_gaps(state, ds, variant, residuals=residuals) == constraint_gaps(
+            state, ds, variant
+        )
+        shared = update_multipliers(
+            copy.deepcopy(state), ds, CFG, variant, couplings=couplings, residuals=residuals
+        )
+        default = update_multipliers(copy.deepcopy(state), ds, CFG, variant)
+        for name in ("Gamma", "Lam", "Omega", "Theta", "Phi"):
+            np.testing.assert_array_equal(getattr(shared, name), getattr(default, name))
+        assert shared.mu == default.mu
     np.testing.assert_array_equal(
         update_view_weights(state, CFG, J=view_mismatches(state)),
         update_view_weights(state, CFG),
