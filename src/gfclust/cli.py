@@ -52,6 +52,7 @@ from .solver import (
     solve,
     solve_ablation_frobenius,
     solve_ablation_no_smoothing,
+    solve_peak_bytes,
 )
 from .spectral import build_affinity, spectral_clustering
 
@@ -354,6 +355,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     ds = _load_experiment_dataset(cfg)
     if cfg.k is None and ds.labels is None:
         raise ConfigError("k is required when the dataset has no labels")
+    need = solve_peak_bytes(ds.n_samples, ds.n_views, sum(x.shape[1] for x in ds.views))
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(
+            f"a solve at n={ds.n_samples} with {ds.n_views} views needs about"
+            f" {need:,} bytes, more than the {have:,} bytes of physical memory"
+        )
     try:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -19,6 +19,7 @@ from gfclust.cli import (
     main,
     run_experiment,
 )
+from gfclust.solver import solve_peak_bytes
 
 SMALL_SYNTHETIC = {
     "k": 3,
@@ -307,6 +308,48 @@ def test_bad_flag_fails_like_bad_json(tmp_path, capsys, flag, value, key, json_v
     assert main(["run", "--config", str(config)]) == 1
     assert capsys.readouterr().err == flag_err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("eta", ["0.97", "0.98", "1.02", "1.03"])
+def test_eta_near_one_is_a_config_error(tmp_path, capsys, eta):
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config), "--eta", eta]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid solver config: eta must satisfy |1/(1 - eta)| <= 25")
+    assert err.count("\n") == 1
+
+    config = write_config(tmp_path, grid={"eta": [0.5, float(eta)]})
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid grid eta value {float(eta)!r}: eta must satisfy")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_eta_grid_accepts_values_outside_the_bound():
+    from gfclust.cli import DEFAULT_ETA_GRID
+
+    cfg = ExperimentConfig.from_dict(
+        {"dataset": {"synthetic": SMALL_SYNTHETIC}, "grid": {"eta": [0.95, 1.05, *DEFAULT_ETA_GRID]}}
+    )
+    assert cfg.grid["eta"] == [0.95, 1.05, *DEFAULT_ETA_GRID]
+
+
+def test_memory_guard_against_physical_memory(tmp_path, capsys, monkeypatch):
+    # SMALL_SYNTHETIC: n = 18 samples, two views of 5 + 6 features.
+    need = solve_peak_bytes(18, 2, 11)
+    sizes = {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: sizes[name])
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: a solve at n=18 with 2 views needs about {need:,} bytes,"
+        f" more than the {need - 1:,} bytes of physical memory\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+    sizes["SC_PHYS_PAGES"] = need
+    assert main(["run", "--config", str(config)]) == 0
 
 
 def test_unlabeled_manifest_with_explicit_k(tmp_path):

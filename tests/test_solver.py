@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from gfclust.solver import (
     solve,
     solve_ablation_frobenius,
     solve_ablation_no_smoothing,
+    solve_peak_bytes,
     update_consensus_auxiliary,
     update_consensus_coefficients,
     update_multipliers,
@@ -184,6 +186,23 @@ def test_config_validation():
     with pytest.raises(ValueError, match="eps must be a finite number"):
         SolverConfig(eps=float("inf"))
     assert SolverConfig(max_iter=np.int64(5)).max_iter == 5
+
+
+@pytest.mark.parametrize("eta", [0.97, 0.98, 1.02, 1.03])
+def test_config_rejects_eta_near_one(eta):
+    # J_FLOOR ** (1/(1-eta)) under- or overflows here, so the all-zero first
+    # iterate would give 0/0 or inf/inf view weights.
+    with pytest.raises(ValueError, match=r"eta must satisfy \|1/\(1 - eta\)\| <= 25"):
+        SolverConfig(eta=eta)
+
+
+@pytest.mark.parametrize("eta", [0.95, 1.05, *DEFAULT_ETA_GRID])
+def test_config_accepts_eta_with_finite_weights(eta):
+    cfg = SolverConfig(eta=eta)
+    state = init_state(toy_dataset(n=2, v=2), cfg)
+    np.testing.assert_array_equal(update_view_weights(state, cfg, J=np.zeros(2)), [0.5, 0.5])
+    gamma = update_view_weights(state, cfg, J=np.array([0.0, 100.0]))
+    assert np.isfinite(gamma).all() and abs(gamma.sum() - 1.0) <= 1e-12
 
 
 # ---- view representation update ----
@@ -593,6 +612,24 @@ def test_solve_single_view_runs_with_unit_weight():
     out = solve(ds, SolverConfig(max_iter=40), callback=lambda s: seen.append(s.gamma.copy()))
     assert all(np.array_equal(g, [1.0]) for g in seen)
     np.testing.assert_array_equal(out.gamma, [1.0])
+
+
+@pytest.mark.parametrize("solve_fn", [solve, solve_ablation_no_smoothing, solve_ablation_frobenius])
+def test_solve_peak_stays_within_estimate(solve_fn):
+    # At n = 150 the n x n arrays dominate the footprint. A solve that kept
+    # each iteration's arrays until they were rebound peaked here at 24.4 to
+    # 28.4 n^2 doubles, above this bound of 22.5 n^2 for every variant.
+    spec = SyntheticSpec(
+        k=3, n_per_cluster=50, subspace_dim=3, view_dims=(15, 20, 10), noise_sigma=0.1, seed=7
+    )
+    ds = generate_synthetic(spec)
+    tracemalloc.start()
+    try:
+        solve_fn(ds, SolverConfig(max_iter=5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= solve_peak_bytes(150, 3, 45)
 
 
 def test_solve_deterministic():
