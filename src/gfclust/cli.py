@@ -306,6 +306,16 @@ def _metric_summary(values: list[float]) -> dict:
     }
 
 
+def _weight_regime(eta: float) -> str:
+    """What the closed-form view weights do to sum_i gamma_i^eta J_i on the
+    simplex: maximize it for 0 < eta < 1, where gamma^eta is concave, and
+    minimize it for eta < 0 or eta > 1. At eta = 0 every gamma_i^eta is 1 and
+    the weights do not enter the model."""
+    if eta == 0.0:
+        return "constant"
+    return "maximizer" if 0.0 < eta < 1.0 else "minimizer"
+
+
 def run_grid_point(
     ds: MultiViewDataset, cfg: ExperimentConfig, params: dict[str, float], point_dir: Path
 ) -> dict:
@@ -344,6 +354,7 @@ def run_grid_point(
         "converged": output.converged,
         "iterations": output.iterations,
         "gamma": [float(g) for g in output.gamma],
+        "weight_regime": _weight_regime(solver_cfg.eta),
         "metrics": metrics,
     }
 

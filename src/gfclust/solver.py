@@ -39,8 +39,9 @@ same forward error. The updates use the structure of their matrices:
   the multipliers; the mismatches J^i serve the view weights, the objective
   and the diagnostics.
 
-The public update functions take these shared products as optional keyword
-arguments and compute them from the state when they are not given.
+The solve is the one producer of these shared products: each update
+function takes the products it reads as required arguments, and gets None
+for a product its variant does not read.
 
 The solve drops each of these products after its last reader, so that no two
 generations of one exist at once: C Z^i and C X^i after view i's C^i and Y^i
@@ -278,19 +279,17 @@ def project_constraints(M: np.ndarray) -> np.ndarray:
 
 
 def update_view_representation(
-    state: SolverState, ds: MultiViewDataset, i: int, *, CX: np.ndarray | None = None
+    state: SolverState, ds: MultiViewDataset, i: int, *, CX: np.ndarray
 ) -> np.ndarray:
     """Closed-form smoothed features for view i.
 
     Minimizes ||Y - C^i Y||_F^2 + mu/2 ||4Y - 3X^i - CX^i + Gamma^i/mu||_F^2;
     the normal equations [2(I-C^i)^T(I-C^i) + 16 mu I] Y = 12 mu X^i
     + 4 mu C X^i - 4 Gamma^i are solved by Cholesky. ``CX`` is the product
-    C X^i if the caller has it.
+    C X^i.
     """
     n = ds.n_samples
     X = ds.views[i]
-    if CX is None:
-        CX = state.C @ X
     lhs = _add_to_diagonal(_gram(np.eye(n) - state.Ci[i], 2.0), 16.0 * state.mu)
     rhs = 12.0 * state.mu * X + 4.0 * state.mu * CX - 4.0 * state.Gamma[i]
     return _spd_solve(lhs, rhs, state.iteration)
@@ -302,7 +301,7 @@ def update_view_coefficients(
     cfg: SolverConfig,
     variant: str = VARIANT_FULL,
     *,
-    CZi: np.ndarray | None = None,
+    CZi: np.ndarray | None,
 ) -> np.ndarray:
     """Closed-form view coefficient matrix C^i = L R^{-1}.
 
@@ -310,8 +309,8 @@ def update_view_coefficients(
     copy Z^i, and the multiplier corrections. The ``frobenius`` variant drops
     the alpha C Z^i coupling from it (its alpha term is a plain ridge
     penalty); ``no_smoothing`` uses the same formula with Y^i = X^i, which
-    the state already holds. ``CZi`` is the product C Z^i if the caller has
-    it.
+    the state already holds. ``CZi`` is the product C Z^i, None for
+    ``frobenius``.
 
     The right factor 2 Y^i Y^i^T + 2(alpha + beta gamma_i^eta) I
     + mu (I + 11^T) is a I + U U^T with U = [sqrt(2) Y^i, sqrt(mu) 1] of
@@ -327,8 +326,6 @@ def update_view_coefficients(
     left -= state.Lam[i]
     left -= state.Omega[i][:, None]
     if variant != VARIANT_FROBENIUS:
-        if CZi is None:
-            CZi = state.C @ state.Zi[i]
         left += 2.0 * cfg.alpha * CZi
     a = 2.0 * (cfg.alpha + w) + mu
     U = np.column_stack([np.sqrt(2.0) * Y, np.full(n, np.sqrt(mu))])
@@ -362,21 +359,19 @@ def update_view_auxiliary(
     variant: str = VARIANT_FULL,
     project: bool = True,
     *,
-    factor=None,
+    factor: np.ndarray | None,
 ) -> np.ndarray:
     """Auxiliary Z^i: linear solve (or multiplier shift) then constraint projection.
 
     Full/no-smoothing: solve (2 alpha C^T C + mu I) Z = 2 alpha C^T C^i
-    + mu C^i + Lam^i against ``factor`` (from ``_view_auxiliary_factor``,
-    computed here when not given). Frobenius drops the data term, leaving
-    Z = C^i + Lam^i/mu. ``project=False`` returns the pre-projection
+    + mu C^i + Lam^i against ``factor`` (from ``_view_auxiliary_factor``).
+    Frobenius drops the data term, leaving Z = C^i + Lam^i/mu, and gets None
+    for ``factor``. ``project=False`` returns the pre-projection
     solution, which is the stationary point of the quadratic subproblem.
     """
     if variant == VARIANT_FROBENIUS:
         Z = state.Ci[i] + state.Lam[i] / state.mu
     else:
-        if factor is None:
-            factor = _view_auxiliary_factor(state, cfg)
         rhs = 2.0 * cfg.alpha * (state.C.T @ state.Ci[i]) + state.mu * state.Ci[i] + state.Lam[i]
         Z = _spd_apply_left(factor, rhs)
     return project_constraints(Z) if project else Z
@@ -393,7 +388,7 @@ def update_consensus_coefficients(
     cfg: SolverConfig,
     variant: str = VARIANT_FULL,
     *,
-    XXt: np.ndarray | None = None,
+    XXt: np.ndarray | None,
 ) -> np.ndarray:
     """Closed-form consensus C = A B^{-1}, through the inverse Cholesky factor
     of the SPD matrix B.
@@ -402,8 +397,8 @@ def update_consensus_coefficients(
     for smoothing variants the feature-coupling terms) plus the consensus
     auxiliary and multiplier corrections; B is the matching Gram-plus-shift
     right factor. ``no_smoothing`` drops the feature-coupling terms,
-    ``frobenius`` drops the alpha terms. ``XXt`` is ``_feature_gram(ds)`` if
-    the caller has it.
+    ``frobenius`` drops the alpha terms. ``XXt`` is ``_feature_gram(ds)``,
+    None for ``no_smoothing``.
     """
     n = ds.n_samples
     mu = state.mu
@@ -420,8 +415,6 @@ def update_consensus_coefficients(
         if variant != VARIANT_NO_SMOOTHING:
             A += (4.0 * mu * state.Y[i] + state.Gamma[i]) @ ds.views[i].T
     if variant != VARIANT_NO_SMOOTHING:
-        if XXt is None:
-            XXt = _feature_gram(ds)
         A -= 3.0 * mu * XXt
         B += mu * XXt
     _add_to_diagonal(B, shift)
@@ -435,12 +428,10 @@ def update_consensus_auxiliary(state: SolverState, project: bool = True) -> np.n
 
 
 def _feature_couplings(
-    state: SolverState, ds: MultiViewDataset, *, CX: list[np.ndarray] | None = None
+    state: SolverState, ds: MultiViewDataset, CX: list[np.ndarray]
 ) -> list[np.ndarray]:
     """Per-view feature-coupling residuals 4Y^i - 3X^i - CX^i. ``CX`` lists
-    the products C X^i if the caller has them."""
-    if CX is None:
-        CX = [state.C @ X for X in ds.views]
+    the products C X^i."""
     return [4.0 * Y - 3.0 * X - CXi for Y, X, CXi in zip(state.Y, ds.views, CX)]
 
 
@@ -456,27 +447,18 @@ def _split_residuals(state: SolverState):
 
 
 def constraint_gaps(
-    state: SolverState,
-    ds: MultiViewDataset,
-    variant: str = VARIANT_FULL,
-    *,
-    couplings: list[np.ndarray] | None = None,
-    residuals: tuple | None = None,
+    residuals: tuple, couplings: list[np.ndarray] | None
 ) -> dict[str, float]:
-    """Max-norms of all coupling-constraint violations at the current state.
+    """Max-norms of all coupling-constraint violations.
 
-    gap_Y is reported as 0 for the no-smoothing variant, whose model has no
-    feature-coupling constraint. ``couplings`` is ``_feature_couplings`` and
-    ``residuals`` is ``_split_residuals`` of the current state if the caller
-    has them.
+    ``residuals`` is ``_split_residuals`` and ``couplings`` is
+    ``_feature_couplings`` of the current state. ``couplings`` is None for
+    the no-smoothing variant, whose model has no feature-coupling
+    constraint; gap_Y is then reported as 0.
     """
     gap_Y = 0.0
-    if variant != VARIANT_NO_SMOOTHING:
-        if couplings is None:
-            couplings = _feature_couplings(state, ds)
+    if couplings is not None:
         gap_Y = max(float(np.abs(coupling).max()) for coupling in couplings)
-    if residuals is None:
-        residuals = _split_residuals(state)
     Ci_Zi, Ci_1, C_Z, C_1 = residuals
     gap_CiZi = 0.0
     gap_Ci1 = 0.0
@@ -494,30 +476,24 @@ def constraint_gaps(
 
 def update_multipliers(
     state: SolverState,
-    ds: MultiViewDataset,
     cfg: SolverConfig,
-    variant: str = VARIANT_FULL,
-    *,
-    couplings: list[np.ndarray] | None = None,
-    residuals: tuple | None = None,
+    residuals: tuple,
+    couplings: list[np.ndarray] | None,
 ) -> SolverState:
     """Ascend all multipliers with the current mu, then grow mu.
 
     The multiplier steps use the mu that produced the current iterates; only
-    afterwards is mu scaled to min(mu_max, rho * mu). ``couplings`` is
-    ``_feature_couplings`` and ``residuals`` is ``_split_residuals`` of the
-    current state if the caller has them.
+    afterwards is mu scaled to min(mu_max, rho * mu). ``residuals`` is
+    ``_split_residuals`` and ``couplings`` is ``_feature_couplings`` of the
+    current state, None for the no-smoothing variant, which has no Gamma^i
+    to step.
     """
     mu = state.mu
-    if variant != VARIANT_NO_SMOOTHING:
-        if couplings is None:
-            couplings = _feature_couplings(state, ds)
+    if couplings is not None:
         for i, coupling in enumerate(couplings):
             state.Gamma[i] = state.Gamma[i] + mu * coupling
-    if residuals is None:
-        residuals = _split_residuals(state)
     Ci_Zi, Ci_1, C_Z, C_1 = residuals
-    for i in range(ds.n_views):
+    for i in range(len(Ci_Zi)):
         state.Lam[i] = state.Lam[i] + mu * Ci_Zi[i]
         state.Omega[i] = state.Omega[i] + mu * Ci_1[i]
     state.Theta = state.Theta + mu * C_Z
@@ -531,17 +507,14 @@ def view_mismatches(state: SolverState) -> np.ndarray:
     return np.array([float(np.sum((state.C - Ci) ** 2)) for Ci in state.Ci])
 
 
-def update_view_weights(
-    state: SolverState, cfg: SolverConfig, *, J: np.ndarray | None = None
-) -> np.ndarray:
-    """Closed-form simplex weights gamma_i proportional to J_i^{1/(1-eta)}.
+def update_view_weights(J: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """Closed-form simplex weights gamma_i proportional to J_i^{1/(1-eta)},
+    for the mismatches J = ``view_mismatches(state)``.
 
     Each J^i is floored at J_FLOOR before exponentiation so the first
     iteration (all J^i = 0) yields uniform weights instead of 0 to a negative
-    power. ``J`` is ``view_mismatches(state)`` if the caller has it.
+    power.
     """
-    if J is None:
-        J = view_mismatches(state)
     J = np.maximum(J, J_FLOOR)
     powered = J ** (1.0 / (1.0 - cfg.eta))
     return powered / powered.sum()
@@ -553,14 +526,12 @@ def objective_value(
     cfg: SolverConfig,
     variant: str = VARIANT_FULL,
     *,
-    CZ: list[np.ndarray] | None = None,
-    J: np.ndarray | None = None,
+    CZ: list[np.ndarray] | None,
+    J: np.ndarray,
 ) -> float:
     """Model objective at the current iterates, using the split form C Z^i of
-    the consensus-filter regularizer. ``CZ`` lists the products C Z^i and
-    ``J`` is ``view_mismatches(state)`` if the caller has them."""
-    if J is None:
-        J = view_mismatches(state)
+    the consensus-filter regularizer. ``CZ`` lists the products C Z^i, which
+    ``frobenius`` does not read, and ``J`` is ``view_mismatches(state)``."""
     total = 0.0
     for i in range(ds.n_views):
         w = cfg.beta * state.gamma[i] ** cfg.eta
@@ -568,8 +539,7 @@ def objective_value(
         if variant == VARIANT_FROBENIUS:
             total += cfg.alpha * float(np.sum(state.Ci[i] ** 2))
         else:
-            CZi = state.C @ state.Zi[i] if CZ is None else CZ[i]
-            total += cfg.alpha * float(np.sum((state.Ci[i] - CZi) ** 2))
+            total += cfg.alpha * float(np.sum((state.Ci[i] - CZ[i]) ** 2))
         total += w * J[i]
     return total
 
@@ -615,12 +585,13 @@ def _solve(
     smoothing = variant != VARIANT_NO_SMOOTHING
     split = variant != VARIANT_FROBENIUS
     XXt = _feature_gram(ds) if smoothing else None
-    # C Z^i and C X^i of the previous iteration's end: C and Z^i are
-    # unchanged until the C^i and Y^i updates of view i have used them.
-    # Every n x n temporary of an iteration is dropped after its last reader
-    # so that the solve's peak stays within solve_peak_bytes.
-    CZ = [None] * ds.n_views
-    CX = [None] * ds.n_views
+    # C Z^i and C X^i of the previous iteration's end (of the zero start
+    # before the first): C and Z^i are unchanged until the C^i and Y^i
+    # updates of view i have used them. Every n x n temporary of an iteration
+    # is dropped after its last reader so that the solve's peak stays within
+    # solve_peak_bytes.
+    CZ = [state.C @ Zi if split else None for Zi in state.Zi]
+    CX = [state.C @ X for X in ds.views] if smoothing else None
     for iteration in range(1, cfg.max_iter + 1):
         state.iteration = iteration
         C_prev = state.C
@@ -642,16 +613,14 @@ def _solve(
         couplings = None
         if smoothing:
             CX = [state.C @ X for X in ds.views]
-            couplings = _feature_couplings(state, ds, CX=CX)
+            couplings = _feature_couplings(state, ds, CX)
         residuals = _split_residuals(state)
-        gaps = constraint_gaps(state, ds, variant, couplings=couplings, residuals=residuals)
-        update_multipliers(state, ds, cfg, variant, couplings=couplings, residuals=residuals)
+        gaps = constraint_gaps(residuals, couplings)
+        update_multipliers(state, cfg, residuals, couplings)
         del couplings, residuals
         J = view_mismatches(state)
-        state.gamma = update_view_weights(state, cfg, J=J)
-        if split:
-            for i, Zi in enumerate(state.Zi):
-                CZ[i] = state.C @ Zi
+        state.gamma = update_view_weights(J, cfg)
+        CZ = [state.C @ Zi if split else None for Zi in state.Zi]
 
         diagnostics.residual_C.append(residual_C)
         diagnostics.residual_Z.append(residual_Z)

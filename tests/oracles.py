@@ -312,6 +312,7 @@ def dense_solve(ds, cfg, variant, iterations):
         project_constraints,
         update_consensus_auxiliary,
         update_view_weights,
+        view_mismatches,
     )
 
     state = init_state(ds, cfg)
@@ -331,6 +332,6 @@ def dense_solve(ds, cfg, variant, iterations):
         for name, value in steps.items():
             setattr(state, name, value)
         state.mu = min(cfg.mu_max, cfg.rho * state.mu)
-        state.gamma = update_view_weights(state, cfg)
+        state.gamma = update_view_weights(view_mismatches(state), cfg)
         objectives.append(dense_objective_value(state, ds, cfg, variant))
     return state, objectives

@@ -38,6 +38,8 @@ import pytest
 from gfclust.metrics import ari, clustering_accuracy, f_score, hungarian, nmi
 from gfclust.solver import (
     SolverConfig,
+    _feature_gram,
+    _view_auxiliary_factor,
     init_state,
     update_consensus_auxiliary,
     update_consensus_coefficients,
@@ -45,6 +47,7 @@ from gfclust.solver import (
     update_view_coefficients,
     update_view_representation,
     update_view_weights,
+    view_mismatches,
 )
 from gfclust.spectral import spectral_clustering
 from gfclust.cli import main as cli_main
@@ -85,11 +88,16 @@ def test_criterion_01_stationarity_suite():
         ds = toy_dataset(n=n, v=v, d=d, seed=1000 + idx)
         state = random_state(ds, cfg=cfg, seed=2000 + idx)
         i = idx % v
+        Y = update_view_representation(state, ds, i, CX=state.C @ ds.views[i])
+        Ci = update_view_coefficients(state, i, cfg, CZi=state.C @ state.Zi[i])
+        factor = _view_auxiliary_factor(state, cfg)
+        Zi = update_view_auxiliary(state, i, cfg, project=False, factor=factor)
+        C = update_consensus_coefficients(state, ds, cfg, XXt=_feature_gram(ds))
         checks = [
-            (y_subproblem(state, ds, i), update_view_representation(state, ds, i)),
-            (ci_subproblem(state, i, cfg), update_view_coefficients(state, i, cfg)),
-            (zi_subproblem(state, i, cfg), update_view_auxiliary(state, i, cfg, project=False)),
-            (c_subproblem(state, ds, cfg), update_consensus_coefficients(state, ds, cfg)),
+            (y_subproblem(state, ds, i), Y),
+            (ci_subproblem(state, i, cfg), Ci),
+            (zi_subproblem(state, i, cfg), Zi),
+            (c_subproblem(state, ds, cfg), C),
             (z_subproblem(state), update_consensus_auxiliary(state, project=False)),
         ]
         for func, point in checks:
@@ -242,14 +250,14 @@ def test_criterion_08_weight_formula():
         state = init_state(ds, cfg)
         state.C = np.zeros((3, 3))
         state.Ci = [np.diag([np.sqrt(J[0]), 0, 0]), np.diag([np.sqrt(J[1]), 0, 0])]
-        gamma = update_view_weights(state, cfg)
+        gamma = update_view_weights(view_mismatches(state), cfg)
         grid = np.arange(1e-3, 1.0, 1e-3)
         best = grid[(grid**2 * J[0] + (1.0 - grid) ** 2 * J[1]).argmin()]
         worst = max(worst, abs(gamma[0] - best), abs(gamma[1] - (1.0 - best)))
         assert abs(gamma[0] - best) <= 2e-3
     state = init_state(ds, cfg)
     state.C = np.eye(3)  # J^i identical across views
-    uniform = update_view_weights(state, cfg)
+    uniform = update_view_weights(view_mismatches(state), cfg)
     exact_uniform = uniform[0] == 0.5 and uniform[1] == 0.5
     ok = worst <= 2e-3 and exact_uniform
     report(8, ok, f"grid-minimizer deviation {worst:.2e} (<= 2e-3), equal mismatches exactly uniform")

@@ -81,6 +81,17 @@ def test_preset_sets_solver_parameters(tmp_path):
     assert PRESETS["BBCsport"] == (0.2, 2.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "eta,regime", [("0.5", "maximizer"), ("2", "minimizer"), ("-1", "minimizer"), ("0", "constant")]
+)
+def test_result_records_weight_regime(tmp_path, eta, regime):
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config), "--eta", eta]) == 0
+    (result,) = read_results(tmp_path / "out").values()
+    assert result["params"]["eta"] == float(eta)
+    assert result["weight_regime"] == regime
+
+
 def test_grid_sweep_and_summary_recompute(tmp_path):
     config = write_config(
         tmp_path,
