@@ -23,8 +23,6 @@ from .solver import (
     SolverOutput,
     SolverState,
     solve,
-    solve_ablation_frobenius,
-    solve_ablation_no_smoothing,
 )
 from .spectral import ClusterAssignment, build_affinity, kmeans, spectral_clustering
 
@@ -53,8 +51,6 @@ __all__ = [
     "nmi",
     "normalize_views",
     "solve",
-    "solve_ablation_frobenius",
-    "solve_ablation_no_smoothing",
     "spectral_clustering",
     "write_dataset",
 ]

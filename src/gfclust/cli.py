@@ -19,6 +19,7 @@ deterministic, so repetitions vary the k-means seed alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -50,8 +51,6 @@ from .solver import (
     SolverOutput,
     VARIANTS,
     solve,
-    solve_ablation_frobenius,
-    solve_ablation_no_smoothing,
     solve_peak_bytes,
 )
 from .spectral import build_affinity, spectral_clustering
@@ -116,11 +115,8 @@ RUN_FLAGS = {
     "normalize": str,
 }
 
-_SOLVE_FUNCS = {
-    "full": solve,
-    "no_smoothing": solve_ablation_no_smoothing,
-    "frobenius": solve_ablation_frobenius,
-}
+# The benchmark tracer wraps the solve through this table, one entry per variant.
+_SOLVE_FUNCS = {variant: functools.partial(solve, variant=variant) for variant in VARIANTS}
 
 
 def _int_field(raw: dict, key: str, default: int | None) -> int | None:
@@ -263,9 +259,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def grid_points(cfg: ExperimentConfig) -> list[dict[str, float]]:
-    """Cartesian product of the grid lists, singleton solver values elsewhere."""
+    """Cartesian product of the grid lists, singleton solver values elsewhere,
+    all as floats so that 1 and 1.0 name the same point."""
     grid = cfg.grid or {}
-    axes = [grid.get(key, [getattr(cfg.solver, key)]) for key in DEFAULT_GRID]
+    axes = [grid.get(key, [float(getattr(cfg.solver, key))]) for key in DEFAULT_GRID]
     return [dict(zip(DEFAULT_GRID, values)) for values in itertools.product(*axes)]
 
 
@@ -442,7 +439,11 @@ def emit_convergence_plot(trace_path: str | Path, out_path: str | Path) -> Path:
             raise ValueError(
                 f"ragged rows in {trace_path}: row {idx} has {len(row)} cells, header has {len(header)}"
             )
-    columns = [header.index(name) for name in ("iter", "residual_C", "residual_Z")]
+    columns = []
+    for name in ("iter", "residual_C", "residual_Z"):
+        if name not in header:
+            raise ValueError(f"{trace_path} has no {name} column")
+        columns.append(header.index(name))
     iters, res_c, res_z = ([float(r[col]) for r in data_rows] for col in columns)
     if not all(map(math.isfinite, iters + res_c + res_z)):
         raise ValueError(f"non-finite iteration or residual in {trace_path}")

@@ -68,6 +68,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _missing_ids(present: np.ndarray, shown: int = 5) -> str:
+    """The first ``shown`` ids in [0, max] absent from the sorted distinct
+    ids ``present``, as plain ints, with the total count if there are more."""
+    lows = np.concatenate(([0], present[:-1] + 1))
+    missing = []
+    for j in np.flatnonzero(lows < present)[:shown]:
+        missing += range(int(lows[j]), min(int(present[j]), int(lows[j]) + shown))
+    count = int(present[-1]) + 1 - present.size
+    if count <= shown:
+        return str(missing)
+    return f"[{', '.join(map(str, missing[:shown]))}, ...] ({count} in all)"
+
+
 @dataclass(frozen=True)
 class MultiViewDataset:
     """Per-view feature matrices (n x d_i each) with optional 0-based labels."""
@@ -111,10 +124,8 @@ class MultiViewDataset:
             if labels.min() < 0:
                 raise DatasetError("labels must be 0-based class ids")
             present = np.unique(labels)
-            expected = np.arange(labels.max() + 1)
-            if not np.array_equal(present, expected):
-                missing = sorted(set(expected) - set(present))
-                raise DatasetError(f"class ids {missing} never appear in labels")
+            if present.size != int(present[-1]) + 1:
+                raise DatasetError(f"class ids {_missing_ids(present)} never appear in labels")
             labels = labels.copy()
             labels.flags.writeable = False
             object.__setattr__(self, "labels", labels)

@@ -11,9 +11,10 @@ For views X^i the full model alternates closed-form updates of
 * Lagrange multipliers and the growing penalty mu,
 * adaptive view weights gamma from the mismatches J^i = ||C - C^i||_F^2.
 
-Two ablation variants reuse the same machinery: ``no_smoothing`` fixes
-Y^i = X^i and drops the smoothing constraint, ``frobenius`` replaces the
-consensus-filter regularizer on C^i with a plain squared Frobenius penalty.
+Two ablation variants run through the same ``solve(ds, cfg, variant)``:
+``no_smoothing`` fixes Y^i = X^i and drops the smoothing constraint,
+``frobenius`` replaces the consensus-filter regularizer on C^i with a plain
+squared Frobenius penalty.
 
 All linear systems are symmetric positive definite. The Y^i systems have d_i
 right-hand sides and are solved by Cholesky. The n x n systems with n
@@ -572,9 +573,23 @@ def solve_peak_bytes(n_samples: int, n_views: int, total_dim: int) -> int:
     return 8 * ((4 * n_views + 9) * n * n + 5 * n * total_dim)
 
 
-def _solve(
-    ds: MultiViewDataset, cfg: SolverConfig, variant: str, callback=None
+def solve(
+    ds: MultiViewDataset, cfg: SolverConfig, variant: str = VARIANT_FULL, callback=None
 ) -> SolverOutput:
+    """Run ``variant`` (one of VARIANTS) to convergence or cfg.max_iter.
+
+    One iteration updates, in order: per view Y^i, C^i, Z^i (views processed
+    sequentially against the previous iteration's consensus), then C, Z, the
+    multipliers with the current mu, mu itself, and finally the view weights.
+    The run stops once every constraint-gap max-norm is <= cfg.eps and the
+    squared successive changes of C and Z are <= RESID_TOL. The optional
+    ``callback(state)`` fires after each completed iteration.
+
+    ``no_smoothing`` pins Y^i to X^i, with no feature-coupling constraint or
+    Gamma^i multiplier. ``frobenius`` puts a plain ridge penalty
+    alpha ||C^i||_F^2 in place of the consensus-filter regularizer, so Z^i is
+    the projected multiplier shift of C^i.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     state = init_state(ds, cfg)
@@ -648,34 +663,3 @@ def _solve(
         converged=converged,
         iterations=state.iteration,
     )
-
-
-def solve(ds: MultiViewDataset, cfg: SolverConfig, callback=None) -> SolverOutput:
-    """Run the full model to convergence or cfg.max_iter.
-
-    One iteration updates, in order: per view Y^i, C^i, Z^i (views processed
-    sequentially against the previous iteration's consensus), then C, Z, the
-    multipliers with the current mu, mu itself, and finally the view weights.
-    The run stops once every constraint-gap max-norm is <= cfg.eps and the
-    squared successive changes of C and Z are <= RESID_TOL. The optional
-    ``callback(state)`` fires after each completed iteration.
-    """
-    return _solve(ds, cfg, VARIANT_FULL, callback)
-
-
-def solve_ablation_no_smoothing(
-    ds: MultiViewDataset, cfg: SolverConfig, callback=None
-) -> SolverOutput:
-    """Ablation with raw features: Y^i pinned to X^i, no feature-coupling
-    constraint or Gamma^i multiplier; the C^i and C updates are re-derived
-    accordingly."""
-    return _solve(ds, cfg, VARIANT_NO_SMOOTHING, callback)
-
-
-def solve_ablation_frobenius(
-    ds: MultiViewDataset, cfg: SolverConfig, callback=None
-) -> SolverOutput:
-    """Ablation with a plain ridge penalty alpha ||C^i||_F^2 in place of the
-    consensus-filter regularizer; Z^i degenerates to the projected multiplier
-    shift of C^i."""
-    return _solve(ds, cfg, VARIANT_FROBENIUS, callback)

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from gfclust.data import SyntheticSpec, generate_synthetic
-from gfclust.solver import (
-    SolverConfig,
-    solve,
-    solve_ablation_frobenius,
-    solve_ablation_no_smoothing,
-)
+from gfclust.solver import SolverConfig, solve
 
 BENCHMARK_SPEC = SyntheticSpec(
     k=3,
@@ -74,6 +69,6 @@ def benchmark_run(benchmark_dataset, benchmark_cfg):
 @pytest.fixture(scope="session")
 def benchmark_ablations(benchmark_dataset, benchmark_cfg):
     return {
-        "no_smoothing": solve_ablation_no_smoothing(benchmark_dataset, benchmark_cfg),
-        "frobenius": solve_ablation_frobenius(benchmark_dataset, benchmark_cfg),
+        "no_smoothing": solve(benchmark_dataset, benchmark_cfg, "no_smoothing"),
+        "frobenius": solve(benchmark_dataset, benchmark_cfg, "frobenius"),
     }

@@ -11,8 +11,6 @@ from gfclust.solver import (
     _feature_gram,
     init_state,
     solve,
-    solve_ablation_frobenius,
-    solve_ablation_no_smoothing,
     update_consensus_coefficients,
     update_view_auxiliary,
     update_view_coefficients,
@@ -146,7 +144,7 @@ def test_frobenius_ridge_shrinks_view_coefficients():
     norms = []
     for alpha in (0.1, 1.0, 10.0):
         cfg = SolverConfig(alpha=alpha, beta=0.5, eta=0.5, max_iter=400)
-        out = solve_ablation_frobenius(ds, cfg)
+        out = solve(ds, cfg, "frobenius")
         assert out.converged
         norms.append(np.mean([np.linalg.norm(Ci) for Ci in out.view_C]))
     assert norms[0] > norms[1] > norms[2]
@@ -163,8 +161,8 @@ def noisy_outputs():
     return {
         "dataset": ds,
         "full": solve(ds, cfg),
-        "frobenius": solve_ablation_frobenius(ds, cfg),
-        "no_smoothing": solve_ablation_no_smoothing(ds, cfg),
+        "frobenius": solve(ds, cfg, "frobenius"),
+        "no_smoothing": solve(ds, cfg, "no_smoothing"),
     }
 
 

@@ -251,6 +251,18 @@ def test_exit_code_on_misspelt_manifest_keys(tmp_path, capsys, manifest_fields, 
     assert not (tmp_path / "out").exists()
 
 
+def test_exit_code_on_huge_class_id(tmp_path, capsys):
+    np.savetxt(tmp_path / "v0.csv", np.eye(3), delimiter=",")
+    (tmp_path / "labels.csv").write_text("0\n1\n4611686018427387904\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"views": [{"path": "v0.csv"}], "labels": "labels.csv"}))
+    config = write_config(tmp_path, dataset={"manifest": str(manifest)})
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: class ids [2, 3, 4, 5, 6, ...] (4611686018427387902 in all)")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad", ["config", "manifest", "view", "labels", "output_dir"])
 def test_exit_code_on_unreadable_input_or_output(tmp_path, capsys, bad):
     np.savetxt(tmp_path / "v0.csv", np.eye(6)[:, :3], delimiter=",")
@@ -427,18 +439,22 @@ def test_plot_empty_trace_errors(tmp_path, capsys):
     assert "empty trace" in capsys.readouterr().err
 
 
+FULL_HEADER = "iter,residual_C,residual_Z,gap_Y,gap_CiZi,gap_Ci1,gap_CZ,gap_C1,objective\n"
+
+
 @pytest.mark.parametrize(
-    "row, message",
+    "header, row, message",
     [
-        ("1,0.5\n", "row 1 has 2 cells, header has 9"),
-        ("1,nan,0.25,1,1,1,1,1,10\n", "non-finite"),
-        ("1,0.5,inf,1,1,1,1,1,10\n", "non-finite"),
+        (FULL_HEADER, "1,0.5\n", "row 1 has 2 cells, header has 9"),
+        (FULL_HEADER, "1,nan,0.25,1,1,1,1,1,10\n", "non-finite"),
+        (FULL_HEADER, "1,0.5,inf,1,1,1,1,1,10\n", "non-finite"),
+        ("iter,residual_Z,gap_Y\n", "1,0.5,1\n", "trace.csv has no residual_C column"),
     ],
-    ids=["short_row", "nan", "inf"],
+    ids=["short_row", "nan", "inf", "no_residual_C"],
 )
-def test_plot_malformed_trace_errors(tmp_path, capsys, row, message):
+def test_plot_malformed_trace_errors(tmp_path, capsys, header, row, message):
     trace = tmp_path / "trace.csv"
-    trace.write_text("iter,residual_C,residual_Z,gap_Y,gap_CiZi,gap_Ci1,gap_CZ,gap_C1,objective\n" + row)
+    trace.write_text(header + row)
     out = tmp_path / "p.svg"
     assert main(["plot", str(trace), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -544,6 +560,16 @@ def test_grid_points_product_order(tmp_path):
     assert points[0] == {"alpha": 0.1, "beta": 0.5, "eta": 0.5}
     assert {grid_point_hash(p) for p in points} == {grid_point_hash(p) for p in points}
     assert len({grid_point_hash(p) for p in points}) == 4
+
+
+def test_grid_point_hash_ignores_int_spelling(tmp_path):
+    configs = [
+        write_config(tmp_path, "int.json", solver={"alpha": 1}),
+        write_config(tmp_path, "float.json", solver={"alpha": 1.0}),
+        write_config(tmp_path, "grid.json", grid={"alpha": [1]}),
+    ]
+    hashes = {grid_point_hash(p) for path in configs for p in grid_points(load_config(path))}
+    assert hashes == {grid_point_hash({"alpha": 1.0, "beta": 0.5, "eta": 0.5})}
 
 
 def test_run_experiment_direct_call(tmp_path):

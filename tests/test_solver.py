@@ -25,8 +25,6 @@ from gfclust.solver import (
     objective_value,
     project_constraints,
     solve,
-    solve_ablation_frobenius,
-    solve_ablation_no_smoothing,
     solve_peak_bytes,
     update_consensus_auxiliary,
     update_consensus_coefficients,
@@ -614,6 +612,11 @@ def test_solve_iteration_cap():
     assert len(out.diagnostics) == 1
 
 
+def test_solve_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variant 'ridge'"):
+        solve(small_solvable_dataset(), SolverConfig(max_iter=1), "ridge")
+
+
 def test_solve_single_view_runs_with_unit_weight():
     ds = MultiViewDataset(views=[small_solvable_dataset().views[0]])
     seen = []
@@ -622,8 +625,8 @@ def test_solve_single_view_runs_with_unit_weight():
     np.testing.assert_array_equal(out.gamma, [1.0])
 
 
-@pytest.mark.parametrize("solve_fn", [solve, solve_ablation_no_smoothing, solve_ablation_frobenius])
-def test_solve_peak_stays_within_estimate(solve_fn):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solve_peak_stays_within_estimate(variant):
     # At n = 150 the n x n arrays dominate the footprint. A solve that kept
     # each iteration's arrays until they were rebound peaked here at 24.4 to
     # 28.4 n^2 doubles, above this bound of 22.5 n^2 for every variant.
@@ -633,7 +636,7 @@ def test_solve_peak_stays_within_estimate(solve_fn):
     ds = generate_synthetic(spec)
     tracemalloc.start()
     try:
-        solve_fn(ds, SolverConfig(max_iter=5))
+        solve(ds, SolverConfig(max_iter=5), variant)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -854,13 +857,6 @@ def test_spd_inverse_factor_matches_cholesky_solve(n):
     assert_equivalent(_spd_apply_right(B, Ri), sla.cho_solve(factor, B.T).T, rtol=1e-10)
 
 
-SOLVE_FUNCS = {
-    "full": solve,
-    "no_smoothing": solve_ablation_no_smoothing,
-    "frobenius": solve_ablation_frobenius,
-}
-
-
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_solve_matches_dense_reference_iterations(variant):
     # Checks that the shared products reach the right updates. View dims 3
@@ -874,7 +870,7 @@ def test_solve_matches_dense_reference_iterations(variant):
     ds = generate_synthetic(spec)
     iterations = 40
     cfg = SolverConfig(alpha=0.5, beta=0.5, eta=0.5, mu0=1e-2, max_iter=iterations)
-    out = SOLVE_FUNCS[variant](ds, cfg)
+    out = solve(ds, cfg, variant)
     assert out.iterations == iterations
     state, objectives = oracles.dense_solve(ds, cfg, variant, iterations)
     assert_equivalent(out.consensus_C, state.C, rtol=1e-10)
