@@ -22,7 +22,8 @@ right-hand sides (Z^i, C, and the C^i of a wide view) are applied as
 A^{-1} = Ri Ri^T, where Ri is the inverse of the upper Cholesky factor
 (LAPACK dtrtri), by two triangular products (BLAS dtrmm); these run at
 about twice the speed of the two triangular solves they replace, with the
-same forward error. The updates use the structure of their matrices:
+same forward error. The routines are scipy's compiled _fblas/_flapack, loaded
+without scipy.linalg. The updates use the structure of their matrices:
 
 * the C^i right factor is a I + U U^T with U = [sqrt(2) Y^i, sqrt(mu) 1] of
   rank d_i + 1. When 4(d_i + 1) <= n it is inverted through the thin SVD of
@@ -55,14 +56,33 @@ so the returned C^i need no copy.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.blas import dsyrk, dtrmm
-from scipy.linalg.lapack import dtrtri
+import scipy
 
 from .data import MultiViewDataset, check_field_types
+
+
+# Importing the scipy.linalg package costs about 0.25 s and 19 MB at start-up (its
+# __init__ pulls in scipy's array-API layer); the solver needs only its compiled wrappers.
+def _scipy_wrappers(name: str):
+    full_name = f"scipy.linalg.{name}"
+    if full_name not in sys.modules:
+        linalg = f"{scipy.__path__[0]}/linalg"
+        spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full_name)
+        if spec is None:
+            raise ImportError(f"scipy's compiled module {linalg}/{name}<suffix> is missing")
+        sys.modules[full_name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[full_name])
+    return sys.modules[full_name]
+
+
+_fblas, _flapack = _scipy_wrappers("_fblas"), _scipy_wrappers("_flapack")
+dsyrk, dtrmm, dtrtri = _fblas.dsyrk, _fblas.dtrmm, _flapack.dtrtri
 
 VARIANT_FULL = "full"
 VARIANT_NO_SMOOTHING = "no_smoothing"
@@ -175,24 +195,30 @@ class SolverOutput:
     iterations: int
 
 
-def _spd_factor(A: np.ndarray, iteration: int = -1):
-    """Cholesky factor of a symmetric positive definite A.
-
-    Only the upper triangle of A is read, so A may come straight from
-    ``_gram``.
-    """
-    try:
-        return sla.cho_factor(A, check_finite=False)
-    except (sla.LinAlgError, ValueError) as exc:
+def _spd_lapack(routine, iteration: int, *args, **kwargs) -> np.ndarray:
+    """Result of the LAPACK Cholesky ``routine``; a nonzero info raises."""
+    result, info = routine(*args, **kwargs)
+    if info != 0:
+        why = f"leading minor {info} not positive definite" if info > 0 else f"bad argument {-info}"
         raise SolverNumericalError(
-            f"symmetric positive definite solve failed at iteration {iteration}: {exc}",
+            f"symmetric positive definite solve failed at iteration {iteration}: {why}",
             iteration=iteration,
-        ) from None
+        )
+    return result
+
+
+def _spd_factor(A: np.ndarray, iteration: int = -1) -> np.ndarray:
+    """Upper Cholesky factor R of a symmetric positive definite A = R^T R.
+
+    Reads and writes upper triangles only (below R, A's entries stay), so A
+    may come straight from ``_gram``.
+    """
+    return _spd_lapack(_flapack.dpotrf, iteration, A, lower=0, clean=0)
 
 
 def _spd_solve(A: np.ndarray, B: np.ndarray, iteration: int = -1) -> np.ndarray:
     """Solve A X = B for symmetric positive definite A via Cholesky."""
-    return sla.cho_solve(_spd_factor(A, iteration), B, check_finite=False)
+    return _spd_lapack(_flapack.dpotrs, iteration, _spd_factor(A, iteration), B, lower=0)
 
 
 def _spd_inverse_factor(A: np.ndarray, iteration: int = -1) -> np.ndarray:
@@ -203,8 +229,7 @@ def _spd_inverse_factor(A: np.ndarray, iteration: int = -1) -> np.ndarray:
     triangular solves of a Cholesky solve but runs at about twice their
     speed; the inverse itself (dtrtri) is formed once per system.
     """
-    c, _ = _spd_factor(A, iteration)
-    Ri, info = dtrtri(c, lower=0, overwrite_c=1)
+    Ri, info = dtrtri(_spd_factor(A, iteration), lower=0, overwrite_c=1)
     if info != 0:
         raise SolverNumericalError(
             f"triangular inverse failed at iteration {iteration}: info {info}",

@@ -1,4 +1,10 @@
-"""Shared glue for end-to-end checks: consensus matrix -> clustering scores."""
+"""Shared glue for end-to-end checks: consensus matrix -> clustering scores,
+and code run in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -48,3 +54,13 @@ def ablation_rule(full, frobenius, no_smoothing, margin):
     if lead >= 1.0 - no_smoothing:
         return "ceiling (no-smoothing saturated)"
     return None
+
+
+def run_in_fresh_interpreter(code: str) -> None:
+    """Run ``code`` with ``python -c`` in a new interpreter that imports gfclust
+    from this checkout; fails the test with the child's stderr unless it
+    exits 0. Only a fresh interpreter shows which modules a process imports."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

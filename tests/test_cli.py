@@ -1,8 +1,6 @@
 import json
 import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +18,7 @@ from gfclust.cli import (
     run_experiment,
 )
 from gfclust.solver import solve_peak_bytes
+from pipeline import run_in_fresh_interpreter
 
 SMALL_SYNTHETIC = {
     "k": 3,
@@ -604,14 +603,24 @@ def test_cli_process_does_not_import_scipy_optimize():
     # scipy.optimize adds about 0.3 s and 20 MB to every process start; the
     # metrics layer has its own assignment solver. A fresh interpreter also
     # catches an import deferred into a function body.
-    code = (
+    run_in_fresh_interpreter(
         "import sys\n"
         "import gfclust.cli\n"
         "from gfclust.metrics import evaluate\n"
         "evaluate([0, 0, 1, 1, 2, 2], [1, 1, 0, 0, 2, 0])\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_process_does_not_import_scipy_linalg(tmp_path):
+    # The scipy.linalg package adds about 0.25 s and 19 MB to every process
+    # start; the solver loads only scipy's compiled BLAS/LAPACK wrappers. A
+    # whole run also catches an import deferred into a function body.
+    config = write_config(tmp_path, solver={"max_iter": 5})
+    run_in_fresh_interpreter(
+        "import sys\n"
+        "from gfclust.cli import main\n"
+        f"assert main(['run', '--config', {str(config)!r}]) == 0\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+    )
+    assert len(read_results(tmp_path / "out")) == 1

@@ -18,6 +18,7 @@ from gfclust.solver import (
     _spd_apply_left,
     _spd_apply_right,
     _spd_inverse_factor,
+    _spd_solve,
     _split_residuals,
     _view_auxiliary_factor,
     constraint_gaps,
@@ -38,6 +39,7 @@ from gfclust.solver import (
 
 import oracles
 from oracles import central_difference_gradient
+from pipeline import run_in_fresh_interpreter
 
 CFG = SolverConfig(alpha=0.7, beta=0.3, eta=0.5, mu0=1e-6)
 
@@ -714,11 +716,10 @@ def test_solve_converges_across_weight_exponents(alpha, beta, eta):
 
 
 def test_spd_solve_reports_failed_factorization():
-    from gfclust.solver import _spd_solve
-
     indefinite = np.array([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(SolverNumericalError, match="solve failed"):
+    with pytest.raises(SolverNumericalError, match="solve failed") as excinfo:
         _spd_solve(indefinite, np.eye(2), iteration=3)
+    assert excinfo.value.iteration == 3
 
 
 def test_spd_inverse_factor_reports_failed_factorization():
@@ -855,6 +856,31 @@ def test_spd_inverse_factor_matches_cholesky_solve(n):
     Ri = _spd_inverse_factor(A)
     assert_equivalent(_spd_apply_left(Ri, B), sla.cho_solve(factor, B), rtol=1e-10)
     assert_equivalent(_spd_apply_right(B, Ri), sla.cho_solve(factor, B.T).T, rtol=1e-10)
+
+
+def test_solver_routines_are_scipys_when_imported_first():
+    # The solver loads scipy's compiled wrapper modules without the
+    # scipy.linalg package; a later import of the package must find the same
+    # routine objects and still work.
+    run_in_fresh_interpreter(
+        "import numpy as np\n"
+        "from gfclust import solver\n"
+        "import scipy.linalg\n"
+        "assert solver.dtrmm is scipy.linalg.blas.dtrmm\n"
+        "assert solver.dsyrk is scipy.linalg.blas.dsyrk\n"
+        "assert solver.dtrtri is scipy.linalg.lapack.dtrtri\n"
+        "c, lower = scipy.linalg.cho_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))\n"
+        "assert not lower and np.allclose(c[0], [2.0, 1.0])\n"
+    )
+
+
+def test_spd_solve_matches_scipy_cholesky_bitwise():
+    # _spd_solve makes the same LAPACK calls as cho_factor and cho_solve.
+    rng = np.random.default_rng(50)
+    M = rng.standard_normal((50, 50))
+    A = M @ M.T + 50.0 * np.eye(50)
+    B = rng.standard_normal((50, 7))
+    assert np.array_equal(_spd_solve(A, B), sla.cho_solve(sla.cho_factor(A), B))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
