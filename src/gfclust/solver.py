@@ -22,8 +22,9 @@ right-hand sides (Z^i, C, and the C^i of a wide view) are applied as
 A^{-1} = Ri Ri^T, where Ri is the inverse of the upper Cholesky factor
 (LAPACK dtrtri), by two triangular products (BLAS dtrmm); these run at
 about twice the speed of the two triangular solves they replace, with the
-same forward error. The routines are scipy's compiled _fblas/_flapack, loaded
-without scipy.linalg. The updates use the structure of their matrices:
+same forward error. These five routines (dpotrf, dpotrs, dtrtri, dtrmm,
+dsyrk) are called through ``_lapack`` from the OpenBLAS numpy already loads,
+so no solve imports scipy. The updates use the structure of their matrices:
 
 * the C^i right factor is a I + U U^T with U = [sqrt(2) Y^i, sqrt(mu) 1] of
   rank d_i + 1. When 4(d_i + 1) <= n it is inverted through the thin SVD of
@@ -56,33 +57,12 @@ so the returned C^i need no copy.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from dataclasses import dataclass, field
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-import scipy
 
+from ._lapack import dpotrf, dpotrs, dsyrk, dtrmm, dtrtri
 from .data import MultiViewDataset, check_field_types
-
-
-# Importing the scipy.linalg package costs about 0.25 s and 19 MB at start-up (its
-# __init__ pulls in scipy's array-API layer); the solver needs only its compiled wrappers.
-def _scipy_wrappers(name: str):
-    full_name = f"scipy.linalg.{name}"
-    if full_name not in sys.modules:
-        linalg = f"{scipy.__path__[0]}/linalg"
-        spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full_name)
-        if spec is None:
-            raise ImportError(f"scipy's compiled module {linalg}/{name}<suffix> is missing")
-        sys.modules[full_name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[full_name])
-    return sys.modules[full_name]
-
-
-_fblas, _flapack = _scipy_wrappers("_fblas"), _scipy_wrappers("_flapack")
-dsyrk, dtrmm, dtrtri = _fblas.dsyrk, _fblas.dtrmm, _flapack.dtrtri
 
 VARIANT_FULL = "full"
 VARIANT_NO_SMOOTHING = "no_smoothing"
@@ -213,12 +193,12 @@ def _spd_factor(A: np.ndarray, iteration: int = -1) -> np.ndarray:
     Reads and writes upper triangles only (below R, A's entries stay), so A
     may come straight from ``_gram``.
     """
-    return _spd_lapack(_flapack.dpotrf, iteration, A, lower=0, clean=0)
+    return _spd_lapack(dpotrf, iteration, A)
 
 
 def _spd_solve(A: np.ndarray, B: np.ndarray, iteration: int = -1) -> np.ndarray:
     """Solve A X = B for symmetric positive definite A via Cholesky."""
-    return _spd_lapack(_flapack.dpotrs, iteration, _spd_factor(A, iteration), B, lower=0)
+    return _spd_lapack(dpotrs, iteration, _spd_factor(A, iteration), B)
 
 
 def _spd_inverse_factor(A: np.ndarray, iteration: int = -1) -> np.ndarray:
@@ -229,7 +209,7 @@ def _spd_inverse_factor(A: np.ndarray, iteration: int = -1) -> np.ndarray:
     triangular solves of a Cholesky solve but runs at about twice their
     speed; the inverse itself (dtrtri) is formed once per system.
     """
-    Ri, info = dtrtri(_spd_factor(A, iteration), lower=0, overwrite_c=1)
+    Ri, info = dtrtri(_spd_factor(A, iteration))
     if info != 0:
         raise SolverNumericalError(
             f"triangular inverse failed at iteration {iteration}: info {info}",
@@ -244,16 +224,16 @@ def _spd_apply_left(Ri: np.ndarray, B: np.ndarray) -> np.ndarray:
     Computed as (B^T Ri Ri^T)^T: for a C-ordered B, B.T is Fortran-ordered,
     so BLAS gets it without a copy and the result comes back C-ordered.
     """
-    W = dtrmm(1.0, Ri, B.T, side=1, lower=0, trans_a=0)
-    W = dtrmm(1.0, Ri, W, side=1, lower=0, trans_a=1, overwrite_b=1)
+    W = dtrmm(1.0, Ri, B.T, side=1, trans_a=0)
+    W = dtrmm(1.0, Ri, W, side=1, trans_a=1, overwrite_b=1)
     return W.T
 
 
 def _spd_apply_right(B: np.ndarray, Ri: np.ndarray) -> np.ndarray:
     """B A^{-1} for Ri from ``_spd_inverse_factor(A)``, computed as
     (Ri Ri^T B^T)^T with the same memory orders as ``_spd_apply_left``."""
-    W = dtrmm(1.0, Ri, B.T, side=0, lower=0, trans_a=1)
-    W = dtrmm(1.0, Ri, W, side=0, lower=0, trans_a=0, overwrite_b=1)
+    W = dtrmm(1.0, Ri, B.T, side=0, trans_a=1)
+    W = dtrmm(1.0, Ri, W, side=0, trans_a=0, overwrite_b=1)
     return W.T
 
 
@@ -268,7 +248,8 @@ def _gram(M: np.ndarray, scale: float = 1.0, outer: bool = False) -> np.ndarray:
 
 
 def _add_to_diagonal(M: np.ndarray, value: float) -> np.ndarray:
-    M[np.diag_indices_from(M)] += value
+    diagonal = np.einsum("ii->i", M)
+    diagonal += value
     return M
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from gfclust import _lapack
 from gfclust.cli import DEFAULT_ETA_GRID, PRESETS
 from gfclust.data import MultiViewDataset, SyntheticSpec, generate_synthetic
 from gfclust.solver import (
@@ -858,17 +859,63 @@ def test_spd_inverse_factor_matches_cholesky_solve(n):
     assert_equivalent(_spd_apply_right(B, Ri), sla.cho_solve(factor, B.T).T, rtol=1e-10)
 
 
-def test_solver_routines_are_scipys_when_imported_first():
-    # The solver loads scipy's compiled wrapper modules without the
-    # scipy.linalg package; a later import of the package must find the same
-    # routine objects and still work.
+def test_lapack_routines_match_scipys_bitwise():
+    # gfclust._lapack calls numpy's OpenBLAS; scipy's f2py wrappers call its
+    # own. The same routine with the same arguments must give the same bits,
+    # the same memory order and the same nonzero info, and leave the inputs
+    # (Fortran-ordered where a routine could write in place) as they were.
+    # n = 150 exceeds the block sizes of the blocked Cholesky and inverse.
+    rng = np.random.default_rng(51)
+    n, k = 150, 23
+
+    def same(ours, theirs):
+        assert np.array_equal(ours, theirs)
+        assert ours.flags.f_contiguous == theirs.flags.f_contiguous
+        assert ours.flags.c_contiguous == theirs.flags.c_contiguous
+
+    M = rng.standard_normal((n, k))
+    for a in (M, M.T, np.asfortranarray(M)):
+        for trans in (0, 1):
+            same(_lapack.dsyrk(0.7, a, trans=trans), sla.blas.dsyrk(0.7, a, trans=trans))
+    G = rng.standard_normal((n, n))
+    A = np.asfortranarray(G @ G.T + n * np.eye(n))
+    B = np.asfortranarray(rng.standard_normal((n, k)))
+    inputs = (M, G, A, B)
+    saved = [x.copy() for x in inputs]
+    R, info = _lapack.dpotrf(A)
+    expected_R, expected_info = sla.lapack.dpotrf(A, lower=0, clean=0)
+    same(R, expected_R)
+    assert info == expected_info == 0
+    X, info = _lapack.dpotrs(R, B)
+    expected_X, expected_info = sla.lapack.dpotrs(R, B, lower=0)
+    same(X, expected_X)
+    assert info == expected_info == 0
+    Ri, info = _lapack.dtrtri(R.copy(order="F"))
+    expected_Ri, expected_info = sla.lapack.dtrtri(R, lower=0)
+    same(Ri, expected_Ri)
+    assert info == expected_info == 0
+    for side in (0, 1):
+        for trans_a in (0, 1):
+            for b in (G, G.T, 2.0 * G):
+                same(
+                    _lapack.dtrmm(1.5, Ri, b, side=side, trans_a=trans_a),
+                    sla.blas.dtrmm(1.5, Ri, b, side=side, lower=0, trans_a=trans_a),
+                )
+    assert all(np.array_equal(x, y) for x, y in zip(inputs, saved))
+    indefinite = np.diag([4.0, 1.0, -1.0, 2.0])
+    info = _lapack.dpotrf(indefinite)[1]
+    assert info == sla.lapack.dpotrf(indefinite, lower=0, clean=0)[1] == 3
+    singular = np.triu(rng.standard_normal((5, 5)))
+    singular[3, 3] = 0.0
+    info = _lapack.dtrtri(singular.copy(order="F"))[1]
+    assert info == sla.lapack.dtrtri(singular, lower=0)[1] == 4
+    # The solver imports no scipy; a later import of scipy.linalg still works.
     run_in_fresh_interpreter(
+        "import sys\n"
         "import numpy as np\n"
         "from gfclust import solver\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
         "import scipy.linalg\n"
-        "assert solver.dtrmm is scipy.linalg.blas.dtrmm\n"
-        "assert solver.dsyrk is scipy.linalg.blas.dsyrk\n"
-        "assert solver.dtrtri is scipy.linalg.lapack.dtrtri\n"
         "c, lower = scipy.linalg.cho_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))\n"
         "assert not lower and np.allclose(c[0], [2.0, 1.0])\n"
     )
