@@ -1,5 +1,6 @@
-"""The five BLAS/LAPACK routines the solver calls, bound with ctypes from the
-OpenBLAS that numpy already loads.
+"""The solver's symmetric positive definite (SPD) linear algebra, on the
+BLAS/LAPACK routines dsyrk, dpotrf, dpotrs, dtrtri and dtrmm of the OpenBLAS
+that numpy already loads.
 
 numpy's wheels link an ILP64 OpenBLAS that exports every routine as
 ``scipy_<routine>_64_``; ``dlsym`` on numpy's ``_umath_linalg`` extension
@@ -9,10 +10,15 @@ every scalar; arrays are column-major with their leading dimension; each
 character argument is passed by pointer, and its hidden ``size_t`` length
 follows all the other arguments. ctypes releases the GIL for each call.
 
-Each wrapper copies an input only where scipy's f2py wrapper of the same
-routine (with the options the solver passes) copied it, so the arrays and
-their memory orders are the same as there: a Fortran-ordered input is read in
-place, any other is copied to Fortran order first.
+Every operation works on upper triangles: ``gram`` fills one, and
+``spd_solve`` and ``spd_inverse_factor`` read no more. A system with n
+right-hand sides is applied as A^{-1} = Ri Ri^T, where Ri is the inverse of
+the upper Cholesky factor A = R^T R, by two triangular products; these run at
+about twice the speed of the two triangular solves they replace. A C-ordered
+matrix B is read in place as the Fortran-ordered B^T, so the products are
+formed on a Fortran-ordered copy of B^T and come back C-ordered. No
+operation writes to its arguments. A nonzero info from dpotrf, dpotrs or
+dtrtri raises ``numpy.linalg.LinAlgError``.
 """
 
 from __future__ import annotations
@@ -77,64 +83,91 @@ def _square(a: np.ndarray, n: int | None = None) -> int:
     return n
 
 
-def dsyrk(alpha: float, a, trans: int = 0) -> np.ndarray:
-    """Upper triangle of alpha a a^T (``trans=0``) or alpha a^T a (``trans=1``),
-    in a new Fortran-ordered matrix whose strict lower triangle is zero."""
-    a = _fortran(a)
-    n, k = a.shape[::-1] if trans else a.shape
+def _check(routine: str, info: ctypes.c_int64) -> None:
+    """Raise LinAlgError on LAPACK's nonzero ``info``."""
+    if info.value < 0:
+        raise np.linalg.LinAlgError(f"{routine}: argument {-info.value} had an illegal value")
+    if info.value > 0:
+        if routine == "dpotrf":
+            why = f"leading minor {info.value} is not positive definite"
+        else:
+            why = f"diagonal entry {info.value} of the Cholesky factor is zero"
+        raise np.linalg.LinAlgError(f"{routine}: {why}")
+
+
+def gram(M, scale: float = 1.0, outer: bool = False) -> np.ndarray:
+    """Upper triangle of scale M^T M, or of scale M M^T with ``outer``, by
+    one dsyrk call, in a new matrix whose strict lower triangle is zero."""
+    a = _fortran(M.T)
+    n, k = a.shape[::-1] if outer else a.shape
     c = np.zeros((n, n), order="F")
     _dsyrk(
-        b"U", b"T" if trans else b"N", _i64(n), _i64(k), _f64(alpha), a.ctypes.data,
+        b"U", b"T" if outer else b"N", _i64(n), _i64(k), _f64(scale), a.ctypes.data,
         _i64(max(1, a.shape[0])), _f64(0.0), c.ctypes.data, _i64(max(1, n)), 1, 1,
     )  # fmt: skip
     return c
 
 
-def dtrmm(alpha: float, a, b, side: int = 0, trans_a: int = 0, overwrite_b: int = 0) -> np.ndarray:
-    """alpha op(a) b (``side=0``) or alpha b op(a) (``side=1``) for the upper
-    triangle of a, with op(a) = a^T when ``trans_a``. The product overwrites b
-    when ``overwrite_b`` and b is Fortran-ordered; otherwise a copy of b."""
-    a = _fortran(a)
-    b = _fortran(b, copy=not overwrite_b)
-    m, n = b.shape
-    _square(a, n if side else m)
-    _dtrmm(
-        b"R" if side else b"L", b"U", b"T" if trans_a else b"N", b"N", _i64(m), _i64(n),
-        _f64(alpha), a.ctypes.data, _i64(max(1, a.shape[0])), b.ctypes.data, _i64(max(1, m)),
-        1, 1, 1, 1,
-    )  # fmt: skip
-    return b
-
-
-def dtrtri(c) -> tuple[np.ndarray, int]:
-    """Inverse of the upper triangle of c and LAPACK's info; overwrites c when
-    it is Fortran-ordered."""
-    c = _fortran(c)
-    n = _square(c)
+def _cholesky(A) -> np.ndarray:
+    """Upper Cholesky factor R of A = R^T R, in a Fortran-ordered copy of A
+    whose strict lower triangle keeps A's entries."""
+    R = _fortran(A, copy=True)
+    n = _square(R)
     info = _i64()
-    _dtrtri(b"U", b"N", _i64(n), c.ctypes.data, _i64(max(1, n)), info, 1, 1)
-    return c, info.value
+    _dpotrf(b"U", _i64(n), R.ctypes.data, _i64(max(1, n)), info, 1)
+    _check("dpotrf", info)
+    return R
 
 
-def dpotrf(a) -> tuple[np.ndarray, int]:
-    """Upper Cholesky factor R of a = R^T R, in a copy of a whose strict lower
-    triangle keeps a's entries, and LAPACK's info."""
-    c = _fortran(a, copy=True)
-    n = _square(c)
-    info = _i64()
-    _dpotrf(b"U", _i64(n), c.ctypes.data, _i64(max(1, n)), info, 1)
-    return c, info.value
-
-
-def dpotrs(c, b) -> tuple[np.ndarray, int]:
-    """Solution X of R^T R X = b for the upper Cholesky factor R in c, in a
-    copy of b, and LAPACK's info."""
-    c = _fortran(c)
-    x = _fortran(b, copy=True)
-    n = _square(c, x.shape[0])
+def spd_solve(A, B) -> np.ndarray:
+    """Solution X of A X = B for SPD A, by Cholesky, in a new
+    Fortran-ordered matrix."""
+    R = _cholesky(A)
+    X = _fortran(B, copy=True)
+    n = _square(R, X.shape[0])
     info = _i64()
     _dpotrs(
-        b"U", _i64(n), _i64(x.shape[1]), c.ctypes.data, _i64(max(1, n)), x.ctypes.data,
+        b"U", _i64(n), _i64(X.shape[1]), R.ctypes.data, _i64(max(1, n)), X.ctypes.data,
         _i64(max(1, n)), info, 1,
     )  # fmt: skip
-    return x, info.value
+    _check("dpotrs", info)
+    return X
+
+
+def spd_inverse_factor(A) -> np.ndarray:
+    """Ri = R^{-1} for the upper Cholesky factor R of SPD A, so that
+    A^{-1} = Ri Ri^T. Only the upper triangle of Ri is meaningful."""
+    Ri = _cholesky(A)
+    n = Ri.shape[0]
+    info = _i64()
+    _dtrtri(b"U", b"N", _i64(n), Ri.ctypes.data, _i64(max(1, n)), info, 1, 1)
+    _check("dtrtri", info)
+    return Ri
+
+
+def _multiply(W: np.ndarray, Ri: np.ndarray, where: bytes, *ops: bytes) -> None:
+    """W <- W op_1(Ri) op_2(Ri) ... (``where`` b"R") or ... op_2(Ri) op_1(Ri) W
+    (b"L") in place, one dtrmm call per op, for the upper triangle of Ri and
+    op(Ri) = Ri (b"N") or Ri^T (b"T")."""
+    m, n = W.shape
+    k = _square(Ri, n if where == b"R" else m)
+    args = (
+        _i64(m), _i64(n), _f64(1.0), Ri.ctypes.data, _i64(max(1, k)), W.ctypes.data,
+        _i64(max(1, m)), 1, 1, 1, 1,
+    )  # fmt: skip
+    for op in ops:
+        _dtrmm(where, b"U", op, b"N", *args)
+
+
+def spd_apply_left(Ri, B) -> np.ndarray:
+    """A^{-1} B = (B^T Ri Ri^T)^T for Ri = ``spd_inverse_factor(A)``."""
+    W = _fortran(B.T, copy=True)
+    _multiply(W, _fortran(Ri), b"R", b"N", b"T")
+    return W.T
+
+
+def spd_apply_right(B, Ri) -> np.ndarray:
+    """B A^{-1} = (Ri Ri^T B^T)^T for Ri = ``spd_inverse_factor(A)``."""
+    W = _fortran(B.T, copy=True)
+    _multiply(W, _fortran(Ri), b"L", b"T", b"N")
+    return W.T

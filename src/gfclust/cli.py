@@ -137,12 +137,16 @@ def _grid_axis(key: str, values, solver: SolverConfig) -> list[float]:
         values = DEFAULT_GRID[key]
     if not isinstance(values, list):
         raise ConfigError(f"grid {key} must be a list of numbers or 'default', got {values!r}")
+    axis = []
     for value in values:
         try:
             replace(solver, **{key: value})
         except ValueError as exc:
             raise ConfigError(f"invalid grid {key} value {value!r}: {exc}") from None
-    return [float(x) for x in values]
+        if float(value) in axis:
+            raise ConfigError(f"grid {key} lists the value {float(value)!r} more than once")
+        axis.append(float(value))
+    return axis
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,9 @@ def _read_labels_csv(path: Path) -> np.ndarray:
     integral = np.isfinite(labels) & (labels == np.round(labels))
     if not integral.all():
         raise DatasetError(f"non-integer label {labels[~integral][0]:g} in {path}")
+    outside = (labels < -(2.0**63)) | (labels >= 2.0**63)  # int64 holds [-2^63, 2^63)
+    if outside.any():
+        raise DatasetError(f"label {labels[outside][0]:g} in {path} is outside the int64 range")
     return labels.astype(int)
 
 

@@ -16,15 +16,16 @@ Two ablation variants run through the same ``solve(ds, cfg, variant)``:
 ``frobenius`` replaces the consensus-filter regularizer on C^i with a plain
 squared Frobenius penalty.
 
-All linear systems are symmetric positive definite. The Y^i systems have d_i
-right-hand sides and are solved by Cholesky. The n x n systems with n
-right-hand sides (Z^i, C, and the C^i of a wide view) are applied as
-A^{-1} = Ri Ri^T, where Ri is the inverse of the upper Cholesky factor
-(LAPACK dtrtri), by two triangular products (BLAS dtrmm); these run at
-about twice the speed of the two triangular solves they replace, with the
-same forward error. These five routines (dpotrf, dpotrs, dtrtri, dtrmm,
-dsyrk) are called through ``_lapack`` from the OpenBLAS numpy already loads,
-so no solve imports scipy. The updates use the structure of their matrices:
+All linear systems are symmetric positive definite (SPD), and ``_lapack``
+holds every operation on them: the Y^i systems have d_i right-hand sides and
+are solved by Cholesky (``spd_solve``); the n x n systems with n right-hand
+sides (Z^i, C, and the C^i of a wide view) are applied through the inverse
+Cholesky factor (``spd_inverse_factor``, ``spd_apply_left``,
+``spd_apply_right``), with the same forward error at about twice the speed
+of two triangular solves. A failed factorization raises
+``numpy.linalg.LinAlgError`` there, and ``solve`` turns it into a
+``SolverNumericalError`` naming the iteration. The updates use the structure
+of their matrices:
 
 * the C^i right factor is a I + U U^T with U = [sqrt(2) Y^i, sqrt(mu) 1] of
   rank d_i + 1. When 4(d_i + 1) <= n it is inverted through the thin SVD of
@@ -33,14 +34,14 @@ so no solve imports scipy. The updates use the structure of their matrices:
   the O(n^3) inverse Cholesky factor, which is cheaper there;
 * the Z^i system matrix 2 alpha C^T C + mu I is the same for every view of an
   iteration, so its inverse Cholesky factor is formed once per iteration;
-* Gram matrices come from one BLAS syrk call each; sum_i X^i X^i^T is formed
-  once per run; C Z^i and C X^i are formed once per view per iteration, C Z^i
-  serving both the objective and the next iteration's C^i update, C X^i both
-  the coupling residuals and the next iteration's Y^i update; the coupling
-  residuals 4Y^i - 3X^i - CX^i and the split and row-sum residuals
-  C^i - Z^i, C^i 1 - 1, C - Z and C 1 - 1 serve both the constraint gaps and
-  the multipliers; the mismatches J^i serve the view weights, the objective
-  and the diagnostics.
+* Gram matrices come from one BLAS syrk call each (``gram``);
+  sum_i X^i X^i^T is formed once per run; C Z^i and C X^i are formed once
+  per view per iteration, C Z^i serving both the objective and the next
+  iteration's C^i update, C X^i both the coupling residuals and the next
+  iteration's Y^i update; the coupling residuals 4Y^i - 3X^i - CX^i and the
+  split and row-sum residuals C^i - Z^i, C^i 1 - 1, C - Z and C 1 - 1 serve
+  both the constraint gaps and the multipliers; the mismatches J^i serve the
+  view weights, the objective and the diagnostics.
 
 The solve is the one producer of these shared products: each update
 function takes the products it reads as required arguments, and gets None
@@ -61,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import dpotrf, dpotrs, dsyrk, dtrmm, dtrtri
+from ._lapack import gram, spd_apply_left, spd_apply_right, spd_inverse_factor, spd_solve
 from .data import MultiViewDataset, check_field_types
 
 VARIANT_FULL = "full"
@@ -175,78 +176,6 @@ class SolverOutput:
     iterations: int
 
 
-def _spd_lapack(routine, iteration: int, *args, **kwargs) -> np.ndarray:
-    """Result of the LAPACK Cholesky ``routine``; a nonzero info raises."""
-    result, info = routine(*args, **kwargs)
-    if info != 0:
-        why = f"leading minor {info} not positive definite" if info > 0 else f"bad argument {-info}"
-        raise SolverNumericalError(
-            f"symmetric positive definite solve failed at iteration {iteration}: {why}",
-            iteration=iteration,
-        )
-    return result
-
-
-def _spd_factor(A: np.ndarray, iteration: int = -1) -> np.ndarray:
-    """Upper Cholesky factor R of a symmetric positive definite A = R^T R.
-
-    Reads and writes upper triangles only (below R, A's entries stay), so A
-    may come straight from ``_gram``.
-    """
-    return _spd_lapack(dpotrf, iteration, A)
-
-
-def _spd_solve(A: np.ndarray, B: np.ndarray, iteration: int = -1) -> np.ndarray:
-    """Solve A X = B for symmetric positive definite A via Cholesky."""
-    return _spd_lapack(dpotrs, iteration, _spd_factor(A, iteration), B)
-
-
-def _spd_inverse_factor(A: np.ndarray, iteration: int = -1) -> np.ndarray:
-    """Ri = R^{-1} for the upper Cholesky factor R of A, so A^{-1} = Ri Ri^T.
-
-    Only the upper triangle of Ri is meaningful. Applying A^{-1} to n columns
-    as two triangular products (dtrmm) costs the same flops as the two
-    triangular solves of a Cholesky solve but runs at about twice their
-    speed; the inverse itself (dtrtri) is formed once per system.
-    """
-    Ri, info = dtrtri(_spd_factor(A, iteration))
-    if info != 0:
-        raise SolverNumericalError(
-            f"triangular inverse failed at iteration {iteration}: info {info}",
-            iteration=iteration,
-        )
-    return Ri
-
-
-def _spd_apply_left(Ri: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^{-1} B for Ri from ``_spd_inverse_factor(A)``.
-
-    Computed as (B^T Ri Ri^T)^T: for a C-ordered B, B.T is Fortran-ordered,
-    so BLAS gets it without a copy and the result comes back C-ordered.
-    """
-    W = dtrmm(1.0, Ri, B.T, side=1, trans_a=0)
-    W = dtrmm(1.0, Ri, W, side=1, trans_a=1, overwrite_b=1)
-    return W.T
-
-
-def _spd_apply_right(B: np.ndarray, Ri: np.ndarray) -> np.ndarray:
-    """B A^{-1} for Ri from ``_spd_inverse_factor(A)``, computed as
-    (Ri Ri^T B^T)^T with the same memory orders as ``_spd_apply_left``."""
-    W = dtrmm(1.0, Ri, B.T, side=0, trans_a=1)
-    W = dtrmm(1.0, Ri, W, side=0, trans_a=0, overwrite_b=1)
-    return W.T
-
-
-def _gram(M: np.ndarray, scale: float = 1.0, outer: bool = False) -> np.ndarray:
-    """scale * M^T M, or scale * M M^T with ``outer``, by one BLAS syrk call.
-
-    Only the upper triangle is filled (the lower one is zero); every consumer
-    is a Cholesky factorization, which reads no more. M.T of a C-ordered M is
-    Fortran-ordered, so BLAS gets it without a copy.
-    """
-    return dsyrk(scale, M.T, trans=int(outer))
-
-
 def _add_to_diagonal(M: np.ndarray, value: float) -> np.ndarray:
     diagonal = np.einsum("ii->i", M)
     diagonal += value
@@ -297,9 +226,9 @@ def update_view_representation(
     """
     n = ds.n_samples
     X = ds.views[i]
-    lhs = _add_to_diagonal(_gram(np.eye(n) - state.Ci[i], 2.0), 16.0 * state.mu)
+    lhs = _add_to_diagonal(gram(np.eye(n) - state.Ci[i], 2.0), 16.0 * state.mu)
     rhs = 12.0 * state.mu * X + 4.0 * state.mu * CX - 4.0 * state.Gamma[i]
-    return _spd_solve(lhs, rhs, state.iteration)
+    return spd_solve(lhs, rhs)
 
 
 def update_view_coefficients(
@@ -337,14 +266,9 @@ def update_view_coefficients(
     a = 2.0 * (cfg.alpha + w) + mu
     U = np.column_stack([np.sqrt(2.0) * Y, np.full(n, np.sqrt(mu))])
     if 4 * U.shape[1] > n:
-        right = _add_to_diagonal(_gram(U, outer=True), a)
-        return _spd_apply_right(left, _spd_inverse_factor(right, state.iteration))
-    try:
-        Q, s, _ = np.linalg.svd(U, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverNumericalError(
-            f"SVD failed at iteration {state.iteration}: {exc}", iteration=state.iteration
-        ) from None
+        right = _add_to_diagonal(gram(U, outer=True), a)
+        return spd_apply_right(left, spd_inverse_factor(right))
+    Q, s, _ = np.linalg.svd(U, full_matrices=False)
     s2 = s * s
     return left / a - ((left @ Q) * (s2 / (a * (a + s2)))) @ Q.T
 
@@ -355,8 +279,7 @@ def _view_auxiliary_factor(state: SolverState, cfg: SolverConfig) -> np.ndarray:
     It depends on C and mu only, so one factor serves every view of an
     iteration.
     """
-    M = _add_to_diagonal(_gram(state.C, 2.0 * cfg.alpha), state.mu)
-    return _spd_inverse_factor(M, state.iteration)
+    return spd_inverse_factor(_add_to_diagonal(gram(state.C, 2.0 * cfg.alpha), state.mu))
 
 
 def update_view_auxiliary(
@@ -380,7 +303,7 @@ def update_view_auxiliary(
         Z = state.Ci[i] + state.Lam[i] / state.mu
     else:
         rhs = 2.0 * cfg.alpha * (state.C.T @ state.Ci[i]) + state.mu * state.Ci[i] + state.Lam[i]
-        Z = _spd_apply_left(factor, rhs)
+        Z = spd_apply_left(factor, rhs)
     return project_constraints(Z) if project else Z
 
 
@@ -418,14 +341,14 @@ def update_consensus_coefficients(
         shift += 2.0 * w
         if variant != VARIANT_FROBENIUS:
             A += 2.0 * cfg.alpha * (state.Ci[i] @ state.Zi[i].T)
-            B += _gram(state.Zi[i], 2.0 * cfg.alpha, outer=True)
+            B += gram(state.Zi[i], 2.0 * cfg.alpha, outer=True)
         if variant != VARIANT_NO_SMOOTHING:
             A += (4.0 * mu * state.Y[i] + state.Gamma[i]) @ ds.views[i].T
     if variant != VARIANT_NO_SMOOTHING:
         A -= 3.0 * mu * XXt
         B += mu * XXt
     _add_to_diagonal(B, shift)
-    return _spd_apply_right(A, _spd_inverse_factor(B, state.iteration))
+    return spd_apply_right(A, spd_inverse_factor(B))
 
 
 def update_consensus_auxiliary(state: SolverState, project: bool = True) -> np.ndarray:
@@ -589,7 +512,10 @@ def solve(
     multipliers with the current mu, mu itself, and finally the view weights.
     The run stops once every constraint-gap max-norm is <= cfg.eps and the
     squared successive changes of C and Z are <= RESID_TOL. The optional
-    ``callback(state)`` fires after each completed iteration.
+    ``callback(state)`` fires after each completed iteration. A linear
+    algebra failure in an iteration's updates, or a non-finite iterate,
+    raises ``SolverNumericalError`` with the iteration and the diagnostics
+    recorded so far.
 
     ``no_smoothing`` pins Y^i to X^i, with no feature-coupling constraint or
     Gamma^i multiplier. ``frobenius`` puts a plain ridge penalty
@@ -617,16 +543,23 @@ def solve(
         state.iteration = iteration
         C_prev = state.C
         Z_prev = state.Z
-        factor = _view_auxiliary_factor(state, cfg) if split else None
-        for i in range(ds.n_views):
-            if smoothing:
-                state.Y[i] = update_view_representation(state, ds, i, CX=CX[i])
-                CX[i] = None
-            state.Ci[i] = update_view_coefficients(state, i, cfg, variant, CZi=CZ[i])
-            CZ[i] = None
-            state.Zi[i] = update_view_auxiliary(state, i, cfg, variant, factor=factor)
-        del factor
-        state.C = update_consensus_coefficients(state, ds, cfg, variant, XXt=XXt)
+        try:
+            factor = _view_auxiliary_factor(state, cfg) if split else None
+            for i in range(ds.n_views):
+                if smoothing:
+                    state.Y[i] = update_view_representation(state, ds, i, CX=CX[i])
+                    CX[i] = None
+                state.Ci[i] = update_view_coefficients(state, i, cfg, variant, CZi=CZ[i])
+                CZ[i] = None
+                state.Zi[i] = update_view_auxiliary(state, i, cfg, variant, factor=factor)
+            del factor
+            state.C = update_consensus_coefficients(state, ds, cfg, variant, XXt=XXt)
+        except np.linalg.LinAlgError as exc:
+            raise SolverNumericalError(
+                f"linear solve failed at iteration {iteration}: {exc}",
+                iteration=iteration,
+                diagnostics=diagnostics,
+            ) from None
         state.Z = update_consensus_auxiliary(state)
         residual_C = float(np.sum((state.C - C_prev) ** 2))
         residual_Z = float(np.sum((state.Z - Z_prev) ** 2))

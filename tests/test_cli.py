@@ -523,6 +523,14 @@ def test_config_validation_errors(tmp_path):
         ExperimentConfig.from_dict(
             {"dataset": {"synthetic": SMALL_SYNTHETIC}, "grid": {"eta": [1.0]}}
         )
+    with pytest.raises(ConfigError, match="grid alpha lists the value 0.5 more than once"):
+        ExperimentConfig.from_dict(
+            {"dataset": {"synthetic": SMALL_SYNTHETIC}, "grid": {"alpha": [0.5, 0.5, 1]}}
+        )
+    with pytest.raises(ConfigError, match="grid beta lists the value 1.0 more than once"):
+        ExperimentConfig.from_dict(
+            {"dataset": {"synthetic": SMALL_SYNTHETIC}, "grid": {"beta": [1, 2, 1.0]}}
+        )
     with pytest.raises(ConfigError, match=r"unknown config keys \['repetiton'\]; known: .*'repetitions'"):
         ExperimentConfig.from_dict({"dataset": {"synthetic": SMALL_SYNTHETIC}, "repetiton": 3})
     with pytest.raises(ConfigError, match="seed must be >= 0"):

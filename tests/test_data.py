@@ -128,6 +128,7 @@ def test_load_dataset_labels_length_mismatch(tmp_path):
         ("0\n1.5\n1\n0\n", None),
         ("0,1\n1,0\n0,1\n1,0\n", None),
         ("0\n1\n\n2\n3.0\n", [0, 1, 2, 3]),
+        ("0\n1e19\n1\n0\n", None),
     ],
 )
 def test_load_dataset_labels_csv(tmp_path, text, expected):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from gfclust import _lapack
+from gfclust import _lapack, solver
+from gfclust._lapack import gram, spd_apply_left, spd_apply_right, spd_inverse_factor, spd_solve
 from gfclust.cli import DEFAULT_ETA_GRID, PRESETS
 from gfclust.data import MultiViewDataset, SyntheticSpec, generate_synthetic
 from gfclust.solver import (
@@ -15,11 +16,6 @@ from gfclust.solver import (
     _add_to_diagonal,
     _feature_couplings,
     _feature_gram,
-    _gram,
-    _spd_apply_left,
-    _spd_apply_right,
-    _spd_inverse_factor,
-    _spd_solve,
     _split_residuals,
     _view_auxiliary_factor,
     constraint_gaps,
@@ -717,17 +713,39 @@ def test_solve_converges_across_weight_exponents(alpha, beta, eta):
 
 
 def test_spd_solve_reports_failed_factorization():
-    indefinite = np.array([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(SolverNumericalError, match="solve failed") as excinfo:
-        _spd_solve(indefinite, np.eye(2), iteration=3)
-    assert excinfo.value.iteration == 3
+    with pytest.raises(np.linalg.LinAlgError, match="leading minor 2 is not positive definite"):
+        spd_solve(np.diag([1.0, -1.0]), np.eye(2))
 
 
 def test_spd_inverse_factor_reports_failed_factorization():
-    indefinite = np.array([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(SolverNumericalError, match="solve failed") as excinfo:
-        _spd_inverse_factor(indefinite, iteration=3)
-    assert excinfo.value.iteration == 3
+    with pytest.raises(np.linalg.LinAlgError, match="leading minor 2 is not positive definite"):
+        spd_inverse_factor(np.diag([1.0, -1.0]))
+
+
+# Every linear-algebra operation an iteration of the full variant calls.
+@pytest.mark.parametrize(
+    "operation", ["gram", "spd_solve", "spd_inverse_factor", "spd_apply_left", "spd_apply_right"]
+)
+def test_solve_reports_linear_algebra_failure_once(monkeypatch, operation):
+    # solve is the one place that turns a LinAlgError into a
+    # SolverNumericalError; the failing call comes from iteration 3.
+    completed = []
+    original = getattr(solver, operation)
+
+    def fail_in_third_iteration(*args, **kwargs):
+        if len(completed) == 2:
+            raise np.linalg.LinAlgError("dpotrf: leading minor 2 is not positive definite")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, operation, fail_in_third_iteration)
+    with pytest.raises(SolverNumericalError) as excinfo:
+        solve(small_solvable_dataset(), SolverConfig(max_iter=10), callback=completed.append)
+    error = excinfo.value
+    assert error.iteration == 3
+    assert len(error.diagnostics) == 2
+    assert str(error) == (
+        "linear solve failed at iteration 3: dpotrf: leading minor 2 is not positive definite"
+    )
 
 
 def test_solve_aborts_on_non_finite_iterates():
@@ -851,20 +869,20 @@ def test_spd_inverse_factor_matches_cholesky_solve(n):
     labels = rng.integers(0, 3, n)
     C = (labels[:, None] == labels[None, :]) / np.bincount(labels)[labels][:, None]
     C = C + 1e-3 * rng.random((n, n))
-    A = _add_to_diagonal(_gram(C, 2.0 * CFG.alpha), 1e-6)
+    A = _add_to_diagonal(gram(C, 2.0 * CFG.alpha), 1e-6)
     B = rng.standard_normal((n, n))
     factor = sla.cho_factor(A)
-    Ri = _spd_inverse_factor(A)
-    assert_equivalent(_spd_apply_left(Ri, B), sla.cho_solve(factor, B), rtol=1e-10)
-    assert_equivalent(_spd_apply_right(B, Ri), sla.cho_solve(factor, B.T).T, rtol=1e-10)
+    Ri = spd_inverse_factor(A)
+    assert_equivalent(spd_apply_left(Ri, B), sla.cho_solve(factor, B), rtol=1e-10)
+    assert_equivalent(spd_apply_right(B, Ri), sla.cho_solve(factor, B.T).T, rtol=1e-10)
 
 
-def test_lapack_routines_match_scipys_bitwise():
+def test_lapack_routines_match_scipys_bitwise(monkeypatch):
     # gfclust._lapack calls numpy's OpenBLAS; scipy's f2py wrappers call its
-    # own. The same routine with the same arguments must give the same bits,
-    # the same memory order and the same nonzero info, and leave the inputs
-    # (Fortran-ordered where a routine could write in place) as they were.
-    # n = 150 exceeds the block sizes of the blocked Cholesky and inverse.
+    # own. Each operation must give the same bits and memory order as the
+    # scipy calls it stands for, surface the same nonzero info, and leave its
+    # inputs as they were. n = 150 exceeds the block sizes of the blocked
+    # Cholesky and inverse. spd_solve is checked against cho_solve below.
     rng = np.random.default_rng(51)
     n, k = 150, 23
 
@@ -875,40 +893,44 @@ def test_lapack_routines_match_scipys_bitwise():
 
     M = rng.standard_normal((n, k))
     for a in (M, M.T, np.asfortranarray(M)):
-        for trans in (0, 1):
-            same(_lapack.dsyrk(0.7, a, trans=trans), sla.blas.dsyrk(0.7, a, trans=trans))
+        for outer in (False, True):
+            same(gram(a, 0.7, outer), sla.blas.dsyrk(0.7, a.T, trans=int(outer)))
     G = rng.standard_normal((n, n))
     A = np.asfortranarray(G @ G.T + n * np.eye(n))
-    B = np.asfortranarray(rng.standard_normal((n, k)))
-    inputs = (M, G, A, B)
+    inputs = (M, G, A)
     saved = [x.copy() for x in inputs]
-    R, info = _lapack.dpotrf(A)
-    expected_R, expected_info = sla.lapack.dpotrf(A, lower=0, clean=0)
-    same(R, expected_R)
-    assert info == expected_info == 0
-    X, info = _lapack.dpotrs(R, B)
-    expected_X, expected_info = sla.lapack.dpotrs(R, B, lower=0)
-    same(X, expected_X)
-    assert info == expected_info == 0
-    Ri, info = _lapack.dtrtri(R.copy(order="F"))
-    expected_Ri, expected_info = sla.lapack.dtrtri(R, lower=0)
+    Ri = spd_inverse_factor(A)
+    R, info = sla.lapack.dpotrf(A, lower=0, clean=0)
+    assert info == 0
+    expected_Ri, info = sla.lapack.dtrtri(R, lower=0)
+    assert info == 0
     same(Ri, expected_Ri)
-    assert info == expected_info == 0
-    for side in (0, 1):
-        for trans_a in (0, 1):
-            for b in (G, G.T, 2.0 * G):
-                same(
-                    _lapack.dtrmm(1.5, Ri, b, side=side, trans_a=trans_a),
-                    sla.blas.dtrmm(1.5, Ri, b, side=side, lower=0, trans_a=trans_a),
-                )
+    inputs += (Ri,)
+    saved.append(Ri.copy())
+
+    def scipy_trmm_twice(b, side, first, second):
+        W = sla.blas.dtrmm(1.0, Ri, b.T, side=side, lower=0, trans_a=first)
+        return sla.blas.dtrmm(1.0, Ri, W, side=side, lower=0, trans_a=second, overwrite_b=1).T
+
+    for b in (G, G.T, M):
+        same(spd_apply_left(Ri, b), scipy_trmm_twice(b, 1, 0, 1))
+    for b in (G, G.T, M.T):
+        same(spd_apply_right(b, Ri), scipy_trmm_twice(b, 0, 1, 0))
     assert all(np.array_equal(x, y) for x, y in zip(inputs, saved))
     indefinite = np.diag([4.0, 1.0, -1.0, 2.0])
-    info = _lapack.dpotrf(indefinite)[1]
-    assert info == sla.lapack.dpotrf(indefinite, lower=0, clean=0)[1] == 3
+    assert sla.lapack.dpotrf(indefinite, lower=0, clean=0)[1] == 3
+    with pytest.raises(np.linalg.LinAlgError, match="dpotrf: leading minor 3 "):
+        spd_solve(indefinite, np.eye(4))
+    with pytest.raises(np.linalg.LinAlgError, match="dpotrf: leading minor 3 "):
+        spd_inverse_factor(indefinite)
+    # A Cholesky factor has a positive diagonal, so dtrtri's info is reached
+    # by handing spd_inverse_factor a triangle with a zero on its diagonal.
     singular = np.triu(rng.standard_normal((5, 5)))
     singular[3, 3] = 0.0
-    info = _lapack.dtrtri(singular.copy(order="F"))[1]
-    assert info == sla.lapack.dtrtri(singular, lower=0)[1] == 4
+    assert sla.lapack.dtrtri(singular, lower=0)[1] == 4
+    monkeypatch.setattr(_lapack, "_cholesky", lambda A: np.asfortranarray(singular))
+    with pytest.raises(np.linalg.LinAlgError, match="dtrtri: diagonal entry 4 "):
+        spd_inverse_factor(np.eye(5))
     # The solver imports no scipy; a later import of scipy.linalg still works.
     run_in_fresh_interpreter(
         "import sys\n"
@@ -922,12 +944,12 @@ def test_lapack_routines_match_scipys_bitwise():
 
 
 def test_spd_solve_matches_scipy_cholesky_bitwise():
-    # _spd_solve makes the same LAPACK calls as cho_factor and cho_solve.
+    # spd_solve makes the same LAPACK calls as cho_factor and cho_solve.
     rng = np.random.default_rng(50)
     M = rng.standard_normal((50, 50))
     A = M @ M.T + 50.0 * np.eye(50)
     B = rng.standard_normal((50, 7))
-    assert np.array_equal(_spd_solve(A, B), sla.cho_solve(sla.cho_factor(A), B))
+    assert np.array_equal(spd_solve(A, B), sla.cho_solve(sla.cho_factor(A), B))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
