@@ -145,29 +145,29 @@ def spd_inverse_factor(A) -> np.ndarray:
     return Ri
 
 
-def _multiply(W: np.ndarray, Ri: np.ndarray, where: bytes, *ops: bytes) -> None:
-    """W <- W op_1(Ri) op_2(Ri) ... (``where`` b"R") or ... op_2(Ri) op_1(Ri) W
-    (b"L") in place, one dtrmm call per op, for the upper triangle of Ri and
-    op(Ri) = Ri (b"N") or Ri^T (b"T")."""
+def _apply(B, Ri: np.ndarray, side: bytes, first: bytes, second: bytes) -> np.ndarray:
+    """W op_1(Ri) op_2(Ri) (``side`` b"R") or op_2(Ri) op_1(Ri) W (b"L") on a
+    Fortran-ordered copy W of B^T, one dtrmm call per op, returned as its
+    C-ordered transpose; op(Ri) is the upper triangle of Ri (b"N") or its
+    transpose (b"T")."""
+    W = _fortran(B.T, copy=True)
+    Ri = _fortran(Ri)
     m, n = W.shape
-    k = _square(Ri, n if where == b"R" else m)
+    k = _square(Ri, n if side == b"R" else m)
     args = (
         _i64(m), _i64(n), _f64(1.0), Ri.ctypes.data, _i64(max(1, k)), W.ctypes.data,
         _i64(max(1, m)), 1, 1, 1, 1,
     )  # fmt: skip
-    for op in ops:
-        _dtrmm(where, b"U", op, b"N", *args)
+    _dtrmm(side, b"U", first, b"N", *args)
+    _dtrmm(side, b"U", second, b"N", *args)
+    return W.T
 
 
 def spd_apply_left(Ri, B) -> np.ndarray:
     """A^{-1} B = (B^T Ri Ri^T)^T for Ri = ``spd_inverse_factor(A)``."""
-    W = _fortran(B.T, copy=True)
-    _multiply(W, _fortran(Ri), b"R", b"N", b"T")
-    return W.T
+    return _apply(B, Ri, b"R", b"N", b"T")
 
 
 def spd_apply_right(B, Ri) -> np.ndarray:
     """B A^{-1} = (Ri Ri^T B^T)^T for Ri = ``spd_inverse_factor(A)``."""
-    W = _fortran(B.T, copy=True)
-    _multiply(W, _fortran(Ri), b"L", b"T", b"N")
-    return W.T
+    return _apply(B, Ri, b"L", b"T", b"N")

@@ -81,6 +81,19 @@ def _missing_ids(present: np.ndarray, shown: int = 5) -> str:
     return f"[{', '.join(map(str, missing[:shown]))}, ...] ({count} in all)"
 
 
+def _integral_labels(labels, source: str) -> np.ndarray:
+    """Float ``labels`` as ints; a value that is not integral or that int64
+    cannot hold is a DatasetError naming ``source``."""
+    labels = np.asarray(labels, dtype=float)
+    integral = np.isfinite(labels) & (labels == np.round(labels))
+    if not integral.all():
+        raise DatasetError(f"non-integer label {labels[~integral][0]:g} in {source}")
+    outside = (labels < -(2.0**63)) | (labels >= 2.0**63)  # int64 holds [-2^63, 2^63)
+    if outside.any():
+        raise DatasetError(f"label {labels[outside][0]:g} in {source} is outside the int64 range")
+    return labels.astype(int)
+
+
 @dataclass(frozen=True)
 class MultiViewDataset:
     """Per-view feature matrices (n x d_i each) with optional 0-based labels."""
@@ -118,9 +131,7 @@ class MultiViewDataset:
                     f"does not match sample count {n}"
                 )
             if not np.issubdtype(labels.dtype, np.integer):
-                if not np.all(labels == labels.astype(int)):
-                    raise DatasetError("labels must be integers")
-            labels = labels.astype(int)
+                labels = _integral_labels(labels, "labels")
             if labels.min() < 0:
                 raise DatasetError("labels must be 0-based class ids")
             present = np.unique(labels)
@@ -235,14 +246,7 @@ def _read_labels_csv(path: Path) -> np.ndarray:
     values = _read_matrix_csv(path, has_header=False)
     if values.shape[1] != 1:
         raise DatasetError(f"labels file {path} has {values.shape[1]} columns, expected 1")
-    labels = values[:, 0]
-    integral = np.isfinite(labels) & (labels == np.round(labels))
-    if not integral.all():
-        raise DatasetError(f"non-integer label {labels[~integral][0]:g} in {path}")
-    outside = (labels < -(2.0**63)) | (labels >= 2.0**63)  # int64 holds [-2^63, 2^63)
-    if outside.any():
-        raise DatasetError(f"label {labels[outside][0]:g} in {path} is outside the int64 range")
-    return labels.astype(int)
+    return _integral_labels(values[:, 0], str(path))
 
 
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:

@@ -128,17 +128,20 @@ def test_load_dataset_labels_length_mismatch(tmp_path):
         ("0\n1.5\n1\n0\n", None),
         ("0,1\n1,0\n0,1\n1,0\n", None),
         ("0\n1\n\n2\n3.0\n", [0, 1, 2, 3]),
-        ("0\n1e19\n1\n0\n", None),
+        pytest.param(
+            "0\n1e19\n1\n0\n", r"label 1e\+19 in \S*y.csv is outside the int64 range",
+            id="outside_int64",
+        ),
     ],
 )
 def test_load_dataset_labels_csv(tmp_path, text, expected):
     path = _manifest(tmp_path, [VIEW_A], labels=[0, 0, 1, 1])
     _write(tmp_path / "y.csv", text)
-    if expected is None:
-        with pytest.raises(DatasetError, match="y.csv"):
-            load_dataset(path)
-    else:
+    if isinstance(expected, list):
         np.testing.assert_array_equal(load_dataset(path).labels, expected)
+    else:
+        with pytest.raises(DatasetError, match=expected or "y.csv"):
+            load_dataset(path)
 
 
 def test_load_dataset_header_skipped(tmp_path):
@@ -177,6 +180,23 @@ def test_dataset_rejects_missing_class_id():
     with pytest.raises(DatasetError) as info:
         MultiViewDataset(views=[np.ones((4, 2))], labels=np.array([0, 0, 2, 2]))
     assert str(info.value) == "class ids [1] never appear in labels"
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([0.0, 1.5, 1.0, 0.0], "non-integer label 1.5 in labels"),
+        ([0.0, np.nan, 1.0, 0.0], "non-integer label nan in labels"),
+        ([0.0, 1e19, 1.0, 0.0], "label 1e+19 in labels is outside the int64 range"),
+    ],
+    ids=["fraction", "nan", "outside_int64"],
+)
+def test_dataset_checks_float_labels_before_cast(labels, message):
+    # Float labels are checked before the cast, which would warn on NaN or
+    # on a value int64 cannot hold.
+    with pytest.raises(DatasetError) as info:
+        MultiViewDataset(views=[np.ones((4, 2))], labels=np.array(labels))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

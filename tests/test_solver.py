@@ -882,7 +882,8 @@ def test_lapack_routines_match_scipys_bitwise(monkeypatch):
     # own. Each operation must give the same bits and memory order as the
     # scipy calls it stands for, surface the same nonzero info, and leave its
     # inputs as they were. n = 150 exceeds the block sizes of the blocked
-    # Cholesky and inverse. spd_solve is checked against cho_solve below.
+    # Cholesky and inverse. dpotrs writes its right-hand side in place, so B
+    # is Fortran-ordered: spd_solve must solve into a copy of it.
     rng = np.random.default_rng(51)
     n, k = 150, 23
 
@@ -897,11 +898,16 @@ def test_lapack_routines_match_scipys_bitwise(monkeypatch):
             same(gram(a, 0.7, outer), sla.blas.dsyrk(0.7, a.T, trans=int(outer)))
     G = rng.standard_normal((n, n))
     A = np.asfortranarray(G @ G.T + n * np.eye(n))
-    inputs = (M, G, A)
+    B = np.asfortranarray(rng.standard_normal((n, k)))
+    inputs = (M, G, A, B)
     saved = [x.copy() for x in inputs]
-    Ri = spd_inverse_factor(A)
     R, info = sla.lapack.dpotrf(A, lower=0, clean=0)
     assert info == 0
+    for b in (B, np.ascontiguousarray(B)):
+        expected_X, info = sla.lapack.dpotrs(R, b, lower=0)
+        assert info == 0
+        same(spd_solve(A, b), expected_X)
+    Ri = spd_inverse_factor(A)
     expected_Ri, info = sla.lapack.dtrtri(R, lower=0)
     assert info == 0
     same(Ri, expected_Ri)
