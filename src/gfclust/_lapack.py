@@ -18,7 +18,8 @@ about twice the speed of the two triangular solves they replace. A C-ordered
 matrix B is read in place as the Fortran-ordered B^T, so the products are
 formed on a Fortran-ordered copy of B^T and come back C-ordered. No
 operation writes to its arguments. A nonzero info from dpotrf, dpotrs or
-dtrtri raises ``numpy.linalg.LinAlgError``.
+dtrtri raises ``numpy.linalg.LinAlgError``. ``blas_threads`` reports how
+many threads that OpenBLAS runs each call on.
 """
 
 from __future__ import annotations
@@ -37,15 +38,18 @@ _CHAR = ctypes.c_char_p
 _LEN = ctypes.c_size_t
 
 
-def _routine(name: str, *argtypes):
-    symbol = f"scipy_{name}_64_"
+def _function(symbol: str, restype, *argtypes):
     try:
         function = getattr(_lib, symbol)
     except AttributeError:
         raise ImportError(f"numpy's BLAS/LAPACK library does not export {symbol}") from None
     function.argtypes = argtypes
-    function.restype = None
+    function.restype = restype
     return function
+
+
+def _routine(name: str, *argtypes):
+    return _function(f"scipy_{name}_64_", None, *argtypes)
 
 
 # uplo, trans, n, k, alpha, a, lda, beta, c, ldc
@@ -60,9 +64,16 @@ _dtrtri = _routine("dtrtri", _CHAR, _CHAR, _INT, _ARRAY, _INT, _INT, _LEN, _LEN)
 _dpotrf = _routine("dpotrf", _CHAR, _INT, _ARRAY, _INT, _INT, _LEN)
 # uplo, n, nrhs, a, lda, b, ldb, info
 _dpotrs = _routine("dpotrs", _CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT, _LEN)
+_get_num_threads = _function("scipy_openblas_get_num_threads64_", ctypes.c_int)
 
 _i64 = ctypes.c_int64
 _f64 = ctypes.c_double
+
+
+def blas_threads() -> int:
+    """Number of threads numpy's OpenBLAS runs each call on, as set by
+    ``OPENBLAS_NUM_THREADS`` or the CPU count at load time."""
+    return _get_num_threads()
 
 
 def _fortran(a, copy: bool = False) -> np.ndarray:

@@ -39,9 +39,11 @@ of their matrices:
   per view per iteration, C Z^i serving both the objective and the next
   iteration's C^i update, C X^i both the coupling residuals and the next
   iteration's Y^i update; the coupling residuals 4Y^i - 3X^i - CX^i and the
-  split and row-sum residuals C^i - Z^i, C^i 1 - 1, C - Z and C 1 - 1 serve
-  both the constraint gaps and the multipliers; the mismatches J^i serve the
-  view weights, the objective and the diagnostics.
+  residuals C - Z and C 1 - 1 serve both the constraint gaps and the
+  multipliers, and the multiplier step measures the gaps of the per-view
+  residuals C^i - Z^i and C^i 1 - 1 as it forms them, one view at a time;
+  the mismatches J^i serve the view weights, the objective and the
+  diagnostics.
 
 The solve is the one producer of these shared products: each update
 function takes the products it reads as required arguments, and gets None
@@ -49,20 +51,41 @@ for a product its variant does not read.
 
 The solve drops each of these products after its last reader, so that no two
 generations of one exist at once: C Z^i and C X^i after view i's C^i and Y^i
-updates, the Z^i inverse factor after the view loop, the previous C and Z
-once their squared changes are taken, and the residuals after the
-multiplier step. ``solve_peak_bytes`` estimates the resulting peak; the
-iterates themselves are rebound each iteration and never written in place,
-so the returned C^i need no copy.
+updates, the old C^i and Z^i before their successors are built, the Z^i
+inverse factor after the view block, the previous C and Z once their squared
+changes are taken, and the residuals after the multiplier step.
+``solve_peak_bytes`` estimates the resulting peak; the iterates themselves
+are rebound each iteration and never written in place, so the returned C^i
+need no copy.
+
+Given the previous C, each view's Y^i, C^i and Z^i updates read no other
+view's iterates. So an iteration's per-view block runs on the calling
+thread and one helper thread, started once per solve, which take the views
+in order from one shared sequence; every BLAS/LAPACK call releases the GIL.
+Each view's arithmetic is the same on either thread, so the results are
+bitwise those of the serial loop. The helper runs only with two or more
+views, two or more CPUs and single-threaded OpenBLAS (``_use_helper_thread``);
+the rest of the iteration stays serial.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import gram, spd_apply_left, spd_apply_right, spd_inverse_factor, spd_solve
+from ._lapack import (
+    blas_threads,
+    gram,
+    spd_apply_left,
+    spd_apply_right,
+    spd_inverse_factor,
+    spd_solve,
+)
 from .data import MultiViewDataset, check_field_types
 
 VARIANT_FULL = "full"
@@ -131,7 +154,13 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """All iterates of one run; confined to a single thread."""
+    """All iterates of one run.
+
+    During an iteration's per-view block, the calling thread and the solve's
+    helper thread each rebind the entries of view i of Y, Ci and Zi for the
+    views they take, and read only those entries and the rest of the state,
+    which no thread writes then. Outside that block one thread owns it.
+    """
 
     Y: list[np.ndarray]
     Ci: list[np.ndarray]
@@ -209,7 +238,7 @@ def project_constraints(M: np.ndarray) -> np.ndarray:
     onto the intersection of the three constraint sets.
     """
     M = 0.5 * (M + M.T)
-    M = np.maximum(M, 0.0)
+    np.maximum(M, 0.0, out=M)
     np.fill_diagonal(M, 0.0)
     return M
 
@@ -258,19 +287,32 @@ def update_view_coefficients(
     Y = state.Y[i]
     mu = state.mu
     w = cfg.beta * state.gamma[i] ** cfg.eta
-    left = 2.0 * (Y @ Y.T) + 2.0 * w * state.C + mu * (state.Zi[i] + 1.0)
+    # left = 2 Y Y^T + 2w C + mu (Z^i + 1) - Lam^i - Omega^i 1^T [+ 2 alpha C Z^i],
+    # summed in that order through one reused temporary
+    left = Y @ Y.T
+    left *= 2.0
+    term = np.multiply(2.0 * w, state.C)
+    left += term
+    np.add(state.Zi[i], 1.0, out=term)
+    term *= mu
+    left += term
     left -= state.Lam[i]
     left -= state.Omega[i][:, None]
     if variant != VARIANT_FROBENIUS:
-        left += 2.0 * cfg.alpha * CZi
+        np.multiply(2.0 * cfg.alpha, CZi, out=term)
+        left += term
+    del term
     a = 2.0 * (cfg.alpha + w) + mu
     U = np.column_stack([np.sqrt(2.0) * Y, np.full(n, np.sqrt(mu))])
     if 4 * U.shape[1] > n:
-        right = _add_to_diagonal(gram(U, outer=True), a)
-        return spd_apply_right(left, spd_inverse_factor(right))
+        factor = spd_inverse_factor(_add_to_diagonal(gram(U, outer=True), a))
+        return spd_apply_right(left, factor)
     Q, s, _ = np.linalg.svd(U, full_matrices=False)
     s2 = s * s
-    return left / a - ((left @ Q) * (s2 / (a * (a + s2)))) @ Q.T
+    correction = ((left @ Q) * (s2 / (a * (a + s2)))) @ Q.T
+    left /= a
+    left -= correction
+    return left
 
 
 def _view_auxiliary_factor(state: SolverState, cfg: SolverConfig) -> np.ndarray:
@@ -365,23 +407,20 @@ def _feature_couplings(
     return [4.0 * Y - 3.0 * X - CXi for Y, X, CXi in zip(state.Y, ds.views, CX)]
 
 
-def _split_residuals(state: SolverState):
-    """Residuals of the split and row-sum constraints: C^i - Z^i and
-    C^i 1 - 1 per view, then C - Z and C 1 - 1."""
-    return (
-        [Ci - Zi for Ci, Zi in zip(state.Ci, state.Zi)],
-        [Ci.sum(axis=1) - 1.0 for Ci in state.Ci],
-        state.C - state.Z,
-        state.C.sum(axis=1) - 1.0,
-    )
+def _consensus_residuals(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the consensus split and row-sum constraints: C - Z and
+    C 1 - 1."""
+    return state.C - state.Z, state.C.sum(axis=1) - 1.0
 
 
 def constraint_gaps(
     residuals: tuple, couplings: list[np.ndarray] | None
 ) -> dict[str, float]:
-    """Max-norms of all coupling-constraint violations.
+    """Max-norms of the feature-coupling and consensus constraint violations:
+    gap_Y, gap_CZ and gap_C1. ``update_multipliers`` measures the per-view
+    gap_CiZi and gap_Ci1.
 
-    ``residuals`` is ``_split_residuals`` and ``couplings`` is
+    ``residuals`` is ``_consensus_residuals`` and ``couplings`` is
     ``_feature_couplings`` of the current state. ``couplings`` is None for
     the no-smoothing variant, whose model has no feature-coupling
     constraint; gap_Y is then reported as 0.
@@ -389,16 +428,9 @@ def constraint_gaps(
     gap_Y = 0.0
     if couplings is not None:
         gap_Y = max(float(np.abs(coupling).max()) for coupling in couplings)
-    Ci_Zi, Ci_1, C_Z, C_1 = residuals
-    gap_CiZi = 0.0
-    gap_Ci1 = 0.0
-    for split, rows in zip(Ci_Zi, Ci_1):
-        gap_CiZi = max(gap_CiZi, float(np.abs(split).max()))
-        gap_Ci1 = max(gap_Ci1, float(np.abs(rows).max()))
+    C_Z, C_1 = residuals
     return {
         "gap_Y": gap_Y,
-        "gap_CiZi": gap_CiZi,
-        "gap_Ci1": gap_Ci1,
         "gap_CZ": float(np.abs(C_Z).max()),
         "gap_C1": float(np.abs(C_1).max()),
     }
@@ -409,27 +441,39 @@ def update_multipliers(
     cfg: SolverConfig,
     residuals: tuple,
     couplings: list[np.ndarray] | None,
-) -> SolverState:
+) -> dict[str, float]:
     """Ascend all multipliers with the current mu, then grow mu.
 
     The multiplier steps use the mu that produced the current iterates; only
     afterwards is mu scaled to min(mu_max, rho * mu). ``residuals`` is
-    ``_split_residuals`` and ``couplings`` is ``_feature_couplings`` of the
-    current state, None for the no-smoothing variant, which has no Gamma^i
-    to step.
+    ``_consensus_residuals`` and ``couplings`` is ``_feature_couplings`` of
+    the current state, None for the no-smoothing variant, which has no
+    Gamma^i to step.
+
+    Each view's split and row-sum residuals C^i - Z^i and C^i 1 - 1 are
+    formed here, one view at a time, and stepped into Lam^i and Omega^i.
+    Returns their max-norms over the views, gap_CiZi and gap_Ci1.
     """
     mu = state.mu
     if couplings is not None:
         for i, coupling in enumerate(couplings):
             state.Gamma[i] = state.Gamma[i] + mu * coupling
-    Ci_Zi, Ci_1, C_Z, C_1 = residuals
-    for i in range(len(Ci_Zi)):
-        state.Lam[i] = state.Lam[i] + mu * Ci_Zi[i]
-        state.Omega[i] = state.Omega[i] + mu * Ci_1[i]
+    gap_CiZi = 0.0
+    gap_Ci1 = 0.0
+    for i, Ci in enumerate(state.Ci):
+        split = Ci - state.Zi[i]
+        rows = Ci.sum(axis=1) - 1.0
+        gap_CiZi = max(gap_CiZi, float(np.abs(split).max()))
+        gap_Ci1 = max(gap_Ci1, float(np.abs(rows).max()))
+        split *= mu
+        split += state.Lam[i]
+        state.Lam[i] = split
+        state.Omega[i] = state.Omega[i] + mu * rows
+    C_Z, C_1 = residuals
     state.Theta = state.Theta + mu * C_Z
     state.Phi = state.Phi + mu * C_1
     state.mu = min(cfg.mu_max, cfg.rho * mu)
-    return state
+    return {"gap_CiZi": gap_CiZi, "gap_Ci1": gap_Ci1}
 
 
 def view_mismatches(state: SolverState) -> np.ndarray:
@@ -486,20 +530,119 @@ def _check_finite(state: SolverState, diagnostics: Diagnostics) -> None:
             )
 
 
+def _use_helper_thread(n_views: int) -> bool:
+    """Whether a solve shares its per-view updates with a helper thread: with
+    two or more views, two or more CPUs this process may run on, and
+    single-threaded OpenBLAS, whose threads would otherwise compete with the
+    helper for the cores."""
+    return n_views >= 2 and len(os.sched_getaffinity(0)) >= 2 and blas_threads() == 1
+
+
+class _ViewHelper:
+    """One helper thread, for the life of one solve, that runs a task
+    alongside the calling thread.
+
+    The helper runs each task in a copy of the caller's context, so that
+    ``np.errstate`` reaches it, and hands back what the task raised.
+    """
+
+    def __init__(self):
+        self._tasks = queue.SimpleQueue()
+        self._outcomes = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, name="gfclust-views", daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        for context, work in iter(self._tasks.get, None):
+            try:
+                context.run(work)
+            except BaseException as exc:  # raised again in the calling thread
+                self._outcomes.put(exc)
+            else:
+                self._outcomes.put(None)
+            # hold no reference to the task's arrays while waiting for the next
+            del context, work
+
+    def run_alongside(self, work) -> None:
+        """Run ``work()`` on this thread and on the helper at once; return
+        once both have finished, raising this thread's exception or else
+        the helper's."""
+        self._tasks.put((contextvars.copy_context(), work))
+        try:
+            work()
+        finally:
+            error = self._outcomes.get()
+        if error is not None:
+            raise error
+
+    def close(self) -> None:
+        self._tasks.put(None)
+        self._thread.join()
+
+
+def _update_views(
+    helper: _ViewHelper | None,
+    state: SolverState,
+    ds: MultiViewDataset,
+    cfg: SolverConfig,
+    variant: str,
+    *,
+    factor: np.ndarray | None,
+    CX: list[np.ndarray] | None,
+    CZ: list[np.ndarray | None],
+) -> None:
+    """Y^i, C^i and Z^i of every view against the previous C, in that order
+    per view; with a ``helper``, the calling thread and the helper take the
+    views in order from one shared sequence. Each view's arithmetic is the
+    same either way, and so are its results.
+
+    Drops C X^i and C Z^i after their last reader, and the old C^i and Z^i
+    before their successors are built: the C^i update does not read C^i,
+    nor the Z^i update Z^i.
+    """
+    views = iter(range(ds.n_views))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = next(views, None)
+            if i is None:
+                return
+            if CX is not None:
+                state.Y[i] = update_view_representation(state, ds, i, CX=CX[i])
+                CX[i] = None
+            state.Ci[i] = None
+            state.Ci[i] = update_view_coefficients(state, i, cfg, variant, CZi=CZ[i])
+            CZ[i] = None
+            state.Zi[i] = None
+            state.Zi[i] = update_view_auxiliary(state, i, cfg, variant, factor=factor)
+
+    if helper is None:
+        work()
+    else:
+        helper.run_alongside(work)
+
+
 def solve_peak_bytes(n_samples: int, n_views: int, total_dim: int) -> int:
     """Estimated peak bytes a solve allocates for n samples, v views and
-    total_dim = sum_i d_i: 8 [(4v + 9) n^2 + 5 n sum_i d_i].
+    total_dim = sum_i d_i: 8 [(4v + 10) n^2 + 6 n sum_i d_i].
 
-    The peak falls in the C^i update of an iteration's first view. Live then
-    are 4v + 5 n x n arrays: C^i, Z^i, Lam^i and C Z^i of every view, C, Z,
-    Theta, sum_i X^i X^i^T and the Z^i inverse factor; about four more are
-    the update's temporaries. The n x d_i arrays (Y^i, Gamma^i, C X^i and the
-    thin-SVD factors) make up the second term. Fitted to the tracemalloc
-    peaks of all three variants from n=60 to n=300 and v=2 to v=6: it bounds
-    each from above, the full variant's within 8 %.
+    The peak falls in an iteration's per-view block, while its first two
+    views are in flight on the calling and the helper thread. Live then are
+    4v + 5 n x n arrays: C^i, Z^i, Lam^i and C Z^i of every view, C, Z,
+    Theta, sum_i X^i X^i^T and the Z^i inverse factor; each view in flight
+    adds up to two n x n temporaries, and one more n^2 covers the length-n
+    vectors at small n. The n x d_i arrays (Y^i, Gamma^i, C X^i and the
+    temporaries of the views in flight, the thin-SVD factors among them)
+    make up the second term. Fitted to the worst interleaving of the two
+    threads, taken from each view's tracemalloc peak, for all three
+    variants from n=60 to n=300, v=2 to v=6 and d_i up to 7n: it bounds
+    each from above, the full variant's within 16 %. A solve without the
+    helper thread peaks 3 to 5 n^2 lower.
     """
     n = n_samples
-    return 8 * ((4 * n_views + 9) * n * n + 5 * n * total_dim)
+    return 8 * ((4 * n_views + 10) * n * n + 6 * n * total_dim)
 
 
 def solve(
@@ -507,15 +650,17 @@ def solve(
 ) -> SolverOutput:
     """Run ``variant`` (one of VARIANTS) to convergence or cfg.max_iter.
 
-    One iteration updates, in order: per view Y^i, C^i, Z^i (views processed
-    sequentially against the previous iteration's consensus), then C, Z, the
+    One iteration updates, in order: per view Y^i, C^i, Z^i (every view
+    against the previous iteration's consensus, on the calling thread and,
+    where ``_use_helper_thread`` allows, one helper thread), then C, Z, the
     multipliers with the current mu, mu itself, and finally the view weights.
     The run stops once every constraint-gap max-norm is <= cfg.eps and the
     squared successive changes of C and Z are <= RESID_TOL. The optional
-    ``callback(state)`` fires after each completed iteration. A linear
-    algebra failure in an iteration's updates, or a non-finite iterate,
-    raises ``SolverNumericalError`` with the iteration and the diagnostics
-    recorded so far.
+    ``callback(state)`` fires after each completed iteration, on the calling
+    thread. A linear algebra failure in an iteration's updates, on either
+    thread, or a non-finite iterate, raises one ``SolverNumericalError``
+    with the iteration and the diagnostics recorded so far; the helper
+    thread has ended by the time ``solve`` returns or raises.
 
     ``no_smoothing`` pins Y^i to X^i, with no feature-coupling constraint or
     Gamma^i multiplier. ``frobenius`` puts a plain ridge penalty
@@ -539,61 +684,60 @@ def solve(
     # solve_peak_bytes.
     CZ = [state.C @ Zi if split else None for Zi in state.Zi]
     CX = [state.C @ X for X in ds.views] if smoothing else None
-    for iteration in range(1, cfg.max_iter + 1):
-        state.iteration = iteration
-        C_prev = state.C
-        Z_prev = state.Z
-        try:
-            factor = _view_auxiliary_factor(state, cfg) if split else None
-            for i in range(ds.n_views):
-                if smoothing:
-                    state.Y[i] = update_view_representation(state, ds, i, CX=CX[i])
-                    CX[i] = None
-                state.Ci[i] = update_view_coefficients(state, i, cfg, variant, CZi=CZ[i])
-                CZ[i] = None
-                state.Zi[i] = update_view_auxiliary(state, i, cfg, variant, factor=factor)
-            del factor
-            state.C = update_consensus_coefficients(state, ds, cfg, variant, XXt=XXt)
-        except np.linalg.LinAlgError as exc:
-            raise SolverNumericalError(
-                f"linear solve failed at iteration {iteration}: {exc}",
-                iteration=iteration,
-                diagnostics=diagnostics,
-            ) from None
-        state.Z = update_consensus_auxiliary(state)
-        residual_C = float(np.sum((state.C - C_prev) ** 2))
-        residual_Z = float(np.sum((state.Z - Z_prev) ** 2))
-        del C_prev, Z_prev
-        couplings = None
-        if smoothing:
-            CX = [state.C @ X for X in ds.views]
-            couplings = _feature_couplings(state, ds, CX)
-        residuals = _split_residuals(state)
-        gaps = constraint_gaps(residuals, couplings)
-        update_multipliers(state, cfg, residuals, couplings)
-        del couplings, residuals
-        J = view_mismatches(state)
-        state.gamma = update_view_weights(J, cfg)
-        CZ = [state.C @ Zi if split else None for Zi in state.Zi]
+    helper = _ViewHelper() if _use_helper_thread(ds.n_views) else None
+    try:
+        for iteration in range(1, cfg.max_iter + 1):
+            state.iteration = iteration
+            C_prev = state.C
+            Z_prev = state.Z
+            try:
+                factor = _view_auxiliary_factor(state, cfg) if split else None
+                _update_views(helper, state, ds, cfg, variant, factor=factor, CX=CX, CZ=CZ)
+                del factor
+                state.C = update_consensus_coefficients(state, ds, cfg, variant, XXt=XXt)
+            except np.linalg.LinAlgError as exc:
+                raise SolverNumericalError(
+                    f"linear solve failed at iteration {iteration}: {exc}",
+                    iteration=iteration,
+                    diagnostics=diagnostics,
+                ) from None
+            state.Z = update_consensus_auxiliary(state)
+            residual_C = float(np.sum((state.C - C_prev) ** 2))
+            residual_Z = float(np.sum((state.Z - Z_prev) ** 2))
+            del C_prev, Z_prev
+            couplings = None
+            if smoothing:
+                CX = [state.C @ X for X in ds.views]
+                couplings = _feature_couplings(state, ds, CX)
+            residuals = _consensus_residuals(state)
+            gaps = constraint_gaps(residuals, couplings)
+            gaps.update(update_multipliers(state, cfg, residuals, couplings))
+            del couplings, residuals
+            J = view_mismatches(state)
+            state.gamma = update_view_weights(J, cfg)
+            CZ = [state.C @ Zi if split else None for Zi in state.Zi]
 
-        diagnostics.residual_C.append(residual_C)
-        diagnostics.residual_Z.append(residual_Z)
-        for key, value in gaps.items():
-            getattr(diagnostics, key).append(value)
-        diagnostics.objective.append(objective_value(state, ds, cfg, variant, CZ=CZ, J=J))
-        diagnostics.J.append(J)
+            diagnostics.residual_C.append(residual_C)
+            diagnostics.residual_Z.append(residual_Z)
+            for key, value in gaps.items():
+                getattr(diagnostics, key).append(value)
+            diagnostics.objective.append(objective_value(state, ds, cfg, variant, CZ=CZ, J=J))
+            diagnostics.J.append(J)
 
-        _check_finite(state, diagnostics)
-        if callback is not None:
-            callback(state)
+            _check_finite(state, diagnostics)
+            if callback is not None:
+                callback(state)
 
-        if (
-            max(gaps.values()) <= cfg.eps
-            and diagnostics.residual_C[-1] <= RESID_TOL
-            and diagnostics.residual_Z[-1] <= RESID_TOL
-        ):
-            converged = True
-            break
+            if (
+                max(gaps.values()) <= cfg.eps
+                and diagnostics.residual_C[-1] <= RESID_TOL
+                and diagnostics.residual_Z[-1] <= RESID_TOL
+            ):
+                converged = True
+                break
+    finally:
+        if helper is not None:
+            helper.close()
     return SolverOutput(
         consensus_C=state.C,
         view_C=state.Ci,

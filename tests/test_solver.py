@@ -1,3 +1,7 @@
+import dataclasses
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,9 +18,9 @@ from gfclust.solver import (
     SolverConfig,
     SolverNumericalError,
     _add_to_diagonal,
+    _consensus_residuals,
     _feature_couplings,
     _feature_gram,
-    _split_residuals,
     _view_auxiliary_factor,
     constraint_gaps,
     init_state,
@@ -422,7 +426,7 @@ def test_multipliers_unchanged_at_feasibility():
     ds = toy_dataset(n=5, v=2, seed=31)
     state = feasible_fixed_point_state(ds, CFG)
     CX = [state.C @ X for X in ds.views]
-    update_multipliers(state, CFG, _split_residuals(state), _feature_couplings(state, ds, CX))
+    update_multipliers(state, CFG, _consensus_residuals(state), _feature_couplings(state, ds, CX))
     assert np.abs(state.Theta).max() <= 1e-12
     assert np.abs(state.Phi).max() <= 1e-12
     for i in range(2):
@@ -437,7 +441,7 @@ def test_mu_capped_at_maximum():
     cfg = SolverConfig(mu0=1.0, mu_max=1.0, rho=1.1)
     state = init_state(ds, cfg)
     CX = [state.C @ X for X in ds.views]
-    update_multipliers(state, cfg, _split_residuals(state), _feature_couplings(state, ds, CX))
+    update_multipliers(state, cfg, _consensus_residuals(state), _feature_couplings(state, ds, CX))
     assert state.mu == 1.0
 
 
@@ -449,7 +453,7 @@ def test_omega_update_componentwise():
     state.Zi[0] = state.Ci[0].copy()  # keep the split gap at zero
     mu = state.mu
     CX = [state.C @ X for X in ds.views]
-    update_multipliers(state, CFG, _split_residuals(state), _feature_couplings(state, ds, CX))
+    update_multipliers(state, CFG, _consensus_residuals(state), _feature_couplings(state, ds, CX))
     np.testing.assert_allclose(state.Omega[0], mu * delta * np.ones(4), atol=1e-12)
 
 
@@ -624,14 +628,35 @@ def test_solve_single_view_runs_with_unit_weight():
     np.testing.assert_array_equal(out.gamma, [1.0])
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_solve_peak_stays_within_estimate(variant):
-    # At n = 150 the n x n arrays dominate the footprint. A solve that kept
-    # each iteration's arrays until they were rebound peaked here at 24.4 to
-    # 28.4 n^2 doubles, above this bound of 22.5 n^2 for every variant.
+# At n = 150 the n x n arrays dominate the footprint. A solve that kept each
+# iteration's arrays until they were rebound peaked there at 24.4 to 28.4 n^2
+# doubles, above the bound of 23.8 n^2 for every variant. The benchmark's
+# shapes: two narrow views at n = 300, and six views of the UCI Handwritten
+# dims at n = 200, four of them wide enough for the Cholesky C^i update.
+PEAK_SHAPES = {
+    "n150": (3, 50, (15, 20, 10)),
+    "solve_n300": (3, 100, (20, 30)),
+    "hw6_manifest": (10, 20, (76, 216, 64, 240, 47, 6)),
+}
+
+
+@pytest.mark.parametrize(
+    "shape,variant",
+    [
+        pytest.param(shape, variant, id=variant if shape == "n150" else f"{shape}-{variant}")
+        for shape in PEAK_SHAPES
+        for variant in VARIANTS
+    ],
+)
+def test_solve_peak_stays_within_estimate(monkeypatch, shape, variant):
+    # The helper thread puts two views' temporaries in flight at once, so the
+    # estimate must bound the solve with it, on any machine.
+    monkeypatch.setattr(solver, "_use_helper_thread", lambda n_views: True)
+    k, n_per_cluster, view_dims = PEAK_SHAPES[shape]
     spec = SyntheticSpec(
-        k=3, n_per_cluster=50, subspace_dim=3, view_dims=(15, 20, 10), noise_sigma=0.1, seed=7
-    )
+        k=k, n_per_cluster=n_per_cluster, subspace_dim=3, view_dims=view_dims, noise_sigma=0.1,
+        seed=7,
+    )  # fmt: skip
     ds = generate_synthetic(spec)
     tracemalloc.start()
     try:
@@ -639,7 +664,7 @@ def test_solve_peak_stays_within_estimate(variant):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= solve_peak_bytes(150, 3, 45)
+    assert peak <= solve_peak_bytes(k * n_per_cluster, len(view_dims), sum(view_dims))
 
 
 def test_solve_deterministic():
@@ -748,6 +773,116 @@ def test_solve_reports_linear_algebra_failure_once(monkeypatch, operation):
     )
 
 
+def assert_bitwise_equal(actual, expected):
+    """Equal bits, dtypes and shapes, through dataclasses and lists."""
+    assert type(actual) is type(expected)
+    if dataclasses.is_dataclass(actual):
+        for f in dataclasses.fields(actual):
+            assert_bitwise_equal(getattr(actual, f.name), getattr(expected, f.name))
+    elif isinstance(actual, list):
+        assert len(actual) == len(expected)
+        for a, e in zip(actual, expected):
+            assert_bitwise_equal(a, e)
+    elif isinstance(actual, np.ndarray):
+        assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+        assert actual.tobytes() == expected.tobytes()
+    else:
+        assert np.asarray(actual).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
+    # View dims 5 and 8 at n = 60 take the thin-SVD C^i update, 30 the
+    # inverse Cholesky one.
+    spec = SyntheticSpec(
+        k=3, n_per_cluster=20, subspace_dim=3, view_dims=(5, 30, 8), noise_sigma=0.1, seed=3
+    )
+    ds = generate_synthetic(spec)
+    threads = set()
+    original = solver.update_view_coefficients
+
+    def record_thread(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "update_view_coefficients", record_thread)
+    outputs = []
+    # Switch threads as often as the interpreter allows, so that the two
+    # interleave everywhere in the view block.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for helper in (True, False):
+            monkeypatch.setattr(solver, "_use_helper_thread", lambda n_views: helper)
+            outputs.append(solve(ds, SolverConfig(max_iter=60), variant))
+    finally:
+        sys.setswitchinterval(interval)
+    assert_bitwise_equal(*outputs)
+    assert len(threads) == 2
+
+
+def test_helper_thread_rule(monkeypatch):
+    # Only with several views, several CPUs and single-threaded OpenBLAS.
+    monkeypatch.setattr(solver, "blas_threads", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert solver._use_helper_thread(2)
+    assert not solver._use_helper_thread(1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert not solver._use_helper_thread(6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(solver, "blas_threads", lambda: 2)
+    assert not solver._use_helper_thread(6)
+
+
+def test_solve_reports_helper_thread_failure_once(monkeypatch):
+    # spd_solve runs once per view (the Y^i update). In iteration 3 the
+    # calling thread waits in its first call until the helper has made one,
+    # which fails, so the helper is sure to fail while both are in the block.
+    monkeypatch.setattr(solver, "_use_helper_thread", lambda n_views: True)
+    caller = threading.current_thread()
+    helper_failed = threading.Event()
+    completed = []
+    original = solver.spd_solve
+
+    def fail_on_helper_in_third_iteration(A, B):
+        if len(completed) == 2:
+            if threading.current_thread() is caller:
+                assert helper_failed.wait(timeout=30)
+            else:
+                helper_failed.set()
+                raise np.linalg.LinAlgError("dpotrf: leading minor 2 is not positive definite")
+        return original(A, B)
+
+    monkeypatch.setattr(solver, "spd_solve", fail_on_helper_in_third_iteration)
+    threads_before = threading.active_count()
+    with pytest.raises(SolverNumericalError) as excinfo:
+        solve(small_solvable_dataset(), SolverConfig(max_iter=10), callback=completed.append)
+    error = excinfo.value
+    assert error.iteration == 3
+    assert len(error.diagnostics) == 2
+    assert str(error) == (
+        "linear solve failed at iteration 3: dpotrf: leading minor 2 is not positive definite"
+    )
+    assert threading.active_count() == threads_before
+
+
+def test_blas_threads():
+    # tests/conftest.py pins OPENBLAS_NUM_THREADS=1 before numpy is loaded.
+    assert _lapack.blas_threads() == 1
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS caps its threads at the CPU count"
+)
+def test_blas_threads_follows_openblas_num_threads():
+    run_in_fresh_interpreter(
+        "import os\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+        "from gfclust._lapack import blas_threads\n"
+        "assert blas_threads() == 2, blas_threads()\n"
+    )
+
+
 def test_solve_aborts_on_non_finite_iterates():
     huge = 1e200
     views = [huge * np.eye(4) + np.ones((4, 4)), huge * np.eye(4)[:, :3] + 1.0]
@@ -826,18 +961,19 @@ def test_updates_match_dense_reference(variant, n, d):
         update_consensus_coefficients(state, ds, CFG, variant, XXt=_feature_gram(ds)),
         oracles.dense_consensus_coefficients(state, ds, CFG, variant),
     )
-    residuals = _split_residuals(state)
+    residuals = _consensus_residuals(state)
     couplings = None if variant == "no_smoothing" else _feature_couplings(state, ds, CX)
     gaps = constraint_gaps(residuals, couplings)
     expected_gaps = oracles.dense_constraint_gaps(state, ds, variant)
-    assert gaps.keys() == expected_gaps.keys()
-    for key, value in expected_gaps.items():
-        assert_equivalent(gaps[key], value)
     assert objective_value(
         state, ds, CFG, variant, CZ=CZ, J=view_mismatches(state)
     ) == pytest.approx(oracles.dense_objective_value(state, ds, CFG, variant), rel=EQUIV_RTOL)
     steps = oracles.dense_multiplier_steps(state, ds, variant)
-    update_multipliers(state, CFG, residuals, couplings)
+    # update_multipliers measures the per-view gaps of the residuals it steps
+    gaps.update(update_multipliers(state, CFG, residuals, couplings))
+    assert gaps.keys() == expected_gaps.keys()
+    for key, value in expected_gaps.items():
+        assert_equivalent(gaps[key], value)
     for name in ("Gamma", "Lam", "Omega"):
         for actual, expected in zip(getattr(state, name), steps[name]):
             assert_equivalent(actual, expected)
