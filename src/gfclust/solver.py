@@ -37,13 +37,13 @@ of their matrices:
 * Gram matrices come from one BLAS syrk call each (``gram``);
   sum_i X^i X^i^T is formed once per run; C Z^i and C X^i are formed once
   per view per iteration, C Z^i serving both the objective and the next
-  iteration's C^i update, C X^i both the coupling residuals and the next
-  iteration's Y^i update; the coupling residuals 4Y^i - 3X^i - CX^i and the
-  residuals C - Z and C 1 - 1 serve both the constraint gaps and the
-  multipliers, and the multiplier step measures the gaps of the per-view
-  residuals C^i - Z^i and C^i 1 - 1 as it forms them, one view at a time;
-  the mismatches J^i serve the view weights, the objective and the
-  diagnostics.
+  iteration's C^i update, C X^i both the coupling residual and the next
+  iteration's Y^i update; each view's coupling residual 4Y^i - 3X^i - CX^i,
+  split residual C^i - Z^i and row-sum residual C^i 1 - 1 give their gaps
+  and are stepped into that view's multiplier as they are formed, and the
+  residuals C - Z and C 1 - 1 serve both the gaps and the consensus
+  multipliers; the mismatches J^i serve the view weights, the objective and
+  the diagnostics.
 
 The solve is the one producer of these shared products: each update
 function takes the products it reads as required arguments, and gets None
@@ -51,30 +51,47 @@ for a product its variant does not read.
 
 The solve drops each of these products after its last reader, so that no two
 generations of one exist at once: C Z^i and C X^i after view i's C^i and Y^i
-updates, the old C^i and Z^i before their successors are built, the Z^i
-inverse factor after the view block, the previous C and Z once their squared
-changes are taken, and the residuals after the multiplier step.
-``solve_peak_bytes`` estimates the resulting peak; the iterates themselves
-are rebound each iteration and never written in place, so the returned C^i
-need no copy.
+updates, the old C^i and Z^i before their successors are built, view i's
+terms of the C update once added, the Z^i inverse factor after the first
+per-view phase, the previous C and Z once their squared changes are taken,
+and each residual after its multiplier step. ``solve_peak_bytes`` estimates
+the resulting peak; the iterates themselves are rebound each iteration and
+never written in place, so the returned C^i need no copy.
 
-Given the previous C, each view's Y^i, C^i and Z^i updates read no other
-view's iterates. So an iteration's per-view block runs on the calling
-thread and one helper thread, started once per solve, which take the views
-in order from one shared sequence; every BLAS/LAPACK call releases the GIL.
+The views are coupled only through the consensus: given C, each view's work
+reads no other view's iterates. So each iteration runs its per-view work in
+two phases, each on the calling thread and one helper thread, started once
+per solve, which take the views in order from one shared sequence; every
+BLAS/LAPACK call releases the GIL.
+
+1. Before the C update, view i's Y^i, C^i and Z^i updates against the
+   previous C, then its terms of the C update: 2w_i C^i, 2 alpha C^i Z^i^T
+   and (4 mu Y^i + Gamma^i) X^i^T for A, 2 alpha Z^i Z^i^T for B. These go
+   into the sums through an ordered reduction (``_ConsensusSums``): view i
+   adds only after view i - 1, so the floating-point sequence into A and B
+   is the serial loop's.
+2. After C and Z, view i's C X^i, C Z^i, residuals, multiplier steps, gaps,
+   mismatch J^i and objective terms (``_view_after_consensus``). Each is
+   stored by view; the calling thread folds them in view order.
+
 Each view's arithmetic is the same on either thread, so the results are
-bitwise those of the serial loop. The helper runs only with two or more
-views, two or more CPUs and single-threaded OpenBLAS (``_use_helper_thread``);
-the rest of the iteration stays serial.
+bitwise those of the serial loops. The helper runs only with two or more
+views, two or more CPUs and single-threaded OpenBLAS (``_use_helper_thread``).
+What stays serial is the work shared by all views: the Z^i factor, the
+shared terms, factor and apply of the C update, the Z update, the consensus
+multipliers, the view weights and the folds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import functools
 import os
 import queue
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,10 +173,11 @@ class SolverConfig:
 class SolverState:
     """All iterates of one run.
 
-    During an iteration's per-view block, the calling thread and the solve's
-    helper thread each rebind the entries of view i of Y, Ci and Zi for the
-    views they take, and read only those entries and the rest of the state,
-    which no thread writes then. Outside that block one thread owns it.
+    During each per-view phase of an iteration, the calling thread and the
+    solve's helper thread each rebind the entries of view i for the views
+    they take: of Y, Ci and Zi before the C update, of Gamma, Lam and Omega
+    after it. They read only those entries and the rest of the state, which
+    no thread writes then. Outside the phases one thread owns it.
     """
 
     Y: list[np.ndarray]
@@ -361,6 +379,7 @@ def update_consensus_coefficients(
     variant: str = VARIANT_FULL,
     *,
     XXt: np.ndarray | None,
+    sums: _ConsensusSums,
 ) -> np.ndarray:
     """Closed-form consensus C = A B^{-1}, through the inverse Cholesky factor
     of the SPD matrix B.
@@ -369,28 +388,92 @@ def update_consensus_coefficients(
     for smoothing variants the feature-coupling terms) plus the consensus
     auxiliary and multiplier corrections; B is the matching Gram-plus-shift
     right factor. ``no_smoothing`` drops the feature-coupling terms,
-    ``frobenius`` drops the alpha terms. ``XXt`` is ``_feature_gram(ds)``,
-    None for ``no_smoothing``.
+    ``frobenius`` drops the alpha terms. ``sums`` holds A and B as every
+    view has added into them (``_ConsensusSums``); this adds the terms the
+    views share, in place, and applies B^{-1}. ``XXt`` is
+    ``_feature_gram(ds)``, None for ``no_smoothing``.
     """
-    n = ds.n_samples
     mu = state.mu
-    A = mu * (state.Z + 1.0) - state.Theta - state.Phi[:, None]
-    B = np.full((n, n), mu)
+    A, B = sums.A, sums.B
     shift = mu
     for i in range(ds.n_views):
         w = cfg.beta * state.gamma[i] ** cfg.eta
-        A += 2.0 * w * state.Ci[i]
         shift += 2.0 * w
-        if variant != VARIANT_FROBENIUS:
-            A += 2.0 * cfg.alpha * (state.Ci[i] @ state.Zi[i].T)
-            B += gram(state.Zi[i], 2.0 * cfg.alpha, outer=True)
-        if variant != VARIANT_NO_SMOOTHING:
-            A += (4.0 * mu * state.Y[i] + state.Gamma[i]) @ ds.views[i].T
     if variant != VARIANT_NO_SMOOTHING:
         A -= 3.0 * mu * XXt
         B += mu * XXt
     _add_to_diagonal(B, shift)
     return spd_apply_right(A, spd_inverse_factor(B))
+
+
+class _Abandoned(Exception):
+    """Raised in a thread waiting for a turn that a failed view will not pass."""
+
+
+class _ConsensusSums:
+    """The view sums of the C update's A and B, reduced in view order.
+
+    Each view forms its terms on the thread that runs it. View i adds into B
+    only after view i - 1 has added there, and into A only after view i - 1's
+    adds into A, one add per term; so the floating-point sequence into each
+    sum is that of one loop over the views, whichever thread runs each view.
+    View 0 creates each sum at its turn. A and B keep separate turns.
+    """
+
+    def __init__(self):
+        self.A: np.ndarray | None = None
+        self.B: np.ndarray | None = None
+        self._added = {"A": 0, "B": 0}
+        self._abandoned = False
+        self._changed = threading.Condition()
+
+    @contextlib.contextmanager
+    def _turn(self, name: str, i: int):
+        with self._changed:
+            self._changed.wait_for(lambda: self._abandoned or self._added[name] == i)
+            if self._abandoned:
+                raise _Abandoned
+        yield
+        with self._changed:
+            self._added[name] = i + 1
+            self._changed.notify_all()
+
+    def abandon(self) -> None:
+        """Wake every thread waiting for a turn: a view failed, so the turns
+        after it never come."""
+        with self._changed:
+            self._abandoned = True
+            self._changed.notify_all()
+
+    def add(
+        self, state: SolverState, ds: MultiViewDataset, cfg: SolverConfig, variant: str, i: int
+    ) -> None:
+        """Form view i's terms from its new iterates, then add them at its
+        turns: 2 alpha Z^i Z^i^T into B, and 2w C^i, 2 alpha C^i Z^i^T and
+        (4 mu Y^i + Gamma^i) X^i^T into A, where the variant has them."""
+        mu = state.mu
+        ZZt = CZt = YXt = None
+        if variant != VARIANT_FROBENIUS:
+            ZZt = gram(state.Zi[i], 2.0 * cfg.alpha, outer=True)
+            CZt = state.Ci[i] @ state.Zi[i].T
+            CZt *= 2.0 * cfg.alpha
+        if variant != VARIANT_NO_SMOOTHING:
+            YXt = (4.0 * mu * state.Y[i] + state.Gamma[i]) @ ds.views[i].T
+        with self._turn("B", i):
+            if i == 0:
+                self.B = np.full(state.C.shape, mu)
+            if ZZt is not None:
+                self.B += ZZt
+        del ZZt
+        w = cfg.beta * state.gamma[i] ** cfg.eta
+        with self._turn("A", i):
+            if i == 0:
+                self.A = mu * (state.Z + 1.0) - state.Theta - state.Phi[:, None]
+            self.A += 2.0 * w * state.Ci[i]
+            if CZt is not None:
+                self.A += CZt
+            if YXt is not None:
+                self.A += YXt
 
 
 def update_consensus_auxiliary(state: SolverState, project: bool = True) -> np.ndarray:
@@ -399,12 +482,69 @@ def update_consensus_auxiliary(state: SolverState, project: bool = True) -> np.n
     return project_constraints(Z) if project else Z
 
 
-def _feature_couplings(
-    state: SolverState, ds: MultiViewDataset, CX: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Per-view feature-coupling residuals 4Y^i - 3X^i - CX^i. ``CX`` lists
-    the products C X^i."""
-    return [4.0 * Y - 3.0 * X - CXi for Y, X, CXi in zip(state.Y, ds.views, CX)]
+class _ViewMeasures(NamedTuple):
+    """One view's scalars from after the C and Z updates, for the serial
+    folds: the max-norms of its coupling (0 for ``no_smoothing``), split and
+    row-sum residuals, its mismatch J^i, and its two objective terms."""
+
+    gap_Y: float
+    gap_CiZi: float
+    gap_Ci1: float
+    J: float
+    fit: float
+    penalty: float
+
+
+def _view_after_consensus(
+    state: SolverState,
+    ds: MultiViewDataset,
+    cfg: SolverConfig,
+    variant: str,
+    i: int,
+    *,
+    CX: list[np.ndarray | None] | None,
+    CZ: list[np.ndarray | None],
+) -> _ViewMeasures:
+    """View i's work after the C and Z updates, reading only view i's
+    iterates, C and mu.
+
+    Forms C X^i into ``CX[i]`` (None for ``no_smoothing``), the coupling
+    residual 4Y^i - 3X^i - CX^i and its Gamma^i step, the split and row-sum
+    residuals C^i - Z^i and C^i 1 - 1 with their Lam^i and Omega^i steps, all
+    with the current mu, then J^i = ||C - C^i||_F^2, C Z^i into ``CZ[i]``
+    (not for ``frobenius``) and the view's objective terms
+    ||Y^i - C^i Y^i||_F^2 and alpha ||C^i - C Z^i||_F^2 (alpha ||C^i||_F^2
+    for ``frobenius``). C X^i and C Z^i serve the next iteration's Y^i and
+    C^i updates.
+    """
+    mu = state.mu
+    Y = state.Y[i]
+    Ci = state.Ci[i]
+    gap_Y = 0.0
+    if CX is not None:
+        X = ds.views[i]
+        CX[i] = state.C @ X
+        coupling = 4.0 * Y - 3.0 * X - CX[i]
+        gap_Y = float(np.abs(coupling).max())
+        state.Gamma[i] = state.Gamma[i] + mu * coupling
+        del coupling
+    split = Ci - state.Zi[i]
+    rows = Ci.sum(axis=1) - 1.0
+    gap_CiZi = float(np.abs(split).max())
+    gap_Ci1 = float(np.abs(rows).max())
+    split *= mu
+    split += state.Lam[i]
+    state.Lam[i] = split
+    state.Omega[i] = state.Omega[i] + mu * rows
+    del split, rows
+    J = float(np.sum((state.C - Ci) ** 2))
+    if variant == VARIANT_FROBENIUS:
+        penalty = cfg.alpha * float(np.sum(Ci**2))
+    else:
+        CZ[i] = state.C @ state.Zi[i]
+        penalty = cfg.alpha * float(np.sum((Ci - CZ[i]) ** 2))
+    fit = float(np.sum((Y - Ci @ Y) ** 2))
+    return _ViewMeasures(gap_Y, gap_CiZi, gap_Ci1, J, fit, penalty)
 
 
 def _consensus_residuals(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
@@ -413,77 +553,55 @@ def _consensus_residuals(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
     return state.C - state.Z, state.C.sum(axis=1) - 1.0
 
 
-def constraint_gaps(
-    residuals: tuple, couplings: list[np.ndarray] | None
-) -> dict[str, float]:
-    """Max-norms of the feature-coupling and consensus constraint violations:
-    gap_Y, gap_CZ and gap_C1. ``update_multipliers`` measures the per-view
+def constraint_gaps(residuals: tuple, views: list[_ViewMeasures]) -> dict[str, float]:
+    """Max-norms of the constraint violations: gap_Y, gap_CZ, gap_C1,
     gap_CiZi and gap_Ci1.
 
-    ``residuals`` is ``_consensus_residuals`` and ``couplings`` is
-    ``_feature_couplings`` of the current state. ``couplings`` is None for
-    the no-smoothing variant, whose model has no feature-coupling
-    constraint; gap_Y is then reported as 0.
+    ``residuals`` is ``_consensus_residuals`` of the current state, and
+    ``views`` lists every view's ``_view_after_consensus`` measures, folded
+    here in view order. gap_Y is 0 for the no-smoothing variant, whose model
+    has no feature-coupling constraint.
     """
-    gap_Y = 0.0
-    if couplings is not None:
-        gap_Y = max(float(np.abs(coupling).max()) for coupling in couplings)
+    gap_Y = max(view.gap_Y for view in views)
     C_Z, C_1 = residuals
+    gap_CiZi = 0.0
+    gap_Ci1 = 0.0
+    for view in views:
+        gap_CiZi = max(gap_CiZi, view.gap_CiZi)
+        gap_Ci1 = max(gap_Ci1, view.gap_Ci1)
     return {
         "gap_Y": gap_Y,
         "gap_CZ": float(np.abs(C_Z).max()),
         "gap_C1": float(np.abs(C_1).max()),
+        "gap_CiZi": gap_CiZi,
+        "gap_Ci1": gap_Ci1,
     }
 
 
-def update_multipliers(
-    state: SolverState,
-    cfg: SolverConfig,
-    residuals: tuple,
-    couplings: list[np.ndarray] | None,
-) -> dict[str, float]:
-    """Ascend all multipliers with the current mu, then grow mu.
+def update_multipliers(state: SolverState, cfg: SolverConfig, residuals: tuple) -> None:
+    """Ascend the consensus multipliers Theta and Phi with the current mu,
+    then grow mu to min(mu_max, rho * mu).
 
-    The multiplier steps use the mu that produced the current iterates; only
-    afterwards is mu scaled to min(mu_max, rho * mu). ``residuals`` is
-    ``_consensus_residuals`` and ``couplings`` is ``_feature_couplings`` of
-    the current state, None for the no-smoothing variant, which has no
-    Gamma^i to step.
-
-    Each view's split and row-sum residuals C^i - Z^i and C^i 1 - 1 are
-    formed here, one view at a time, and stepped into Lam^i and Omega^i.
-    Returns their max-norms over the views, gap_CiZi and gap_Ci1.
+    ``residuals`` is ``_consensus_residuals`` of the current state. Each
+    view's Gamma^i, Lam^i and Omega^i step, with the same mu, is part of
+    ``_view_after_consensus``, which must run first.
     """
     mu = state.mu
-    if couplings is not None:
-        for i, coupling in enumerate(couplings):
-            state.Gamma[i] = state.Gamma[i] + mu * coupling
-    gap_CiZi = 0.0
-    gap_Ci1 = 0.0
-    for i, Ci in enumerate(state.Ci):
-        split = Ci - state.Zi[i]
-        rows = Ci.sum(axis=1) - 1.0
-        gap_CiZi = max(gap_CiZi, float(np.abs(split).max()))
-        gap_Ci1 = max(gap_Ci1, float(np.abs(rows).max()))
-        split *= mu
-        split += state.Lam[i]
-        state.Lam[i] = split
-        state.Omega[i] = state.Omega[i] + mu * rows
     C_Z, C_1 = residuals
     state.Theta = state.Theta + mu * C_Z
     state.Phi = state.Phi + mu * C_1
     state.mu = min(cfg.mu_max, cfg.rho * mu)
-    return {"gap_CiZi": gap_CiZi, "gap_Ci1": gap_Ci1}
 
 
-def view_mismatches(state: SolverState) -> np.ndarray:
-    """J^i = ||C - C^i||_F^2 for every view."""
-    return np.array([float(np.sum((state.C - Ci) ** 2)) for Ci in state.Ci])
+def view_mismatches(views: list[_ViewMeasures]) -> np.ndarray:
+    """J^i = ||C - C^i||_F^2 for every view, from the views'
+    ``_view_after_consensus`` measures."""
+    return np.array([view.J for view in views])
 
 
 def update_view_weights(J: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """Closed-form simplex weights gamma_i proportional to J_i^{1/(1-eta)},
-    for the mismatches J = ``view_mismatches(state)``.
+    for the mismatches J = ``view_mismatches(views)``.
 
     Each J^i is floored at J_FLOOR before exponentiation so the first
     iteration (all J^i = 0) yields uniform weights instead of 0 to a negative
@@ -494,27 +612,17 @@ def update_view_weights(J: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     return powered / powered.sum()
 
 
-def objective_value(
-    state: SolverState,
-    ds: MultiViewDataset,
-    cfg: SolverConfig,
-    variant: str = VARIANT_FULL,
-    *,
-    CZ: list[np.ndarray] | None,
-    J: np.ndarray,
-) -> float:
-    """Model objective at the current iterates, using the split form C Z^i of
-    the consensus-filter regularizer. ``CZ`` lists the products C Z^i, which
-    ``frobenius`` does not read, and ``J`` is ``view_mismatches(state)``."""
+def objective_value(state: SolverState, cfg: SolverConfig, views: list[_ViewMeasures]) -> float:
+    """Model objective at the current iterates and view weights, using the
+    split form C Z^i of the consensus-filter regularizer: the views'
+    ``_view_after_consensus`` terms and weighted mismatches, summed in view
+    order."""
     total = 0.0
-    for i in range(ds.n_views):
+    for i, view in enumerate(views):
         w = cfg.beta * state.gamma[i] ** cfg.eta
-        total += float(np.sum((state.Y[i] - state.Ci[i] @ state.Y[i]) ** 2))
-        if variant == VARIANT_FROBENIUS:
-            total += cfg.alpha * float(np.sum(state.Ci[i] ** 2))
-        else:
-            total += cfg.alpha * float(np.sum((state.Ci[i] - CZ[i]) ** 2))
-        total += w * J[i]
+        total += view.fit
+        total += view.penalty
+        total += w * view.J
     return total
 
 
@@ -580,69 +688,94 @@ class _ViewHelper:
         self._thread.join()
 
 
-def _update_views(
-    helper: _ViewHelper | None,
+def _view_before_consensus(
     state: SolverState,
     ds: MultiViewDataset,
     cfg: SolverConfig,
     variant: str,
+    i: int,
     *,
     factor: np.ndarray | None,
-    CX: list[np.ndarray] | None,
+    CX: list[np.ndarray | None] | None,
     CZ: list[np.ndarray | None],
+    sums: _ConsensusSums,
 ) -> None:
-    """Y^i, C^i and Z^i of every view against the previous C, in that order
-    per view; with a ``helper``, the calling thread and the helper take the
-    views in order from one shared sequence. Each view's arithmetic is the
-    same either way, and so are its results.
+    """View i's work before the C update: its Y^i, C^i and Z^i updates
+    against the previous C, in that order, then its terms of the C update,
+    added into ``sums`` at the view's turns.
 
     Drops C X^i and C Z^i after their last reader, and the old C^i and Z^i
     before their successors are built: the C^i update does not read C^i,
     nor the Z^i update Z^i.
     """
-    views = iter(range(ds.n_views))
+    if CX is not None:
+        state.Y[i] = update_view_representation(state, ds, i, CX=CX[i])
+        CX[i] = None
+    state.Ci[i] = None
+    state.Ci[i] = update_view_coefficients(state, i, cfg, variant, CZi=CZ[i])
+    CZ[i] = None
+    state.Zi[i] = None
+    state.Zi[i] = update_view_auxiliary(state, i, cfg, variant, factor=factor)
+    sums.add(state, ds, cfg, variant, i)
+
+
+def _run_views(helper: _ViewHelper | None, n_views: int, task, abandon=None) -> list:
+    """``task(i)`` for every view i; returns the results in view order.
+
+    With a ``helper``, the calling thread and the helper take the views in
+    order from one shared sequence. Each view's arithmetic is the same
+    either way, and so are its results. When a task raises, ``abandon()``
+    (if given) wakes the other thread if it waits for a turn the failed view
+    will not pass; that thread then returns quietly, so the failure is
+    raised once.
+    """
+    results = [None] * n_views
+    views = iter(range(n_views))
     lock = threading.Lock()
 
     def work() -> None:
-        while True:
-            with lock:
-                i = next(views, None)
-            if i is None:
-                return
-            if CX is not None:
-                state.Y[i] = update_view_representation(state, ds, i, CX=CX[i])
-                CX[i] = None
-            state.Ci[i] = None
-            state.Ci[i] = update_view_coefficients(state, i, cfg, variant, CZi=CZ[i])
-            CZ[i] = None
-            state.Zi[i] = None
-            state.Zi[i] = update_view_auxiliary(state, i, cfg, variant, factor=factor)
+        try:
+            while True:
+                with lock:
+                    i = next(views, None)
+                if i is None:
+                    return
+                results[i] = task(i)
+        except _Abandoned:
+            return
+        except BaseException:
+            if abandon is not None:
+                abandon()
+            raise
 
     if helper is None:
         work()
     else:
         helper.run_alongside(work)
+    return results
 
 
 def solve_peak_bytes(n_samples: int, n_views: int, total_dim: int) -> int:
     """Estimated peak bytes a solve allocates for n samples, v views and
-    total_dim = sum_i d_i: 8 [(4v + 10) n^2 + 6 n sum_i d_i].
+    total_dim = sum_i d_i: 8 [(4v + 13) n^2 + 6.5 n sum_i d_i].
 
-    The peak falls in an iteration's per-view block, while its first two
-    views are in flight on the calling and the helper thread. Live then are
-    4v + 5 n x n arrays: C^i, Z^i, Lam^i and C Z^i of every view, C, Z,
-    Theta, sum_i X^i X^i^T and the Z^i inverse factor; each view in flight
-    adds up to two n x n temporaries, and one more n^2 covers the length-n
-    vectors at small n. The n x d_i arrays (Y^i, Gamma^i, C X^i and the
-    temporaries of the views in flight, the thin-SVD factors among them)
-    make up the second term. Fitted to the worst interleaving of the two
-    threads, taken from each view's tracemalloc peak, for all three
-    variants from n=60 to n=300, v=2 to v=6 and d_i up to 7n: it bounds
-    each from above, the full variant's within 16 %. A solve without the
-    helper thread peaks 3 to 5 n^2 lower.
+    The peak falls in an iteration's first per-view phase, while its first
+    two views are in flight on the calling and the helper thread. Live then
+    are 4v + 7 n x n arrays: C^i, Z^i, Lam^i and C Z^i of every view, C, Z,
+    Theta, sum_i X^i X^i^T, the Z^i inverse factor and the sums A and B of
+    the C update; each view in flight adds its update temporaries, or its
+    three n x n terms of the C update while it waits for its turn to add
+    them. The n x d_i arrays (Y^i, Gamma^i, C X^i and the temporaries of the
+    views in flight, the thin-SVD factors among them) make up the second
+    term. Fitted to the worst interleaving of the two threads, taken as the
+    largest sum, over two views of one phase, of one view's tracemalloc peak
+    and the other's rise above its start, for all three variants at 14
+    shapes from n=60 to n=300, v=2 to v=6 and d_i up to 7n: it bounds each
+    from above, the full variant's within 22 %. A solve without the helper
+    thread peaks 3 to 5 n^2 below that worst interleaving.
     """
     n = n_samples
-    return 8 * ((4 * n_views + 10) * n * n + 6 * n * total_dim)
+    return 4 * ((8 * n_views + 26) * n * n + 13 * n * total_dim)
 
 
 def solve(
@@ -651,16 +784,19 @@ def solve(
     """Run ``variant`` (one of VARIANTS) to convergence or cfg.max_iter.
 
     One iteration updates, in order: per view Y^i, C^i, Z^i (every view
-    against the previous iteration's consensus, on the calling thread and,
-    where ``_use_helper_thread`` allows, one helper thread), then C, Z, the
-    multipliers with the current mu, mu itself, and finally the view weights.
-    The run stops once every constraint-gap max-norm is <= cfg.eps and the
-    squared successive changes of C and Z are <= RESID_TOL. The optional
-    ``callback(state)`` fires after each completed iteration, on the calling
-    thread. A linear algebra failure in an iteration's updates, on either
-    thread, or a non-finite iterate, raises one ``SolverNumericalError``
-    with the iteration and the diagnostics recorded so far; the helper
-    thread has ended by the time ``solve`` returns or raises.
+    against the previous iteration's consensus), then C, Z, the multipliers
+    with the current mu, mu itself, and finally the view weights. Each
+    iteration's per-view work runs in two phases, before the C update and
+    after the Z update, on the calling thread and, where
+    ``_use_helper_thread`` allows, one helper thread; the outputs are bitwise
+    those of one thread. The run stops once every constraint-gap max-norm is
+    <= cfg.eps and the squared successive changes of C and Z are
+    <= RESID_TOL. The optional ``callback(state)`` fires after each completed
+    iteration, on the calling thread. A linear algebra failure in an
+    iteration's updates, on either thread, or a non-finite iterate, raises
+    one ``SolverNumericalError`` with the iteration and the diagnostics
+    recorded so far; the helper thread has ended by the time ``solve``
+    returns or raises.
 
     ``no_smoothing`` pins Y^i to X^i, with no feature-coupling constraint or
     Gamma^i multiplier. ``frobenius`` puts a plain ridge penalty
@@ -692,9 +828,17 @@ def solve(
             Z_prev = state.Z
             try:
                 factor = _view_auxiliary_factor(state, cfg) if split else None
-                _update_views(helper, state, ds, cfg, variant, factor=factor, CX=CX, CZ=CZ)
-                del factor
-                state.C = update_consensus_coefficients(state, ds, cfg, variant, XXt=XXt)
+                sums = _ConsensusSums()
+                before = functools.partial(
+                    _view_before_consensus, state, ds, cfg, variant,
+                    factor=factor, CX=CX, CZ=CZ, sums=sums,
+                )  # fmt: skip
+                _run_views(helper, ds.n_views, before, abandon=sums.abandon)
+                del before, factor
+                state.C = update_consensus_coefficients(
+                    state, ds, cfg, variant, XXt=XXt, sums=sums
+                )
+                del sums
             except np.linalg.LinAlgError as exc:
                 raise SolverNumericalError(
                     f"linear solve failed at iteration {iteration}: {exc}",
@@ -705,23 +849,21 @@ def solve(
             residual_C = float(np.sum((state.C - C_prev) ** 2))
             residual_Z = float(np.sum((state.Z - Z_prev) ** 2))
             del C_prev, Z_prev
-            couplings = None
-            if smoothing:
-                CX = [state.C @ X for X in ds.views]
-                couplings = _feature_couplings(state, ds, CX)
+            after = functools.partial(_view_after_consensus, state, ds, cfg, variant, CX=CX, CZ=CZ)
+            views = _run_views(helper, ds.n_views, after)
+            del after
             residuals = _consensus_residuals(state)
-            gaps = constraint_gaps(residuals, couplings)
-            gaps.update(update_multipliers(state, cfg, residuals, couplings))
-            del couplings, residuals
-            J = view_mismatches(state)
+            gaps = constraint_gaps(residuals, views)
+            update_multipliers(state, cfg, residuals)
+            del residuals
+            J = view_mismatches(views)
             state.gamma = update_view_weights(J, cfg)
-            CZ = [state.C @ Zi if split else None for Zi in state.Zi]
 
             diagnostics.residual_C.append(residual_C)
             diagnostics.residual_Z.append(residual_Z)
             for key, value in gaps.items():
                 getattr(diagnostics, key).append(value)
-            diagnostics.objective.append(objective_value(state, ds, cfg, variant, CZ=CZ, J=J))
+            diagnostics.objective.append(objective_value(state, cfg, views))
             diagnostics.J.append(J)
 
             _check_finite(state, diagnostics)

@@ -287,6 +287,10 @@ def dense_multiplier_steps(state, ds, variant=VARIANT_FULL):
     return out
 
 
+def dense_view_mismatches(state):
+    return np.array([float(np.sum((state.C - Ci) ** 2)) for Ci in state.Ci])
+
+
 def dense_objective_value(state, ds, cfg, variant=VARIANT_FULL):
     total = 0.0
     for i in range(ds.n_views):
@@ -312,7 +316,6 @@ def dense_solve(ds, cfg, variant, iterations):
         project_constraints,
         update_consensus_auxiliary,
         update_view_weights,
-        view_mismatches,
     )
 
     state = init_state(ds, cfg)
@@ -332,6 +335,6 @@ def dense_solve(ds, cfg, variant, iterations):
         for name, value in steps.items():
             setattr(state, name, value)
         state.mu = min(cfg.mu_max, cfg.rho * state.mu)
-        state.gamma = update_view_weights(view_mismatches(state), cfg)
+        state.gamma = update_view_weights(dense_view_mismatches(state), cfg)
         objectives.append(dense_objective_value(state, ds, cfg, variant))
     return state, objectives

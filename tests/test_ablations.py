@@ -17,7 +17,7 @@ from gfclust.solver import (
 )
 from oracles import central_difference_gradient
 from pipeline import median_score
-from test_solver import CFG, random_state, toy_dataset
+from test_solver import CFG, consensus_sums, random_state, toy_dataset
 
 
 def assert_stationary(func, point):
@@ -92,7 +92,8 @@ def test_no_smoothing_consensus_update_stationarity():
         total += state.mu / 2.0 * np.sum((C @ ones - 1.0 + state.Phi / state.mu) ** 2)
         return total
 
-    C = update_consensus_coefficients(state, ds, CFG, variant="no_smoothing", XXt=None)
+    sums = consensus_sums(state, ds, CFG, "no_smoothing")
+    C = update_consensus_coefficients(state, ds, CFG, variant="no_smoothing", XXt=None, sums=sums)
     assert_stationary(f, C)
 
 
@@ -117,7 +118,10 @@ def test_frobenius_consensus_update_stationarity():
         total += state.mu / 2.0 * np.sum((C @ ones - 1.0 + state.Phi / state.mu) ** 2)
         return total
 
-    C = update_consensus_coefficients(state, ds, CFG, variant="frobenius", XXt=_feature_gram(ds))
+    sums = consensus_sums(state, ds, CFG, "frobenius")
+    C = update_consensus_coefficients(
+        state, ds, CFG, variant="frobenius", XXt=_feature_gram(ds), sums=sums
+    )
     assert_stationary(f, C)
 
 

@@ -63,8 +63,10 @@ from oracles import (
 )
 from pipeline import ablation_rule, cluster_scores, median_score
 from test_solver import (
+    after_consensus,
     c_subproblem,
     ci_subproblem,
+    consensus_sums,
     random_state,
     toy_dataset,
     y_subproblem,
@@ -92,7 +94,9 @@ def test_criterion_01_stationarity_suite():
         Ci = update_view_coefficients(state, i, cfg, CZi=state.C @ state.Zi[i])
         factor = _view_auxiliary_factor(state, cfg)
         Zi = update_view_auxiliary(state, i, cfg, project=False, factor=factor)
-        C = update_consensus_coefficients(state, ds, cfg, XXt=_feature_gram(ds))
+        C = update_consensus_coefficients(
+            state, ds, cfg, XXt=_feature_gram(ds), sums=consensus_sums(state, ds, cfg)
+        )
         checks = [
             (y_subproblem(state, ds, i), Y),
             (ci_subproblem(state, i, cfg), Ci),
@@ -250,14 +254,14 @@ def test_criterion_08_weight_formula():
         state = init_state(ds, cfg)
         state.C = np.zeros((3, 3))
         state.Ci = [np.diag([np.sqrt(J[0]), 0, 0]), np.diag([np.sqrt(J[1]), 0, 0])]
-        gamma = update_view_weights(view_mismatches(state), cfg)
+        gamma = update_view_weights(view_mismatches(after_consensus(state, ds, cfg)), cfg)
         grid = np.arange(1e-3, 1.0, 1e-3)
         best = grid[(grid**2 * J[0] + (1.0 - grid) ** 2 * J[1]).argmin()]
         worst = max(worst, abs(gamma[0] - best), abs(gamma[1] - (1.0 - best)))
         assert abs(gamma[0] - best) <= 2e-3
     state = init_state(ds, cfg)
     state.C = np.eye(3)  # J^i identical across views
-    uniform = update_view_weights(view_mismatches(state), cfg)
+    uniform = update_view_weights(view_mismatches(after_consensus(state, ds, cfg)), cfg)
     exact_uniform = uniform[0] == 0.5 and uniform[1] == 0.5
     ok = worst <= 2e-3 and exact_uniform
     report(8, ok, f"grid-minimizer deviation {worst:.2e} (<= 2e-3), equal mismatches exactly uniform")

@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,6 @@ from gfclust.solver import (
     SolverNumericalError,
     _add_to_diagonal,
     _consensus_residuals,
-    _feature_couplings,
     _feature_gram,
     _view_auxiliary_factor,
     constraint_gaps,
@@ -77,6 +78,25 @@ def random_state(ds, cfg=CFG, seed=0, feasible_aux=False):
     state.gamma = weights / weights.sum()
     state.mu = float(rng.uniform(0.2, 2.0))
     return state
+
+
+def consensus_sums(state, ds, cfg=CFG, variant="full"):
+    """The view sums of the C update, added view by view on this thread as
+    solve adds them without the helper."""
+    sums = solver._ConsensusSums()
+    solver._run_views(None, ds.n_views, functools.partial(sums.add, state, ds, cfg, variant))
+    return sums
+
+
+def after_consensus(state, ds, cfg=CFG, variant="full"):
+    """Every view's work after the C and Z updates, run on this thread as
+    solve runs it without the helper: steps Gamma^i, Lam^i and Omega^i and
+    returns the views' measures."""
+    CX = None if variant == "no_smoothing" else [None] * ds.n_views
+    task = functools.partial(
+        solver._view_after_consensus, state, ds, cfg, variant, CX=CX, CZ=[None] * ds.n_views
+    )
+    return solver._run_views(None, ds.n_views, task)
 
 
 # ---- subproblem objectives (independent oracles for stationarity checks) ----
@@ -336,7 +356,9 @@ def test_consensus_update_matches_dense_solve_oracle():
     cfg = SolverConfig(alpha=1e-12, beta=1e-12, eta=0.5)
     state = init_state(ds, cfg)
     state.mu = 1.0
-    C = update_consensus_coefficients(state, ds, cfg, XXt=_feature_gram(ds))
+    C = update_consensus_coefficients(
+        state, ds, cfg, XXt=_feature_gram(ds), sums=consensus_sums(state, ds, cfg)
+    )
     XXt = X @ X.T
     ones_mat = np.ones((n, n))
     A = -3.0 * XXt + ones_mat
@@ -348,7 +370,9 @@ def test_consensus_update_matches_dense_solve_oracle():
 def test_consensus_update_stationarity():
     ds = toy_dataset(n=5, v=2, d=4, seed=19)
     state = random_state(ds, seed=20)
-    C = update_consensus_coefficients(state, ds, CFG, XXt=_feature_gram(ds))
+    C = update_consensus_coefficients(
+        state, ds, CFG, XXt=_feature_gram(ds), sums=consensus_sums(state, ds)
+    )
     assert_stationary(c_subproblem(state, ds, CFG), C)
 
 
@@ -363,7 +387,9 @@ def test_consensus_update_large_mu_reaches_feasibility():
     state.Gamma = [np.zeros_like(x) for x in ds.views]
     state.Y = [(3.0 * x + target @ x) / 4.0 for x in ds.views]
     state.mu = 1e6
-    C = update_consensus_coefficients(state, ds, CFG, XXt=_feature_gram(ds))
+    C = update_consensus_coefficients(
+        state, ds, CFG, XXt=_feature_gram(ds), sums=consensus_sums(state, ds)
+    )
     assert np.abs(C - state.Z).max() <= 1e-3
     assert np.abs(C.sum(axis=1) - 1.0).max() <= 1e-3
 
@@ -425,8 +451,8 @@ def feasible_fixed_point_state(ds, cfg):
 def test_multipliers_unchanged_at_feasibility():
     ds = toy_dataset(n=5, v=2, seed=31)
     state = feasible_fixed_point_state(ds, CFG)
-    CX = [state.C @ X for X in ds.views]
-    update_multipliers(state, CFG, _consensus_residuals(state), _feature_couplings(state, ds, CX))
+    after_consensus(state, ds)
+    update_multipliers(state, CFG, _consensus_residuals(state))
     assert np.abs(state.Theta).max() <= 1e-12
     assert np.abs(state.Phi).max() <= 1e-12
     for i in range(2):
@@ -440,8 +466,8 @@ def test_mu_capped_at_maximum():
     ds = toy_dataset(n=4, v=1, seed=32)
     cfg = SolverConfig(mu0=1.0, mu_max=1.0, rho=1.1)
     state = init_state(ds, cfg)
-    CX = [state.C @ X for X in ds.views]
-    update_multipliers(state, cfg, _consensus_residuals(state), _feature_couplings(state, ds, CX))
+    after_consensus(state, ds, cfg)
+    update_multipliers(state, cfg, _consensus_residuals(state))
     assert state.mu == 1.0
 
 
@@ -452,8 +478,8 @@ def test_omega_update_componentwise():
     state.Ci[0] = state.Ci[0] + delta / 4.0 * np.ones((4, 4))  # rows now sum to 1 + delta
     state.Zi[0] = state.Ci[0].copy()  # keep the split gap at zero
     mu = state.mu
-    CX = [state.C @ X for X in ds.views]
-    update_multipliers(state, CFG, _consensus_residuals(state), _feature_couplings(state, ds, CX))
+    after_consensus(state, ds)
+    update_multipliers(state, CFG, _consensus_residuals(state))
     np.testing.assert_allclose(state.Omega[0], mu * delta * np.ones(4), atol=1e-12)
 
 
@@ -465,7 +491,7 @@ def test_weights_uniform_for_equal_mismatches():
     state = init_state(ds, CFG)
     state.C = np.ones((4, 4))
     state.Ci = [np.zeros((4, 4)) for _ in range(3)]  # all J^i equal
-    gamma = update_view_weights(view_mismatches(state), CFG)
+    gamma = update_view_weights(view_mismatches(after_consensus(state, ds)), CFG)
     np.testing.assert_array_equal(gamma, np.full(3, 1.0 / 3.0))
 
 
@@ -475,8 +501,9 @@ def test_weights_hand_values_eta_2():
     state = init_state(ds, cfg)
     state.C = np.zeros((2, 2))
     state.Ci = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 0.0]])]
-    np.testing.assert_allclose(view_mismatches(state), [1.0, 4.0])
-    gamma = update_view_weights(view_mismatches(state), cfg)
+    J = view_mismatches(after_consensus(state, ds, cfg))
+    np.testing.assert_allclose(J, [1.0, 4.0])
+    gamma = update_view_weights(J, cfg)
     np.testing.assert_allclose(gamma, [0.8, 0.2], atol=1e-15)
 
 
@@ -485,14 +512,14 @@ def test_weights_hand_values_eta_half():
     state = init_state(ds, CFG)  # eta = 0.5 -> exponent 2
     state.C = np.zeros((2, 2))
     state.Ci = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 0.0]])]
-    gamma = update_view_weights(view_mismatches(state), CFG)
+    gamma = update_view_weights(view_mismatches(after_consensus(state, ds)), CFG)
     np.testing.assert_allclose(gamma, [1.0 / 17.0, 16.0 / 17.0], atol=1e-15)
 
 
 def test_weights_floor_survives_all_zero_start():
     ds = toy_dataset(n=4, v=2, seed=37)
     state = init_state(ds, CFG)
-    gamma = update_view_weights(view_mismatches(state), CFG)
+    gamma = update_view_weights(view_mismatches(after_consensus(state, ds)), CFG)
     np.testing.assert_array_equal(gamma, [0.5, 0.5])
 
 
@@ -500,7 +527,7 @@ def test_weights_simplex_invariant():
     ds = toy_dataset(n=5, v=3, seed=38)
     for seed in range(5):
         state = random_state(ds, seed=seed)
-        gamma = update_view_weights(view_mismatches(state), CFG)
+        gamma = update_view_weights(view_mismatches(after_consensus(state, ds)), CFG)
         assert gamma.min() > 0.0
         assert abs(gamma.sum() - 1.0) <= 1e-12
 
@@ -514,7 +541,7 @@ def test_weights_match_grid_minimizer_for_eta_2():
         state = init_state(ds, cfg)
         state.C = np.zeros((3, 3))
         state.Ci = [np.diag([np.sqrt(J[0]), 0.0, 0.0]), np.diag([np.sqrt(J[1]), 0.0, 0.0])]
-        gamma = update_view_weights(view_mismatches(state), cfg)
+        gamma = update_view_weights(view_mismatches(after_consensus(state, ds, cfg)), cfg)
         grid = np.arange(1e-3, 1.0, 1e-3)
         objective = grid**2 * J[0] + (1.0 - grid) ** 2 * J[1]
         best = grid[objective.argmin()]
@@ -565,8 +592,7 @@ def test_weights_maximize_at_the_preset_eta():
 def test_objective_zero_state():
     ds = toy_dataset(n=4, v=2, seed=41)
     state = init_state(ds, CFG)
-    CZ = [state.C @ Zi for Zi in state.Zi]
-    assert objective_value(state, ds, CFG, CZ=CZ, J=view_mismatches(state)) == 0.0
+    assert objective_value(state, CFG, after_consensus(state, ds)) == 0.0
 
 
 def test_objective_self_expression_only():
@@ -574,8 +600,7 @@ def test_objective_self_expression_only():
     state = init_state(ds, CFG)
     state.Y = [x.copy() for x in ds.views]
     expected = sum(float(np.sum(x**2)) for x in ds.views)
-    CZ = [state.C @ Zi for Zi in state.Zi]
-    assert objective_value(state, ds, CFG, CZ=CZ, J=view_mismatches(state)) == pytest.approx(
+    assert objective_value(state, CFG, after_consensus(state, ds)) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -591,8 +616,7 @@ def test_objective_matches_term_by_term_recomputation():
         total += CFG.alpha * float((split * split).sum())
         pull = state.C - state.Ci[i]
         total += CFG.beta * state.gamma[i] ** CFG.eta * float((pull * pull).sum())
-    CZ = [state.C @ Zi for Zi in state.Zi]
-    assert objective_value(state, ds, CFG, CZ=CZ, J=view_mismatches(state)) == pytest.approx(
+    assert objective_value(state, CFG, after_consensus(state, ds)) == pytest.approx(
         total, rel=1e-10
     )
 
@@ -628,9 +652,10 @@ def test_solve_single_view_runs_with_unit_weight():
     np.testing.assert_array_equal(out.gamma, [1.0])
 
 
-# At n = 150 the n x n arrays dominate the footprint. A solve that kept each
-# iteration's arrays until they were rebound peaked there at 24.4 to 28.4 n^2
-# doubles, above the bound of 23.8 n^2 for every variant. The benchmark's
+# At n = 150 the n x n arrays dominate the footprint. A solve that kept the
+# first phase's arrays until they were rebound (C X^i, C Z^i, the old C^i and
+# Z^i, the Z^i factor and view i's Gram) peaked there at 27.5 n^2 doubles in
+# the full variant, above the bound of 27.0 n^2. The benchmark's
 # shapes: two narrow views at n = 300, and six views of the UCI Handwritten
 # dims at n = 200, four of them wide enough for the Cholesky C^i update.
 PEAK_SHAPES = {
@@ -793,22 +818,33 @@ def assert_bitwise_equal(actual, expected):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
     # View dims 5 and 8 at n = 60 take the thin-SVD C^i update, 30 the
-    # inverse Cholesky one.
+    # inverse Cholesky one. Both threads must run each per-view phase and
+    # add into the C update's sums.
     spec = SyntheticSpec(
         k=3, n_per_cluster=20, subspace_dim=3, view_dims=(5, 30, 8), noise_sigma=0.1, seed=3
     )
     ds = generate_synthetic(spec)
-    threads = set()
-    original = solver.update_view_coefficients
+    threads = {"views": set(), "sums": set(), "after consensus": set()}
 
-    def record_thread(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return original(*args, **kwargs)
+    def recording(key, original):
+        def record_thread(*args, **kwargs):
+            threads[key].add(threading.get_ident())
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "update_view_coefficients", record_thread)
+        return record_thread
+
+    monkeypatch.setattr(
+        solver, "update_view_coefficients", recording("views", solver.update_view_coefficients)
+    )
+    monkeypatch.setattr(solver._ConsensusSums, "add", recording("sums", solver._ConsensusSums.add))
+    monkeypatch.setattr(
+        solver,
+        "_view_after_consensus",
+        recording("after consensus", solver._view_after_consensus),
+    )
     outputs = []
     # Switch threads as often as the interpreter allows, so that the two
-    # interleave everywhere in the view block.
+    # interleave everywhere in both phases and in the ordered reduction.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -818,7 +854,7 @@ def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
     finally:
         sys.setswitchinterval(interval)
     assert_bitwise_equal(*outputs)
-    assert len(threads) == 2
+    assert {key: len(ids) for key, ids in threads.items()} == dict.fromkeys(threads, 2)
 
 
 def test_helper_thread_rule(monkeypatch):
@@ -858,6 +894,85 @@ def test_solve_reports_helper_thread_failure_once(monkeypatch):
     with pytest.raises(SolverNumericalError) as excinfo:
         solve(small_solvable_dataset(), SolverConfig(max_iter=10), callback=completed.append)
     error = excinfo.value
+    assert error.iteration == 3
+    assert len(error.diagnostics) == 2
+    assert str(error) == (
+        "linear solve failed at iteration 3: dpotrf: leading minor 2 is not positive definite"
+    )
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_solve_reports_failure_during_reduction_once(monkeypatch, failing):
+    # In iteration 3 the failing thread takes view 0 and fails as it comes
+    # to add into B, once the other thread holds view 1 and waits for its
+    # turn there. The waiting thread must return quietly, so that the one
+    # error raised is the LinAlgError, and nothing may hang: the solve runs
+    # in a thread joined with a timeout.
+    monkeypatch.setattr(solver, "_use_helper_thread", lambda n_views: True)
+    completed = []
+    raised = []
+    view_0_taken = threading.Event()
+    other_waits = threading.Event()
+    solve_thread = None
+
+    def on_failing_thread():
+        return (threading.current_thread() is solve_thread) == (failing == "caller")
+
+    original_run_alongside = solver._ViewHelper.run_alongside
+
+    def run_alongside(self, work):
+        def gated_work():
+            # the other thread takes a view only once view 0 is taken
+            if len(completed) == 2 and not on_failing_thread():
+                assert view_0_taken.wait(timeout=30)
+            try:
+                work()
+            except BaseException as exc:
+                raised.append(exc)
+                raise
+
+        original_run_alongside(self, gated_work)
+
+    original_y_update = solver.update_view_representation
+
+    def y_update(state, ds, i, **kwargs):
+        if len(completed) == 2 and i == 0:
+            view_0_taken.set()
+        return original_y_update(state, ds, i, **kwargs)
+
+    original_turn = solver._ConsensusSums._turn
+
+    def turn(self, name, i):
+        if len(completed) == 2:
+            if i == 1:
+                other_waits.set()
+            elif i == 0:
+                assert on_failing_thread() and other_waits.wait(timeout=30)
+                time.sleep(0.1)  # let the other thread block in its wait
+                raise np.linalg.LinAlgError("dpotrf: leading minor 2 is not positive definite")
+        return original_turn(self, name, i)
+
+    monkeypatch.setattr(solver._ViewHelper, "run_alongside", run_alongside)
+    monkeypatch.setattr(solver, "update_view_representation", y_update)
+    monkeypatch.setattr(solver._ConsensusSums, "_turn", turn)
+    outcome = []
+
+    def run_solve():
+        try:
+            solve(small_solvable_dataset(), SolverConfig(max_iter=10), callback=completed.append)
+        except BaseException as exc:
+            outcome.append(exc)
+
+    threads_before = threading.active_count()
+    solve_thread = threading.Thread(target=run_solve, name="solve", daemon=True)
+    solve_thread.start()
+    solve_thread.join(timeout=60)
+    assert not solve_thread.is_alive(), "the solve hangs"
+    assert len(raised) == 1 and isinstance(raised[0], np.linalg.LinAlgError)
+    assert len(outcome) == 1
+    error = outcome[0]
+    assert isinstance(error, SolverNumericalError)
     assert error.iteration == 3
     assert len(error.diagnostics) == 2
     assert str(error) == (
@@ -958,19 +1073,21 @@ def test_updates_match_dense_reference(variant, n, d):
             oracles.dense_view_auxiliary(state, i, CFG, variant),
         )
     assert_equivalent(
-        update_consensus_coefficients(state, ds, CFG, variant, XXt=_feature_gram(ds)),
+        update_consensus_coefficients(
+            state, ds, CFG, variant, XXt=_feature_gram(ds), sums=consensus_sums(state, ds, CFG, variant)
+        ),
         oracles.dense_consensus_coefficients(state, ds, CFG, variant),
     )
-    residuals = _consensus_residuals(state)
-    couplings = None if variant == "no_smoothing" else _feature_couplings(state, ds, CX)
-    gaps = constraint_gaps(residuals, couplings)
     expected_gaps = oracles.dense_constraint_gaps(state, ds, variant)
-    assert objective_value(
-        state, ds, CFG, variant, CZ=CZ, J=view_mismatches(state)
-    ) == pytest.approx(oracles.dense_objective_value(state, ds, CFG, variant), rel=EQUIV_RTOL)
+    expected_objective = oracles.dense_objective_value(state, ds, CFG, variant)
     steps = oracles.dense_multiplier_steps(state, ds, variant)
-    # update_multipliers measures the per-view gaps of the residuals it steps
-    gaps.update(update_multipliers(state, CFG, residuals, couplings))
+    # the views' work after C and Z steps the view multipliers and measures
+    # the residuals it steps and the objective's terms
+    views = after_consensus(state, ds, CFG, variant)
+    assert objective_value(state, CFG, views) == pytest.approx(expected_objective, rel=EQUIV_RTOL)
+    residuals = _consensus_residuals(state)
+    gaps = constraint_gaps(residuals, views)
+    update_multipliers(state, CFG, residuals)
     assert gaps.keys() == expected_gaps.keys()
     for key, value in expected_gaps.items():
         assert_equivalent(gaps[key], value)
