@@ -120,8 +120,10 @@ _SOLVE_FUNCS = {variant: functools.partial(solve, variant=variant) for variant i
 
 
 def _int_field(raw: dict, key: str, default: int | None) -> int | None:
+    """The integer ``raw[key]``; null is accepted only for a key whose default
+    is None."""
     value = raw.get(key, default)
-    if value is not None and not is_int(value):
+    if not (is_int(value) or (value is None and default is None)):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
 

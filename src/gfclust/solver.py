@@ -52,7 +52,7 @@ for a product its variant does not read.
 The solve drops each of these products after its last reader, so that no two
 generations of one exist at once: C Z^i and C X^i after view i's C^i and Y^i
 updates, the old C^i and Z^i before their successors are built, view i's
-terms of the C update once added, the Z^i inverse factor after the first
+terms of the C update once folded, the Z^i inverse factor after the first
 per-view phase, the previous C and Z once their squared changes are taken,
 and each residual after its multiplier step. ``solve_peak_bytes`` estimates
 the resulting peak; the iterates themselves are rebound each iteration and
@@ -60,22 +60,22 @@ never written in place, so the returned C^i need no copy.
 
 The views are coupled only through the consensus: given C, each view's work
 reads no other view's iterates. So each iteration runs its per-view work in
-two phases, each on the calling thread and one helper thread, started once
-per solve, which take the views in order from one shared sequence; every
-BLAS/LAPACK call releases the GIL.
+two phases through ``_run_views``, on the calling thread and the one worker
+of a thread pool created once per solve; every BLAS/LAPACK call releases
+the GIL.
 
 1. Before the C update, view i's Y^i, C^i and Z^i updates against the
-   previous C, then its terms of the C update: 2w_i C^i, 2 alpha C^i Z^i^T
-   and (4 mu Y^i + Gamma^i) X^i^T for A, 2 alpha Z^i Z^i^T for B. These go
-   into the sums through an ordered reduction (``_ConsensusSums``): view i
-   adds only after view i - 1, so the floating-point sequence into A and B
-   is the serial loop's.
+   previous C, then its terms of the C update (``_consensus_terms``):
+   2 alpha C^i Z^i^T and (4 mu Y^i + Gamma^i) X^i^T for A, 2 alpha Z^i Z^i^T
+   for B. The thread that ran view i folds them, with 2w_i C^i, into A and
+   B (``_ConsensusSums.add``) once view i - 1's fold has finished, so the
+   floating-point sequence into A and B is the serial loop's.
 2. After C and Z, view i's C X^i, C Z^i, residuals, multiplier steps, gaps,
    mismatch J^i and objective terms (``_view_after_consensus``). Each is
-   stored by view; the calling thread folds them in view order.
+   returned by view; the calling thread folds them in view order.
 
 Each view's arithmetic is the same on either thread, so the results are
-bitwise those of the serial loops. The helper runs only with two or more
+bitwise those of the serial loops. The worker runs only with two or more
 views, two or more CPUs and single-threaded OpenBLAS (``_use_helper_thread``).
 What stays serial is the work shared by all views: the Z^i factor, the
 shared terms, factor and apply of the C update, the Z update, the consensus
@@ -84,12 +84,11 @@ multipliers, the view weights and the folds.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import functools
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -174,7 +173,7 @@ class SolverState:
     """All iterates of one run.
 
     During each per-view phase of an iteration, the calling thread and the
-    solve's helper thread each rebind the entries of view i for the views
+    solve's worker thread each rebind the entries of view i for the views
     they take: of Y, Ci and Zi before the C update, of Gamma, Lam and Omega
     after it. They read only those entries and the rest of the state, which
     no thread writes then. Outside the phases one thread owns it.
@@ -406,74 +405,57 @@ def update_consensus_coefficients(
     return spd_apply_right(A, spd_inverse_factor(B))
 
 
-class _Abandoned(Exception):
-    """Raised in a thread waiting for a turn that a failed view will not pass."""
+def _consensus_terms(
+    state: SolverState, ds: MultiViewDataset, cfg: SolverConfig, variant: str, i: int
+) -> tuple:
+    """View i's terms of the C update from its new iterates: 2 alpha Z^i Z^i^T
+    for B, 2 alpha C^i Z^i^T and (4 mu Y^i + Gamma^i) X^i^T for A, each None
+    where the variant lacks it."""
+    ZZt = CZt = YXt = None
+    if variant != VARIANT_FROBENIUS:
+        ZZt = gram(state.Zi[i], 2.0 * cfg.alpha, outer=True)
+        CZt = state.Ci[i] @ state.Zi[i].T
+        CZt *= 2.0 * cfg.alpha
+    if variant != VARIANT_NO_SMOOTHING:
+        YXt = (4.0 * state.mu * state.Y[i] + state.Gamma[i]) @ ds.views[i].T
+    return ZZt, CZt, YXt
 
 
+@dataclass
 class _ConsensusSums:
-    """The view sums of the C update's A and B, reduced in view order.
+    """The view sums of the C update's A and B.
 
-    Each view forms its terms on the thread that runs it. View i adds into B
-    only after view i - 1 has added there, and into A only after view i - 1's
-    adds into A, one add per term; so the floating-point sequence into each
-    sum is that of one loop over the views, whichever thread runs each view.
-    View 0 creates each sum at its turn. A and B keep separate turns.
+    ``add`` is the fold of ``_run_views``, which calls it in view order, so
+    the floating-point sequence into each sum is that of one loop over the
+    views, whichever thread runs each view.
     """
 
-    def __init__(self):
-        self.A: np.ndarray | None = None
-        self.B: np.ndarray | None = None
-        self._added = {"A": 0, "B": 0}
-        self._abandoned = False
-        self._changed = threading.Condition()
+    state: SolverState
+    cfg: SolverConfig
+    A: np.ndarray | None = None
+    B: np.ndarray | None = None
 
-    @contextlib.contextmanager
-    def _turn(self, name: str, i: int):
-        with self._changed:
-            self._changed.wait_for(lambda: self._abandoned or self._added[name] == i)
-            if self._abandoned:
-                raise _Abandoned
-        yield
-        with self._changed:
-            self._added[name] = i + 1
-            self._changed.notify_all()
-
-    def abandon(self) -> None:
-        """Wake every thread waiting for a turn: a view failed, so the turns
-        after it never come."""
-        with self._changed:
-            self._abandoned = True
-            self._changed.notify_all()
-
-    def add(
-        self, state: SolverState, ds: MultiViewDataset, cfg: SolverConfig, variant: str, i: int
-    ) -> None:
-        """Form view i's terms from its new iterates, then add them at its
-        turns: 2 alpha Z^i Z^i^T into B, and 2w C^i, 2 alpha C^i Z^i^T and
-        (4 mu Y^i + Gamma^i) X^i^T into A, where the variant has them."""
-        mu = state.mu
-        ZZt = CZt = YXt = None
-        if variant != VARIANT_FROBENIUS:
-            ZZt = gram(state.Zi[i], 2.0 * cfg.alpha, outer=True)
-            CZt = state.Ci[i] @ state.Zi[i].T
-            CZt *= 2.0 * cfg.alpha
-        if variant != VARIANT_NO_SMOOTHING:
-            YXt = (4.0 * mu * state.Y[i] + state.Gamma[i]) @ ds.views[i].T
-        with self._turn("B", i):
-            if i == 0:
-                self.B = np.full(state.C.shape, mu)
-            if ZZt is not None:
-                self.B += ZZt
-        del ZZt
-        w = cfg.beta * state.gamma[i] ** cfg.eta
-        with self._turn("A", i):
-            if i == 0:
-                self.A = mu * (state.Z + 1.0) - state.Theta - state.Phi[:, None]
-            self.A += 2.0 * w * state.Ci[i]
-            if CZt is not None:
-                self.A += CZt
-            if YXt is not None:
-                self.A += YXt
+    def add(self, i: int, terms: tuple) -> None:
+        """Add view i's ``_consensus_terms``: 2 alpha Z^i Z^i^T into B, then
+        2w C^i, 2 alpha C^i Z^i^T and (4 mu Y^i + Gamma^i) X^i^T into A."""
+        state = self.state
+        ZZt, CZt, YXt = terms
+        # View 0 creates the sums in place, and 2w C^i reuses the buffer of
+        # Z^i Z^i^T, transposed to A's C order: the fold adds no n x n temporary.
+        if i == 0:
+            self.B = np.full(state.C.shape, state.mu)
+            self.A = np.add(state.Z, 1.0)
+            self.A *= state.mu
+            self.A -= state.Theta
+            self.A -= state.Phi[:, None]
+        if ZZt is not None:
+            self.B += ZZt
+        w = self.cfg.beta * state.gamma[i] ** self.cfg.eta
+        self.A += np.multiply(2.0 * w, state.Ci[i], out=None if ZZt is None else ZZt.T)
+        if CZt is not None:
+            self.A += CZt
+        if YXt is not None:
+            self.A += YXt
 
 
 def update_consensus_auxiliary(state: SolverState, project: bool = True) -> np.ndarray:
@@ -646,48 +628,6 @@ def _use_helper_thread(n_views: int) -> bool:
     return n_views >= 2 and len(os.sched_getaffinity(0)) >= 2 and blas_threads() == 1
 
 
-class _ViewHelper:
-    """One helper thread, for the life of one solve, that runs a task
-    alongside the calling thread.
-
-    The helper runs each task in a copy of the caller's context, so that
-    ``np.errstate`` reaches it, and hands back what the task raised.
-    """
-
-    def __init__(self):
-        self._tasks = queue.SimpleQueue()
-        self._outcomes = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, name="gfclust-views", daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        for context, work in iter(self._tasks.get, None):
-            try:
-                context.run(work)
-            except BaseException as exc:  # raised again in the calling thread
-                self._outcomes.put(exc)
-            else:
-                self._outcomes.put(None)
-            # hold no reference to the task's arrays while waiting for the next
-            del context, work
-
-    def run_alongside(self, work) -> None:
-        """Run ``work()`` on this thread and on the helper at once; return
-        once both have finished, raising this thread's exception or else
-        the helper's."""
-        self._tasks.put((contextvars.copy_context(), work))
-        try:
-            work()
-        finally:
-            error = self._outcomes.get()
-        if error is not None:
-            raise error
-
-    def close(self) -> None:
-        self._tasks.put(None)
-        self._thread.join()
-
-
 def _view_before_consensus(
     state: SolverState,
     ds: MultiViewDataset,
@@ -698,11 +638,10 @@ def _view_before_consensus(
     factor: np.ndarray | None,
     CX: list[np.ndarray | None] | None,
     CZ: list[np.ndarray | None],
-    sums: _ConsensusSums,
-) -> None:
+) -> tuple:
     """View i's work before the C update: its Y^i, C^i and Z^i updates
-    against the previous C, in that order, then its terms of the C update,
-    added into ``sums`` at the view's turns.
+    against the previous C, in that order; returns its terms of the C update
+    (``_consensus_terms``).
 
     Drops C X^i and C Z^i after their last reader, and the old C^i and Z^i
     before their successors are built: the C^i update does not read C^i,
@@ -716,42 +655,63 @@ def _view_before_consensus(
     CZ[i] = None
     state.Zi[i] = None
     state.Zi[i] = update_view_auxiliary(state, i, cfg, variant, factor=factor)
-    sums.add(state, ds, cfg, variant, i)
+    return _consensus_terms(state, ds, cfg, variant, i)
 
 
-def _run_views(helper: _ViewHelper | None, n_views: int, task, abandon=None) -> list:
-    """``task(i)`` for every view i; returns the results in view order.
+def _run_views(pool: ThreadPoolExecutor | None, n_views: int, task, fold=None) -> list:
+    """``task(i)`` for every view i; returns the results in view order, or
+    with a ``fold`` runs ``fold(i, task(i))`` for every view in view order.
 
-    With a ``helper``, the calling thread and the helper take the views in
-    order from one shared sequence. Each view's arithmetic is the same
-    either way, and so are its results. When a task raises, ``abandon()``
-    (if given) wakes the other thread if it waits for a turn the failed view
-    will not pass; that thread then returns quietly, so the failure is
-    raised once.
+    The only code that knows about threads: with a one-worker ``pool``, the
+    calling thread and the worker take the views in order from one shared
+    sequence, and each folds the views it ran, view i only once view i - 1's
+    fold has finished. Once a task or fold raises, neither thread takes
+    another view or fold, so the error is raised once.
     """
     results = [None] * n_views
     views = iter(range(n_views))
-    lock = threading.Lock()
+    folded = 0
+    failed = False
+    changed = threading.Condition()
 
     def work() -> None:
+        nonlocal folded, failed
         try:
             while True:
-                with lock:
-                    i = next(views, None)
+                with changed:
+                    i = None if failed else next(views, None)
                 if i is None:
                     return
-                results[i] = task(i)
-        except _Abandoned:
-            return
+                result = task(i)
+                if fold is None:
+                    results[i] = result
+                    continue
+                with changed:
+                    changed.wait_for(lambda: failed or folded == i)
+                    if failed:
+                        return
+                fold(i, result)
+                del result  # not held through the next view's task
+                with changed:
+                    folded += 1
+                    changed.notify_all()
         except BaseException:
-            if abandon is not None:
-                abandon()
+            with changed:
+                failed = True
+                changed.notify_all()
             raise
 
-    if helper is None:
+    if pool is None:
         work()
     else:
-        helper.run_alongside(work)
+        # a copy of the caller's context carries np.errstate to the worker
+        worker = pool.submit(contextvars.copy_context().run, work)
+        try:
+            work()
+        finally:
+            error = worker.exception()
+        if error is not None:
+            raise error
     return results
 
 
@@ -760,18 +720,18 @@ def solve_peak_bytes(n_samples: int, n_views: int, total_dim: int) -> int:
     total_dim = sum_i d_i: 8 [(4v + 13) n^2 + 6.5 n sum_i d_i].
 
     The peak falls in an iteration's first per-view phase, while its first
-    two views are in flight on the calling and the helper thread. Live then
+    two views are in flight on the calling and the worker thread. Live then
     are 4v + 7 n x n arrays: C^i, Z^i, Lam^i and C Z^i of every view, C, Z,
     Theta, sum_i X^i X^i^T, the Z^i inverse factor and the sums A and B of
     the C update; each view in flight adds its update temporaries, or its
-    three n x n terms of the C update while it waits for its turn to add
+    three n x n terms of the C update while it waits for its turn to fold
     them. The n x d_i arrays (Y^i, Gamma^i, C X^i and the temporaries of the
     views in flight, the thin-SVD factors among them) make up the second
     term. Fitted to the worst interleaving of the two threads, taken as the
     largest sum, over two views of one phase, of one view's tracemalloc peak
     and the other's rise above its start, for all three variants at 14
     shapes from n=60 to n=300, v=2 to v=6 and d_i up to 7n: it bounds each
-    from above, the full variant's within 22 %. A solve without the helper
+    from above, the full variant's within 22 %. A solve without the worker
     thread peaks 3 to 5 n^2 below that worst interleaving.
     """
     n = n_samples
@@ -788,15 +748,16 @@ def solve(
     with the current mu, mu itself, and finally the view weights. Each
     iteration's per-view work runs in two phases, before the C update and
     after the Z update, on the calling thread and, where
-    ``_use_helper_thread`` allows, one helper thread; the outputs are bitwise
-    those of one thread. The run stops once every constraint-gap max-norm is
-    <= cfg.eps and the squared successive changes of C and Z are
+    ``_use_helper_thread`` allows, the one worker of a thread pool, with each
+    view's terms of the C update folded in view order; the outputs are
+    bitwise those of one thread. The run stops once every constraint-gap
+    max-norm is <= cfg.eps and the squared successive changes of C and Z are
     <= RESID_TOL. The optional ``callback(state)`` fires after each completed
     iteration, on the calling thread. A linear algebra failure in an
     iteration's updates, on either thread, or a non-finite iterate, raises
     one ``SolverNumericalError`` with the iteration and the diagnostics
-    recorded so far; the helper thread has ended by the time ``solve``
-    returns or raises.
+    recorded so far; the pool is shut down by the time ``solve`` returns or
+    raises.
 
     ``no_smoothing`` pins Y^i to X^i, with no feature-coupling constraint or
     Gamma^i multiplier. ``frobenius`` puts a plain ridge penalty
@@ -813,14 +774,14 @@ def solve(
     smoothing = variant != VARIANT_NO_SMOOTHING
     split = variant != VARIANT_FROBENIUS
     XXt = _feature_gram(ds) if smoothing else None
-    # C Z^i and C X^i of the previous iteration's end (of the zero start
-    # before the first): C and Z^i are unchanged until the C^i and Y^i
+    # C Z^i and C X^i of the previous iteration's end, zero for the zero
+    # start before the first: C and Z^i are unchanged until the C^i and Y^i
     # updates of view i have used them. Every n x n temporary of an iteration
     # is dropped after its last reader so that the solve's peak stays within
     # solve_peak_bytes.
-    CZ = [state.C @ Zi if split else None for Zi in state.Zi]
-    CX = [state.C @ X for X in ds.views] if smoothing else None
-    helper = _ViewHelper() if _use_helper_thread(ds.n_views) else None
+    CZ = [np.zeros_like(Zi) if split else None for Zi in state.Zi]
+    CX = [np.zeros_like(X) for X in ds.views] if smoothing else None
+    pool = ThreadPoolExecutor(max_workers=1) if _use_helper_thread(ds.n_views) else None
     try:
         for iteration in range(1, cfg.max_iter + 1):
             state.iteration = iteration
@@ -828,12 +789,11 @@ def solve(
             Z_prev = state.Z
             try:
                 factor = _view_auxiliary_factor(state, cfg) if split else None
-                sums = _ConsensusSums()
+                sums = _ConsensusSums(state, cfg)
                 before = functools.partial(
-                    _view_before_consensus, state, ds, cfg, variant,
-                    factor=factor, CX=CX, CZ=CZ, sums=sums,
-                )  # fmt: skip
-                _run_views(helper, ds.n_views, before, abandon=sums.abandon)
+                    _view_before_consensus, state, ds, cfg, variant, factor=factor, CX=CX, CZ=CZ
+                )
+                _run_views(pool, ds.n_views, before, fold=sums.add)
                 del before, factor
                 state.C = update_consensus_coefficients(
                     state, ds, cfg, variant, XXt=XXt, sums=sums
@@ -850,7 +810,7 @@ def solve(
             residual_Z = float(np.sum((state.Z - Z_prev) ** 2))
             del C_prev, Z_prev
             after = functools.partial(_view_after_consensus, state, ds, cfg, variant, CX=CX, CZ=CZ)
-            views = _run_views(helper, ds.n_views, after)
+            views = _run_views(pool, ds.n_views, after)
             del after
             residuals = _consensus_residuals(state)
             gaps = constraint_gaps(residuals, views)
@@ -878,8 +838,8 @@ def solve(
                 converged = True
                 break
     finally:
-        if helper is not None:
-            helper.close()
+        if pool is not None:
+            pool.shutdown()
     return SolverOutput(
         consensus_C=state.C,
         view_C=state.Ci,

@@ -206,10 +206,15 @@ def test_exit_code_when_k_unresolvable(tmp_path):
     assert main(["run", "--config", str(config)]) == 1
 
 
-def test_exit_code_on_non_integer_repetitions(tmp_path, capsys):
-    config = write_config(tmp_path, repetitions="abc")
+@pytest.mark.parametrize(
+    "key, value",
+    [("repetitions", "abc"), ("repetitions", None), ("restarts", None), ("seed", None)],
+)
+def test_exit_code_on_non_integer_field(tmp_path, capsys, key, value):
+    config = write_config(tmp_path, **{key: value})
     assert main(["run", "--config", str(config)]) == 1
-    assert "config error: repetitions must be an integer" in capsys.readouterr().err
+    assert f"config error: {key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_on_scalar_grid_values(tmp_path, capsys):

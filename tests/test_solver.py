@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -81,10 +82,11 @@ def random_state(ds, cfg=CFG, seed=0, feasible_aux=False):
 
 
 def consensus_sums(state, ds, cfg=CFG, variant="full"):
-    """The view sums of the C update, added view by view on this thread as
-    solve adds them without the helper."""
-    sums = solver._ConsensusSums()
-    solver._run_views(None, ds.n_views, functools.partial(sums.add, state, ds, cfg, variant))
+    """The view sums of the C update, folded view by view on this thread as
+    solve folds them without the worker thread."""
+    sums = solver._ConsensusSums(state, cfg)
+    terms = functools.partial(solver._consensus_terms, state, ds, cfg, variant)
+    solver._run_views(None, ds.n_views, terms, fold=sums.add)
     return sums
 
 
@@ -819,7 +821,7 @@ def assert_bitwise_equal(actual, expected):
 def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
     # View dims 5 and 8 at n = 60 take the thin-SVD C^i update, 30 the
     # inverse Cholesky one. Both threads must run each per-view phase and
-    # add into the C update's sums.
+    # fold terms into the C update's sums.
     spec = SyntheticSpec(
         k=3, n_per_cluster=20, subspace_dim=3, view_dims=(5, 30, 8), noise_sigma=0.1, seed=3
     )
@@ -843,8 +845,9 @@ def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
         recording("after consensus", solver._view_after_consensus),
     )
     outputs = []
+    threads_before = threading.active_count()
     # Switch threads as often as the interpreter allows, so that the two
-    # interleave everywhere in both phases and in the ordered reduction.
+    # interleave everywhere in both phases and in the in-order fold.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -855,6 +858,7 @@ def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
         sys.setswitchinterval(interval)
     assert_bitwise_equal(*outputs)
     assert {key: len(ids) for key, ids in threads.items()} == dict.fromkeys(threads, 2)
+    assert threading.active_count() == threads_before
 
 
 def test_helper_thread_rule(monkeypatch):
@@ -902,83 +906,101 @@ def test_solve_reports_helper_thread_failure_once(monkeypatch):
     assert threading.active_count() == threads_before
 
 
-@pytest.mark.parametrize("failing", ["caller", "helper"])
-def test_solve_reports_failure_during_reduction_once(monkeypatch, failing):
-    # In iteration 3 the failing thread takes view 0 and fails as it comes
-    # to add into B, once the other thread holds view 1 and waits for its
-    # turn there. The waiting thread must return quietly, so that the one
-    # error raised is the LinAlgError, and nothing may hang: the solve runs
-    # in a thread joined with a timeout.
-    monkeypatch.setattr(solver, "_use_helper_thread", lambda n_views: True)
-    completed = []
-    raised = []
-    view_0_taken = threading.Event()
-    other_waits = threading.Event()
-    solve_thread = None
+N_VIEWS = 8
 
-    def on_failing_thread():
-        return (threading.current_thread() is solve_thread) == (failing == "caller")
 
-    original_run_alongside = solver._ViewHelper.run_alongside
+def run_views_on_pool(task, fold=None) -> dict:
+    """``_run_views`` on a real one-worker pool at the shortest switch
+    interval, called from a thread named "run-views" that is joined with a
+    timeout; returns the results or what it raised. Checks that it does not
+    hang and leaves no thread behind."""
+    outcome = {}
 
-    def run_alongside(self, work):
-        def gated_work():
-            # the other thread takes a view only once view 0 is taken
-            if len(completed) == 2 and not on_failing_thread():
-                assert view_0_taken.wait(timeout=30)
-            try:
-                work()
-            except BaseException as exc:
-                raised.append(exc)
-                raise
-
-        original_run_alongside(self, gated_work)
-
-    original_y_update = solver.update_view_representation
-
-    def y_update(state, ds, i, **kwargs):
-        if len(completed) == 2 and i == 0:
-            view_0_taken.set()
-        return original_y_update(state, ds, i, **kwargs)
-
-    original_turn = solver._ConsensusSums._turn
-
-    def turn(self, name, i):
-        if len(completed) == 2:
-            if i == 1:
-                other_waits.set()
-            elif i == 0:
-                assert on_failing_thread() and other_waits.wait(timeout=30)
-                time.sleep(0.1)  # let the other thread block in its wait
-                raise np.linalg.LinAlgError("dpotrf: leading minor 2 is not positive definite")
-        return original_turn(self, name, i)
-
-    monkeypatch.setattr(solver._ViewHelper, "run_alongside", run_alongside)
-    monkeypatch.setattr(solver, "update_view_representation", y_update)
-    monkeypatch.setattr(solver._ConsensusSums, "_turn", turn)
-    outcome = []
-
-    def run_solve():
+    def run():
         try:
-            solve(small_solvable_dataset(), SolverConfig(max_iter=10), callback=completed.append)
-        except BaseException as exc:
-            outcome.append(exc)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                outcome["results"] = solver._run_views(pool, N_VIEWS, task, fold)
+        except Exception as exc:
+            outcome["raised"] = exc
 
     threads_before = threading.active_count()
-    solve_thread = threading.Thread(target=run_solve, name="solve", daemon=True)
-    solve_thread.start()
-    solve_thread.join(timeout=60)
-    assert not solve_thread.is_alive(), "the solve hangs"
-    assert len(raised) == 1 and isinstance(raised[0], np.linalg.LinAlgError)
-    assert len(outcome) == 1
-    error = outcome[0]
-    assert isinstance(error, SolverNumericalError)
-    assert error.iteration == 3
-    assert len(error.diagnostics) == 2
-    assert str(error) == (
-        "linear solve failed at iteration 3: dpotrf: leading minor 2 is not positive definite"
-    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run, name="run-views", daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive(), "_run_views hangs"
     assert threading.active_count() == threads_before
+    return outcome
+
+
+@pytest.mark.parametrize("folding", [True, False], ids=["fold", "results"])
+def test_run_views_keeps_view_order(folding):
+    # Tasks of uneven length; view 0 ends only once the other thread has
+    # started view 1, so both threads run views. Each view's fold runs on
+    # the thread that ran the view, and in view order.
+    view_1_started = threading.Event()
+    ran_on = {}
+    folds = []
+
+    def task(i):
+        ran_on[i] = threading.get_ident()
+        if i == 1:
+            view_1_started.set()
+        elif i == 0:
+            assert view_1_started.wait(timeout=30)
+        time.sleep(0.002 * (i * 5 % 3))
+        return i * i
+
+    def fold(i, result):
+        folds.append((i, result, threading.get_ident()))
+
+    outcome = run_views_on_pool(task, fold if folding else None)
+    assert len(set(ran_on.values())) == 2
+    if folding:
+        assert outcome == {"results": [None] * N_VIEWS}
+        assert folds == [(i, i * i, ran_on[i]) for i in range(N_VIEWS)]
+    else:
+        assert outcome == {"results": [i * i for i in range(N_VIEWS)]}
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_run_views_raises_a_failure_once(failing):
+    # The failing thread fails in its first view k once the other thread has
+    # run a later view and so waits for that view's fold turn, which never
+    # comes. The one error must come out of _run_views, and no view after
+    # the waiting one may start, nor any fold from view k on run.
+    failing_view = []
+    failing_took = threading.Event()
+    other_waits = threading.Event()
+    started, folds, raised = [], [], []
+
+    def on_failing_thread():
+        return (threading.current_thread().name == "run-views") == (failing == "caller")
+
+    def task(i):
+        started.append(i)
+        if on_failing_thread():
+            failing_view.append(i)
+            failing_took.set()
+            assert other_waits.wait(timeout=30)
+            time.sleep(0.1)  # let the other thread block in its wait
+            raised.append(ValueError(f"view {i} failed"))
+            raise raised[-1]
+        assert failing_took.wait(timeout=30)
+        if i > failing_view[0]:
+            other_waits.set()
+        return i
+
+    outcome = run_views_on_pool(task, lambda i, result: folds.append(i))
+    k = failing_view[0]
+    assert len(raised) == 1
+    assert outcome == {"raised": raised[0]}
+    assert sorted(started) == list(range(k + 2))
+    assert folds == list(range(k))
 
 
 def test_blas_threads():
