@@ -52,17 +52,20 @@ for a product its variant does not read.
 The solve drops each of these products after its last reader, so that no two
 generations of one exist at once: C Z^i and C X^i after view i's C^i and Y^i
 updates, the old C^i and Z^i before their successors are built, view i's
-terms of the C update once folded, the Z^i inverse factor after the first
-per-view phase, the previous C and Z once their squared changes are taken,
-and each residual after its multiplier step. ``solve_peak_bytes`` estimates
-the resulting peak; the iterates themselves are rebound each iteration and
-never written in place, so the returned C^i need no copy.
+terms of the C update once folded, the sums of the C update once C is
+formed, the Z^i inverse factor after the first per-view phase, the previous
+C and Z once their squared changes are taken, and each residual after its
+multiplier step. ``solve_peak_bytes`` estimates the resulting peak; the
+iterates themselves are rebound each iteration and never written in place,
+so the returned C^i need no copy.
 
 The views are coupled only through the consensus: given C, each view's work
-reads no other view's iterates. So each iteration runs its per-view work in
-two phases through ``_run_views``, on the calling thread and the one worker
-of a thread pool created once per solve; every BLAS/LAPACK call releases
-the GIL.
+reads no other view's iterates, and the work shared by all views reads no
+view's multipliers. So each iteration runs in three dispatches of
+``_run_views``, on the calling thread and the one worker of a thread pool
+created once per solve; every BLAS/LAPACK call releases the GIL. In the
+last two, the calling thread first runs the shared work while the worker
+takes views, then joins it.
 
 1. Before the C update, view i's Y^i, C^i and Z^i updates against the
    previous C, then its terms of the C update (``_consensus_terms``):
@@ -70,16 +73,22 @@ the GIL.
    for B. The thread that ran view i folds them, with 2w_i C^i, into A and
    B (``_ConsensusSums.add``) once view i - 1's fold has finished, so the
    floating-point sequence into A and B is the serial loop's.
-2. After C and Z, view i's C X^i, C Z^i, residuals, multiplier steps, gaps,
-   mismatch J^i and objective terms (``_view_after_consensus``). Each is
-   returned by view; the calling thread folds them in view order.
+2. Beside the C update and the squared change of C (shared), view i's
+   work that reads no C (``_view_beside_consensus``): its split and row-sum
+   residuals, their gaps and Lam^i and Omega^i steps, and its fit
+   ||Y^i - C^i Y^i||_F^2.
+3. Beside the Z update, the squared change of Z, the consensus residuals
+   and the next iteration's Z^i inverse factor (shared), view i's
+   C X^i, Gamma^i step, mismatch J^i, C Z^i, penalty term and a finiteness
+   check of its iterates (``_view_after_consensus``).
 
-Each view's arithmetic is the same on either thread, so the results are
-bitwise those of the serial loops. The worker runs only with two or more
-views, two or more CPUs and single-threaded OpenBLAS (``_use_helper_thread``).
-What stays serial is the work shared by all views: the Z^i factor, the
-shared terms, factor and apply of the C update, the Z update, the consensus
-multipliers, the view weights and the folds.
+The views' results come back by view, and the calling thread folds them in
+view order. Each view's and the shared arithmetic is the same on either
+thread and in either order, so the results are bitwise those of the serial
+loops. The worker runs only with two or more views, two or more CPUs and
+single-threaded OpenBLAS (``_use_helper_thread``). What stays serial is
+small: the consensus multipliers, mu, the view weights, the folds and the
+finiteness check of C, Z, Theta, Phi and gamma.
 """
 
 from __future__ import annotations
@@ -172,11 +181,14 @@ class SolverConfig:
 class SolverState:
     """All iterates of one run.
 
-    During each per-view phase of an iteration, the calling thread and the
-    solve's worker thread each rebind the entries of view i for the views
-    they take: of Y, Ci and Zi before the C update, of Gamma, Lam and Omega
-    after it. They read only those entries and the rest of the state, which
-    no thread writes then. Outside the phases one thread owns it.
+    During each of an iteration's three dispatches, the calling thread and
+    the solve's worker thread each rebind the entries of view i for the
+    views they take: of Y, Ci and Zi before the C update, of Lam and Omega
+    beside it, of Gamma after it. The shared work of a dispatch, on the
+    calling thread, rebinds C beside the views' second step, and only Z (and
+    the solve's held Z^i factor) beside their third. Each thread reads only
+    what no other thread writes in that dispatch. Outside the dispatches one
+    thread owns the state.
     """
 
     Y: list[np.ndarray]
@@ -332,13 +344,14 @@ def update_view_coefficients(
     return left
 
 
-def _view_auxiliary_factor(state: SolverState, cfg: SolverConfig) -> np.ndarray:
+def _view_auxiliary_factor(C: np.ndarray, mu: float, cfg: SolverConfig) -> np.ndarray:
     """Inverse Cholesky factor of 2 alpha C^T C + mu I, the Z^i system matrix.
 
     It depends on C and mu only, so one factor serves every view of an
-    iteration.
+    iteration, and the solve forms it as soon as the previous iteration's C
+    and the grown mu are known.
     """
-    return spd_inverse_factor(_add_to_diagonal(gram(state.C, 2.0 * cfg.alpha), state.mu))
+    return spd_inverse_factor(_add_to_diagonal(gram(C, 2.0 * cfg.alpha), mu))
 
 
 def update_view_auxiliary(
@@ -400,7 +413,8 @@ def update_consensus_coefficients(
         shift += 2.0 * w
     if variant != VARIANT_NO_SMOOTHING:
         A -= 3.0 * mu * XXt
-        B += mu * XXt
+        # XXt is exactly symmetric, and its transpose has B's Fortran order
+        B += (mu * XXt).T
     _add_to_diagonal(B, shift)
     return spd_apply_right(A, spd_inverse_factor(B))
 
@@ -440,10 +454,11 @@ class _ConsensusSums:
         2w C^i, 2 alpha C^i Z^i^T and (4 mu Y^i + Gamma^i) X^i^T into A."""
         state = self.state
         ZZt, CZt, YXt = terms
-        # View 0 creates the sums in place, and 2w C^i reuses the buffer of
-        # Z^i Z^i^T, transposed to A's C order: the fold adds no n x n temporary.
+        # View 0 creates the sums in place, B in the Fortran order of Z^i Z^i^T
+        # and of the factor's copy, and 2w C^i reuses the buffer of Z^i Z^i^T,
+        # transposed to A's C order: the fold adds no n x n temporary.
         if i == 0:
-            self.B = np.full(state.C.shape, state.mu)
+            self.B = np.full(state.C.shape, state.mu, order="F")
             self.A = np.add(state.Z, 1.0)
             self.A *= state.mu
             self.A -= state.Theta
@@ -467,7 +482,8 @@ def update_consensus_auxiliary(state: SolverState, project: bool = True) -> np.n
 class _ViewMeasures(NamedTuple):
     """One view's scalars from after the C and Z updates, for the serial
     folds: the max-norms of its coupling (0 for ``no_smoothing``), split and
-    row-sum residuals, its mismatch J^i, and its two objective terms."""
+    row-sum residuals, its mismatch J^i, its two objective terms, and
+    whether all its iterates are finite."""
 
     gap_Y: float
     gap_CiZi: float
@@ -475,6 +491,28 @@ class _ViewMeasures(NamedTuple):
     J: float
     fit: float
     penalty: float
+    finite: bool
+
+
+def _view_beside_consensus(state: SolverState, i: int) -> tuple[float, float, float]:
+    """View i's work that reads no C, run beside the C update: the split and
+    row-sum residuals C^i - Z^i and C^i 1 - 1, their Lam^i and Omega^i steps
+    with the current mu, and the fit ||Y^i - C^i Y^i||_F^2. Returns
+    (gap_CiZi, gap_Ci1, fit), the residuals' max-norms and the fit."""
+    mu = state.mu
+    Y = state.Y[i]
+    Ci = state.Ci[i]
+    split = Ci - state.Zi[i]
+    rows = Ci.sum(axis=1) - 1.0
+    gap_CiZi = float(np.abs(split).max())
+    gap_Ci1 = float(np.abs(rows).max())
+    split *= mu
+    split += state.Lam[i]
+    state.Lam[i] = split
+    state.Omega[i] = state.Omega[i] + mu * rows
+    del split, rows
+    fit = float(np.sum((Y - Ci @ Y) ** 2))
+    return gap_CiZi, gap_Ci1, fit
 
 
 def _view_after_consensus(
@@ -486,20 +524,19 @@ def _view_after_consensus(
     *,
     CX: list[np.ndarray | None] | None,
     CZ: list[np.ndarray | None],
+    beside: list[tuple[float, float, float]],
 ) -> _ViewMeasures:
-    """View i's work after the C and Z updates, reading only view i's
-    iterates, C and mu.
+    """View i's work after the C update, reading only view i's iterates, C
+    and mu, and its measures ``beside[i]`` from ``_view_beside_consensus``.
 
     Forms C X^i into ``CX[i]`` (None for ``no_smoothing``), the coupling
-    residual 4Y^i - 3X^i - CX^i and its Gamma^i step, the split and row-sum
-    residuals C^i - Z^i and C^i 1 - 1 with their Lam^i and Omega^i steps, all
-    with the current mu, then J^i = ||C - C^i||_F^2, C Z^i into ``CZ[i]``
-    (not for ``frobenius``) and the view's objective terms
-    ||Y^i - C^i Y^i||_F^2 and alpha ||C^i - C Z^i||_F^2 (alpha ||C^i||_F^2
-    for ``frobenius``). C X^i and C Z^i serve the next iteration's Y^i and
-    C^i updates.
+    residual 4Y^i - 3X^i - CX^i and its Gamma^i step with the current mu,
+    then J^i = ||C - C^i||_F^2, C Z^i into ``CZ[i]`` (not for
+    ``frobenius``) and the penalty term alpha ||C^i - C Z^i||_F^2
+    (alpha ||C^i||_F^2 for ``frobenius``), and checks that view i's iterates
+    are finite. C X^i and C Z^i serve the next iteration's Y^i and C^i
+    updates.
     """
-    mu = state.mu
     Y = state.Y[i]
     Ci = state.Ci[i]
     gap_Y = 0.0
@@ -508,25 +545,18 @@ def _view_after_consensus(
         CX[i] = state.C @ X
         coupling = 4.0 * Y - 3.0 * X - CX[i]
         gap_Y = float(np.abs(coupling).max())
-        state.Gamma[i] = state.Gamma[i] + mu * coupling
+        state.Gamma[i] = state.Gamma[i] + state.mu * coupling
         del coupling
-    split = Ci - state.Zi[i]
-    rows = Ci.sum(axis=1) - 1.0
-    gap_CiZi = float(np.abs(split).max())
-    gap_Ci1 = float(np.abs(rows).max())
-    split *= mu
-    split += state.Lam[i]
-    state.Lam[i] = split
-    state.Omega[i] = state.Omega[i] + mu * rows
-    del split, rows
     J = float(np.sum((state.C - Ci) ** 2))
     if variant == VARIANT_FROBENIUS:
         penalty = cfg.alpha * float(np.sum(Ci**2))
     else:
         CZ[i] = state.C @ state.Zi[i]
         penalty = cfg.alpha * float(np.sum((Ci - CZ[i]) ** 2))
-    fit = float(np.sum((Y - Ci @ Y) ** 2))
-    return _ViewMeasures(gap_Y, gap_CiZi, gap_Ci1, J, fit, penalty)
+    iterates = (Y, Ci, state.Zi[i], state.Gamma[i], state.Lam[i], state.Omega[i])
+    finite = all(np.all(np.isfinite(arr)) for arr in iterates)
+    gap_CiZi, gap_Ci1, fit = beside[i]
+    return _ViewMeasures(gap_Y, gap_CiZi, gap_Ci1, J, fit, penalty, finite)
 
 
 def _consensus_residuals(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
@@ -560,19 +590,24 @@ def constraint_gaps(residuals: tuple, views: list[_ViewMeasures]) -> dict[str, f
     }
 
 
+def _grown_penalty(mu: float, cfg: SolverConfig) -> float:
+    """The penalty of the iteration after one at ``mu``: min(mu_max, rho mu)."""
+    return min(cfg.mu_max, cfg.rho * mu)
+
+
 def update_multipliers(state: SolverState, cfg: SolverConfig, residuals: tuple) -> None:
     """Ascend the consensus multipliers Theta and Phi with the current mu,
-    then grow mu to min(mu_max, rho * mu).
+    then grow mu (``_grown_penalty``).
 
     ``residuals`` is ``_consensus_residuals`` of the current state. Each
-    view's Gamma^i, Lam^i and Omega^i step, with the same mu, is part of
-    ``_view_after_consensus``, which must run first.
+    view's Lam^i and Omega^i step (``_view_beside_consensus``) and Gamma^i
+    step (``_view_after_consensus``), with the same mu, must run first.
     """
     mu = state.mu
     C_Z, C_1 = residuals
     state.Theta = state.Theta + mu * C_Z
     state.Phi = state.Phi + mu * C_1
-    state.mu = min(cfg.mu_max, cfg.rho * mu)
+    state.mu = _grown_penalty(mu, cfg)
 
 
 def view_mismatches(views: list[_ViewMeasures]) -> np.ndarray:
@@ -608,16 +643,19 @@ def objective_value(state: SolverState, cfg: SolverConfig, views: list[_ViewMeas
     return total
 
 
-def _check_finite(state: SolverState, diagnostics: Diagnostics) -> None:
+def _check_finite(
+    state: SolverState, diagnostics: Diagnostics, views: list[_ViewMeasures]
+) -> None:
+    """Raise if C, Z, Theta, Phi, gamma or, by its ``_view_after_consensus``
+    check, any view's iterates hold a non-finite entry."""
     iterates = [state.C, state.Z, state.Theta, state.Phi, state.gamma]
-    iterates += state.Y + state.Ci + state.Zi + state.Gamma + state.Lam + state.Omega
-    for arr in iterates:
-        if not np.all(np.isfinite(arr)):
-            raise SolverNumericalError(
-                f"non-finite iterate at iteration {state.iteration}",
-                iteration=state.iteration,
-                diagnostics=diagnostics,
-            )
+    finite = all(np.all(np.isfinite(arr)) for arr in iterates)
+    if not (finite and all(view.finite for view in views)):
+        raise SolverNumericalError(
+            f"non-finite iterate at iteration {state.iteration}",
+            iteration=state.iteration,
+            diagnostics=diagnostics,
+        )
 
 
 def _use_helper_thread(n_views: int) -> bool:
@@ -658,14 +696,19 @@ def _view_before_consensus(
     return _consensus_terms(state, ds, cfg, variant, i)
 
 
-def _run_views(pool: ThreadPoolExecutor | None, n_views: int, task, fold=None) -> list:
+def _run_views(
+    pool: ThreadPoolExecutor | None, n_views: int, task, fold=None, shared=None
+) -> list:
     """``task(i)`` for every view i; returns the results in view order, or
     with a ``fold`` runs ``fold(i, task(i))`` for every view in view order.
+    ``shared()``, if given, is work that reads nothing the tasks write and
+    writes nothing they read; the calling thread runs it first.
 
     The only code that knows about threads: with a one-worker ``pool``, the
-    calling thread and the worker take the views in order from one shared
-    sequence, and each folds the views it ran, view i only once view i - 1's
-    fold has finished. Once a task or fold raises, neither thread takes
+    worker starts taking the views in order from one shared sequence at
+    once, and the calling thread joins it when ``shared`` returns; each
+    folds the views it ran, view i only once view i - 1's fold has
+    finished. Once ``shared``, a task or a fold raises, neither thread takes
     another view or fold, so the error is raised once.
     """
     results = [None] * n_views
@@ -675,26 +718,30 @@ def _run_views(pool: ThreadPoolExecutor | None, n_views: int, task, fold=None) -
     changed = threading.Condition()
 
     def work() -> None:
-        nonlocal folded, failed
-        try:
-            while True:
-                with changed:
-                    i = None if failed else next(views, None)
-                if i is None:
+        nonlocal folded
+        while True:
+            with changed:
+                i = None if failed else next(views, None)
+            if i is None:
+                return
+            result = task(i)
+            if fold is None:
+                results[i] = result
+                continue
+            with changed:
+                changed.wait_for(lambda: failed or folded == i)
+                if failed:
                     return
-                result = task(i)
-                if fold is None:
-                    results[i] = result
-                    continue
-                with changed:
-                    changed.wait_for(lambda: failed or folded == i)
-                    if failed:
-                        return
-                fold(i, result)
-                del result  # not held through the next view's task
-                with changed:
-                    folded += 1
-                    changed.notify_all()
+            fold(i, result)
+            del result  # not held through the next view's task
+            with changed:
+                folded += 1
+                changed.notify_all()
+
+    def stopping_on_error(run) -> None:
+        nonlocal failed
+        try:
+            run()
         except BaseException:
             with changed:
                 failed = True
@@ -702,16 +749,20 @@ def _run_views(pool: ThreadPoolExecutor | None, n_views: int, task, fold=None) -
             raise
 
     if pool is None:
+        if shared is not None:
+            shared()
         work()
-    else:
-        # a copy of the caller's context carries np.errstate to the worker
-        worker = pool.submit(contextvars.copy_context().run, work)
-        try:
-            work()
-        finally:
-            error = worker.exception()
-        if error is not None:
-            raise error
+        return results
+    # a copy of the caller's context carries np.errstate to the worker
+    worker = pool.submit(contextvars.copy_context().run, stopping_on_error, work)
+    try:
+        if shared is not None:
+            stopping_on_error(shared)
+        stopping_on_error(work)
+    finally:
+        error = worker.exception()
+    if error is not None:
+        raise error
     return results
 
 
@@ -719,8 +770,9 @@ def solve_peak_bytes(n_samples: int, n_views: int, total_dim: int) -> int:
     """Estimated peak bytes a solve allocates for n samples, v views and
     total_dim = sum_i d_i: 8 [(4v + 13) n^2 + 6.5 n sum_i d_i].
 
-    The peak falls in an iteration's first per-view phase, while its first
-    two views are in flight on the calling and the worker thread. Live then
+    The peak falls in an iteration's first dispatch, while its first two
+    views are in flight on the calling and the worker thread (or, with
+    views wider than n, about as high in the last). Live then
     are 4v + 7 n x n arrays: C^i, Z^i, Lam^i and C Z^i of every view, C, Z,
     Theta, sum_i X^i X^i^T, the Z^i inverse factor and the sums A and B of
     the C update; each view in flight adds its update temporaries, or its
@@ -728,11 +780,15 @@ def solve_peak_bytes(n_samples: int, n_views: int, total_dim: int) -> int:
     them. The n x d_i arrays (Y^i, Gamma^i, C X^i and the temporaries of the
     views in flight, the thin-SVD factors among them) make up the second
     term. Fitted to the worst interleaving of the two threads, taken as the
-    largest sum, over two views of one phase, of one view's tracemalloc peak
-    and the other's rise above its start, for all three variants at 14
-    shapes from n=60 to n=300, v=2 to v=6 and d_i up to 7n: it bounds each
-    from above, the full variant's within 22 %. A solve without the worker
-    thread peaks 3 to 5 n^2 below that worst interleaving.
+    largest sum, over two units of one dispatch (a view's task and fold, or
+    the shared work), of one unit's tracemalloc peak and the other's rise
+    above its start, for all three variants at 14 shapes from n=60 to
+    n=300, v=2 to v=6 and d_i up to 7n: it bounds each from above. Forming
+    the next iteration's Z^i factor in the last dispatch, beside the views,
+    raised that worst interleaving by at most 0.73 n^2 (n=60, v=6), and no
+    shape came within 1.6 % of the estimate, which did not move. A solve
+    without the worker thread peaks 3 to 5 n^2 below that worst
+    interleaving.
     """
     n = n_samples
     return 4 * ((8 * n_views + 26) * n * n + 13 * n * total_dim)
@@ -746,18 +802,22 @@ def solve(
     One iteration updates, in order: per view Y^i, C^i, Z^i (every view
     against the previous iteration's consensus), then C, Z, the multipliers
     with the current mu, mu itself, and finally the view weights. Each
-    iteration's per-view work runs in two phases, before the C update and
-    after the Z update, on the calling thread and, where
-    ``_use_helper_thread`` allows, the one worker of a thread pool, with each
-    view's terms of the C update folded in view order; the outputs are
-    bitwise those of one thread. The run stops once every constraint-gap
-    max-norm is <= cfg.eps and the squared successive changes of C and Z are
-    <= RESID_TOL. The optional ``callback(state)`` fires after each completed
-    iteration, on the calling thread. A linear algebra failure in an
-    iteration's updates, on either thread, or a non-finite iterate, raises
-    one ``SolverNumericalError`` with the iteration and the diagnostics
-    recorded so far; the pool is shut down by the time ``solve`` returns or
-    raises.
+    iteration runs in three dispatches on the calling thread and, where
+    ``_use_helper_thread`` allows, the one worker of a thread pool: the
+    views' Y^i, C^i and Z^i updates, with each view's terms of the C update
+    folded in view order; the C update beside the views' multiplier steps
+    that read no C; and the Z update and the next iteration's Z^i factor
+    beside the rest of the views' work. The
+    outputs are bitwise those of one thread. The run stops once every
+    constraint-gap max-norm is <= cfg.eps and the squared successive changes
+    of C and Z are <= RESID_TOL. The optional ``callback(state)`` fires after
+    each completed iteration, on the calling thread. A linear algebra
+    failure in an iteration's updates, on either thread, or a non-finite
+    iterate, raises one ``SolverNumericalError`` with the iteration and the
+    diagnostics recorded so far; a failure to form the Z^i factor of
+    iteration k + 1, formed in iteration k, counts as iteration k + 1's and
+    is not raised if the run stops at k. The pool is shut down by the time
+    ``solve`` returns or raises.
 
     ``no_smoothing`` pins Y^i to X^i, with no feature-coupling constraint or
     Gamma^i multiplier. ``frobenius`` puts a plain ridge penalty
@@ -781,41 +841,71 @@ def solve(
     # solve_peak_bytes.
     CZ = [np.zeros_like(Zi) if split else None for Zi in state.Zi]
     CX = [np.zeros_like(X) for X in ds.views] if smoothing else None
+
+    def next_factor(mu: float) -> np.ndarray | np.linalg.LinAlgError | None:
+        """The Z^i inverse factor at the current C and ``mu``, or the
+        LinAlgError that forming it raised. The error is held: the iteration
+        that the factor serves raises it, so a solve that stops first never
+        does."""
+        if not split:
+            return None
+        try:
+            return _view_auxiliary_factor(state.C, mu, cfg)
+        except np.linalg.LinAlgError as exc:
+            return exc
+
+    # The shared work beside the views' second and third steps, on the
+    # calling thread; each drops the previous C or Z once its squared change
+    # is taken.
+    def update_consensus() -> None:
+        nonlocal residual_C
+        C_prev = state.C
+        state.C = update_consensus_coefficients(state, ds, cfg, variant, XXt=XXt, sums=sums)
+        residual_C = float(np.sum((state.C - C_prev) ** 2))
+
+    def after_consensus() -> None:
+        nonlocal residual_Z, residuals, factor
+        Z_prev = state.Z
+        state.Z = update_consensus_auxiliary(state)
+        residual_Z = float(np.sum((state.Z - Z_prev) ** 2))
+        del Z_prev
+        residuals = _consensus_residuals(state)
+        factor = next_factor(_grown_penalty(state.mu, cfg))
+
+    residual_C = residual_Z = 0.0
+    residuals = None
+    factor = next_factor(state.mu)
     pool = ThreadPoolExecutor(max_workers=1) if _use_helper_thread(ds.n_views) else None
     try:
         for iteration in range(1, cfg.max_iter + 1):
             state.iteration = iteration
-            C_prev = state.C
-            Z_prev = state.Z
             try:
-                factor = _view_auxiliary_factor(state, cfg) if split else None
+                if isinstance(factor, np.linalg.LinAlgError):
+                    raise factor
                 sums = _ConsensusSums(state, cfg)
                 before = functools.partial(
                     _view_before_consensus, state, ds, cfg, variant, factor=factor, CX=CX, CZ=CZ
                 )
                 _run_views(pool, ds.n_views, before, fold=sums.add)
-                del before, factor
-                state.C = update_consensus_coefficients(
-                    state, ds, cfg, variant, XXt=XXt, sums=sums
-                )
-                del sums
+                del before
+                factor = None
+                steps = functools.partial(_view_beside_consensus, state)
+                beside = _run_views(pool, ds.n_views, steps, shared=update_consensus)
+                del steps, sums
             except np.linalg.LinAlgError as exc:
                 raise SolverNumericalError(
                     f"linear solve failed at iteration {iteration}: {exc}",
                     iteration=iteration,
                     diagnostics=diagnostics,
                 ) from None
-            state.Z = update_consensus_auxiliary(state)
-            residual_C = float(np.sum((state.C - C_prev) ** 2))
-            residual_Z = float(np.sum((state.Z - Z_prev) ** 2))
-            del C_prev, Z_prev
-            after = functools.partial(_view_after_consensus, state, ds, cfg, variant, CX=CX, CZ=CZ)
-            views = _run_views(pool, ds.n_views, after)
-            del after
-            residuals = _consensus_residuals(state)
+            after = functools.partial(
+                _view_after_consensus, state, ds, cfg, variant, CX=CX, CZ=CZ, beside=beside
+            )
+            views = _run_views(pool, ds.n_views, after, shared=after_consensus)
+            del after, beside
             gaps = constraint_gaps(residuals, views)
             update_multipliers(state, cfg, residuals)
-            del residuals
+            residuals = None
             J = view_mismatches(views)
             state.gamma = update_view_weights(J, cfg)
 
@@ -826,7 +916,7 @@ def solve(
             diagnostics.objective.append(objective_value(state, cfg, views))
             diagnostics.J.append(J)
 
-            _check_finite(state, diagnostics)
+            _check_finite(state, diagnostics, views)
             if callback is not None:
                 callback(state)
 

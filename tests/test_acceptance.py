@@ -92,7 +92,7 @@ def test_criterion_01_stationarity_suite():
         i = idx % v
         Y = update_view_representation(state, ds, i, CX=state.C @ ds.views[i])
         Ci = update_view_coefficients(state, i, cfg, CZi=state.C @ state.Zi[i])
-        factor = _view_auxiliary_factor(state, cfg)
+        factor = _view_auxiliary_factor(state.C, state.mu, cfg)
         Zi = update_view_auxiliary(state, i, cfg, project=False, factor=factor)
         C = update_consensus_coefficients(
             state, ds, cfg, XXt=_feature_gram(ds), sums=consensus_sums(state, ds, cfg)

@@ -91,13 +91,16 @@ def consensus_sums(state, ds, cfg=CFG, variant="full"):
 
 
 def after_consensus(state, ds, cfg=CFG, variant="full"):
-    """Every view's work after the C and Z updates, run on this thread as
-    solve runs it without the helper: steps Gamma^i, Lam^i and Omega^i and
-    returns the views' measures."""
+    """Every view's work beside and after the C update, run on this thread
+    as solve runs it without the helper: steps Lam^i and Omega^i, then
+    Gamma^i, and returns the views' measures."""
+    task = functools.partial(solver._view_beside_consensus, state)
+    beside = solver._run_views(None, ds.n_views, task)
     CX = None if variant == "no_smoothing" else [None] * ds.n_views
     task = functools.partial(
-        solver._view_after_consensus, state, ds, cfg, variant, CX=CX, CZ=[None] * ds.n_views
-    )
+        solver._view_after_consensus, state, ds, cfg, variant, CX=CX, CZ=[None] * ds.n_views,
+        beside=beside,
+    )  # fmt: skip
     return solver._run_views(None, ds.n_views, task)
 
 
@@ -295,7 +298,7 @@ def test_view_auxiliary_mu_cancels_without_consensus():
     state = random_state(ds, seed=12)
     state.C = np.zeros((4, 4))
     state.Lam = [np.zeros((4, 4))]
-    factor = _view_auxiliary_factor(state, CFG)
+    factor = _view_auxiliary_factor(state.C, state.mu, CFG)
     raw = update_view_auxiliary(state, 0, CFG, project=False, factor=factor)
     np.testing.assert_allclose(raw, state.Ci[0], atol=1e-12)
     projected = update_view_auxiliary(state, 0, CFG, factor=factor)
@@ -305,7 +308,8 @@ def test_view_auxiliary_mu_cancels_without_consensus():
 def test_view_auxiliary_projection_contract():
     ds = toy_dataset(n=5, v=2, seed=13)
     state = random_state(ds, seed=14)
-    Zi = update_view_auxiliary(state, 0, CFG, factor=_view_auxiliary_factor(state, CFG))
+    factor = _view_auxiliary_factor(state.C, state.mu, CFG)
+    Zi = update_view_auxiliary(state, 0, CFG, factor=factor)
     np.testing.assert_array_equal(Zi, Zi.T)
     assert Zi.min() >= 0.0
     np.testing.assert_array_equal(np.diag(Zi), np.zeros(5))
@@ -314,7 +318,7 @@ def test_view_auxiliary_projection_contract():
 def test_view_auxiliary_stationarity_pre_projection():
     ds = toy_dataset(n=5, v=2, seed=15)
     state = random_state(ds, seed=16)
-    factor = _view_auxiliary_factor(state, CFG)
+    factor = _view_auxiliary_factor(state.C, state.mu, CFG)
     Zi = update_view_auxiliary(state, 1, CFG, project=False, factor=factor)
     assert_stationary(zi_subproblem(state, 1, CFG), Zi)
 
@@ -367,6 +371,15 @@ def test_consensus_update_matches_dense_solve_oracle():
     B = XXt + np.eye(n) + ones_mat
     expected = np.linalg.solve(B.T, A.T).T
     np.testing.assert_allclose(C, expected, atol=1e-8)
+
+
+def test_feature_gram_is_exactly_symmetric():
+    # The C update adds it to the Fortran-ordered B through its transpose,
+    # which must leave every bit of B as adding it directly would.
+    ds = toy_dataset(n=40, v=3, d=9, seed=19)
+    for views in (ds.views, [np.asfortranarray(X) for X in ds.views]):
+        XXt = _feature_gram(MultiViewDataset(views=views))
+        assert np.array_equal(XXt, XXt.T)
 
 
 def test_consensus_update_stationarity():
@@ -800,6 +813,71 @@ def test_solve_reports_linear_algebra_failure_once(monkeypatch, operation):
     )
 
 
+@pytest.mark.parametrize("max_iter", [10, 2])
+def test_solve_holds_a_failed_view_auxiliary_factor(monkeypatch, max_iter):
+    # Iteration 3's Z^i factor is the third formed, in iteration 2. Its
+    # failure is iteration 3's, and a solve that stops at 2 never raises it.
+    completed = []
+    formed_in = []
+    original = solver._view_auxiliary_factor
+
+    def fail_for_third_iteration(*args):
+        formed_in.append(len(completed) + 1)
+        if len(formed_in) == 3:
+            raise np.linalg.LinAlgError("dpotrf: leading minor 2 is not positive definite")
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_view_auxiliary_factor", fail_for_third_iteration)
+    cfg = SolverConfig(max_iter=max_iter)
+    if max_iter == 2:
+        out = solve(small_solvable_dataset(), cfg, callback=completed.append)
+        assert out.iterations == 2
+        assert formed_in == [1, 1, 2]
+        return
+    with pytest.raises(SolverNumericalError) as excinfo:
+        solve(small_solvable_dataset(), cfg, callback=completed.append)
+    assert formed_in == [1, 1, 2]
+    error = excinfo.value
+    assert error.iteration == 3
+    assert len(error.diagnostics) == 2
+    assert str(error) == (
+        "linear solve failed at iteration 3: dpotrf: leading minor 2 is not positive definite"
+    )
+
+
+def test_solve_reports_a_non_finite_view_iterate_from_the_worker(monkeypatch):
+    # In iteration 3 the worker plants a NaN in the Lam^i it steps beside the
+    # C update, which waits until it has. Only the view's own finiteness
+    # check on the worker sees it, and it must still stop the solve there.
+    monkeypatch.setattr(solver, "_use_helper_thread", lambda n_views: True)
+    caller = threading.current_thread()
+    planted = threading.Event()
+    completed = []
+    original_beside = solver._view_beside_consensus
+    original_update = solver.update_consensus_coefficients
+
+    def plant_on_worker(state, i):
+        measures = original_beside(state, i)
+        if len(completed) == 2 and threading.current_thread() is not caller:
+            state.Lam[i][0, 1] = np.nan
+            planted.set()
+        return measures
+
+    def update_once_planted(*args, **kwargs):
+        if len(completed) == 2:
+            assert planted.wait(timeout=30)
+        return original_update(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_view_beside_consensus", plant_on_worker)
+    monkeypatch.setattr(solver, "update_consensus_coefficients", update_once_planted)
+    with pytest.raises(SolverNumericalError) as excinfo:
+        solve(small_solvable_dataset(), SolverConfig(max_iter=10), callback=completed.append)
+    error = excinfo.value
+    assert error.iteration == 3
+    assert len(error.diagnostics) == 3
+    assert str(error) == "non-finite iterate at iteration 3"
+
+
 def assert_bitwise_equal(actual, expected):
     """Equal bits, dtypes and shapes, through dataclasses and lists."""
     assert type(actual) is type(expected)
@@ -820,17 +898,18 @@ def assert_bitwise_equal(actual, expected):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
     # View dims 5 and 8 at n = 60 take the thin-SVD C^i update, 30 the
-    # inverse Cholesky one. Both threads must run each per-view phase and
-    # fold terms into the C update's sums.
+    # inverse Cholesky one. Both threads must run each of the views' three
+    # steps and fold terms into the C update's sums.
     spec = SyntheticSpec(
         k=3, n_per_cluster=20, subspace_dim=3, view_dims=(5, 30, 8), noise_sigma=0.1, seed=3
     )
     ds = generate_synthetic(spec)
-    threads = {"views": set(), "sums": set(), "after consensus": set()}
+    threads = {"views": set(), "sums": set(), "beside consensus": set(), "after consensus": set()}
+    calling_thread = {"C update": set(), "Z^i factor": set()}
 
-    def recording(key, original):
+    def recording(key, original, record=threads):
         def record_thread(*args, **kwargs):
-            threads[key].add(threading.get_ident())
+            record[key].add(threading.get_ident())
             return original(*args, **kwargs)
 
         return record_thread
@@ -839,11 +918,16 @@ def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
         solver, "update_view_coefficients", recording("views", solver.update_view_coefficients)
     )
     monkeypatch.setattr(solver._ConsensusSums, "add", recording("sums", solver._ConsensusSums.add))
-    monkeypatch.setattr(
-        solver,
-        "_view_after_consensus",
-        recording("after consensus", solver._view_after_consensus),
-    )
+    for key, name in [
+        ("beside consensus", "_view_beside_consensus"),
+        ("after consensus", "_view_after_consensus"),
+    ]:
+        monkeypatch.setattr(solver, name, recording(key, getattr(solver, name)))
+    for key, name in [
+        ("C update", "update_consensus_coefficients"),
+        ("Z^i factor", "_view_auxiliary_factor"),
+    ]:
+        monkeypatch.setattr(solver, name, recording(key, getattr(solver, name), calling_thread))
     outputs = []
     threads_before = threading.active_count()
     # Switch threads as often as the interpreter allows, so that the two
@@ -858,6 +942,11 @@ def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
         sys.setswitchinterval(interval)
     assert_bitwise_equal(*outputs)
     assert {key: len(ids) for key, ids in threads.items()} == dict.fromkeys(threads, 2)
+    # the shared work of the C update and of the next Z^i factor (which
+    # frobenius does not form) stays on the calling thread
+    caller = {threading.get_ident()}
+    expected = {"C update": caller, "Z^i factor": set() if variant == "frobenius" else caller}
+    assert calling_thread == expected
     assert threading.active_count() == threads_before
 
 
@@ -909,7 +998,7 @@ def test_solve_reports_helper_thread_failure_once(monkeypatch):
 N_VIEWS = 8
 
 
-def run_views_on_pool(task, fold=None) -> dict:
+def run_views_on_pool(task, fold=None, shared=None) -> dict:
     """``_run_views`` on a real one-worker pool at the shortest switch
     interval, called from a thread named "run-views" that is joined with a
     timeout; returns the results or what it raised. Checks that it does not
@@ -919,7 +1008,7 @@ def run_views_on_pool(task, fold=None) -> dict:
     def run():
         try:
             with ThreadPoolExecutor(max_workers=1) as pool:
-                outcome["results"] = solver._run_views(pool, N_VIEWS, task, fold)
+                outcome["results"] = solver._run_views(pool, N_VIEWS, task, fold, shared)
         except Exception as exc:
             outcome["raised"] = exc
 
@@ -1003,6 +1092,83 @@ def test_run_views_raises_a_failure_once(failing):
     assert folds == list(range(k))
 
 
+@pytest.mark.parametrize("folding", [True, False], ids=["fold", "results"])
+def test_run_views_runs_shared_beside_the_worker(folding):
+    # shared returns only once the worker has taken three views, and the
+    # worker takes none after those until the calling thread has joined it.
+    # Results and folds stay in view order.
+    worker_took_three = threading.Event()
+    caller_joined = threading.Event()
+    ran_on, folds, shared_on = {}, [], []
+
+    def task(i):
+        name = threading.current_thread().name
+        ran_on[i] = name
+        if name == "run-views":
+            caller_joined.set()
+        elif i == 2:
+            worker_took_three.set()
+        elif i > 2:
+            assert caller_joined.wait(timeout=30)
+        time.sleep(0.002 * (i * 5 % 3))
+        return i * i
+
+    def shared():
+        shared_on.append(threading.current_thread().name)
+        assert worker_took_three.wait(timeout=30)
+
+    def fold(i, result):
+        folds.append((i, result, ran_on[i], threading.current_thread().name))
+
+    outcome = run_views_on_pool(task, fold if folding else None, shared)
+    assert shared_on == ["run-views"]
+    assert "run-views" not in [ran_on[i] for i in range(3)]
+    assert "run-views" in ran_on.values()
+    if folding:
+        assert outcome == {"results": [None] * N_VIEWS}
+        assert folds == [(i, i * i, ran_on[i], ran_on[i]) for i in range(N_VIEWS)]
+    else:
+        assert outcome == {"results": [i * i for i in range(N_VIEWS)]}
+
+
+@pytest.mark.parametrize("failing", ["shared", "view"])
+def test_run_views_raises_a_failure_beside_shared_once(failing):
+    # Either shared fails while the worker runs view 0, or view 0 fails
+    # while shared runs. The one error must come out of _run_views, and no
+    # later view may start, nor any fold run.
+    worker_in_view = threading.Event()
+    shared_failed = threading.Event()
+    view_failed = threading.Event()
+    started, folds, raised = [], [], []
+
+    def fail(what, failed):
+        raised.append(ValueError(f"{what} failed"))
+        failed.set()
+        raise raised[-1]
+
+    def task(i):
+        started.append(i)
+        worker_in_view.set()
+        if failing == "view":
+            fail(f"view {i}", view_failed)
+        assert shared_failed.wait(timeout=30)
+        time.sleep(0.1)  # let the calling thread record the failure
+        return i
+
+    def shared():
+        assert worker_in_view.wait(timeout=30)
+        if failing == "shared":
+            fail("shared", shared_failed)
+        assert view_failed.wait(timeout=30)
+        time.sleep(0.1)  # let the worker record the failure
+
+    outcome = run_views_on_pool(task, lambda i, result: folds.append(i), shared)
+    assert len(raised) == 1
+    assert outcome == {"raised": raised[0]}
+    assert started == [0]
+    assert folds == []
+
+
 def test_blas_threads():
     # tests/conftest.py pins OPENBLAS_NUM_THREADS=1 before numpy is loaded.
     assert _lapack.blas_threads() == 1
@@ -1080,7 +1246,7 @@ def test_updates_match_dense_reference(variant, n, d):
     state = random_state(ds, seed=61 + d)
     CX = [state.C @ X for X in ds.views]
     CZ = [state.C @ Zi for Zi in state.Zi]
-    factor = _view_auxiliary_factor(state, CFG)
+    factor = _view_auxiliary_factor(state.C, state.mu, CFG)
     for i in range(ds.n_views):
         assert_equivalent(
             update_view_representation(state, ds, i, CX=CX[i]),
