@@ -11,7 +11,10 @@ character argument is passed by pointer, and its hidden ``size_t`` length
 follows all the other arguments. ctypes releases the GIL for each call.
 
 Every operation works on upper triangles: ``gram`` fills one, and
-``spd_solve`` and ``spd_inverse_factor`` read no more. A system with n
+``cholesky`` and ``spd_inverse_factor`` read no more. A system with d
+right-hand sides is solved against the factor of ``cholesky`` by
+``spd_solve``, so that the factorization can be made ahead of the
+right-hand side. A system with n
 right-hand sides is applied as A^{-1} = Ri Ri^T, where Ri is the inverse of
 the upper Cholesky factor A = R^T R, by two triangular products; these run at
 about twice the speed of the two triangular solves they replace. A C-ordered
@@ -119,9 +122,9 @@ def gram(M, scale: float = 1.0, outer: bool = False) -> np.ndarray:
     return c
 
 
-def _cholesky(A) -> np.ndarray:
-    """Upper Cholesky factor R of A = R^T R, in a Fortran-ordered copy of A
-    whose strict lower triangle keeps A's entries."""
+def cholesky(A) -> np.ndarray:
+    """Upper Cholesky factor R of SPD A = R^T R, in a Fortran-ordered copy of
+    A whose strict lower triangle keeps A's entries."""
     R = _fortran(A, copy=True)
     n = _square(R)
     info = _i64()
@@ -130,10 +133,10 @@ def _cholesky(A) -> np.ndarray:
     return R
 
 
-def spd_solve(A, B) -> np.ndarray:
-    """Solution X of A X = B for SPD A, by Cholesky, in a new
-    Fortran-ordered matrix."""
-    R = _cholesky(A)
+def spd_solve(R, B) -> np.ndarray:
+    """Solution X of A X = B for SPD A, from its factor R = ``cholesky(A)``,
+    in a new Fortran-ordered matrix."""
+    R = _fortran(R)
     X = _fortran(B, copy=True)
     n = _square(R, X.shape[0])
     info = _i64()
@@ -148,7 +151,7 @@ def spd_solve(A, B) -> np.ndarray:
 def spd_inverse_factor(A) -> np.ndarray:
     """Ri = R^{-1} for the upper Cholesky factor R of SPD A, so that
     A^{-1} = Ri Ri^T. Only the upper triangle of Ri is meaningful."""
-    Ri = _cholesky(A)
+    Ri = cholesky(A)
     n = Ri.shape[0]
     info = _i64()
     _dtrtri(b"U", b"N", _i64(n), Ri.ctypes.data, _i64(max(1, n)), info, 1, 1)

@@ -369,6 +369,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     ds = _load_experiment_dataset(cfg)
     if cfg.k is None and ds.labels is None:
         raise ConfigError("k is required when the dataset has no labels")
+    if cfg.k is not None and cfg.k > ds.n_samples:
+        raise ConfigError(f"k={cfg.k} exceeds the {ds.n_samples} samples of the dataset")
     need = solve_peak_bytes(ds.n_samples, ds.n_views, sum(x.shape[1] for x in ds.views))
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:

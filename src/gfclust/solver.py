@@ -18,11 +18,11 @@ squared Frobenius penalty.
 
 All linear systems are symmetric positive definite (SPD), and ``_lapack``
 holds every operation on them: the Y^i systems have d_i right-hand sides and
-are solved by Cholesky (``spd_solve``); the n x n systems with n right-hand
-sides (Z^i, C, and the C^i of a wide view) are applied through the inverse
-Cholesky factor (``spd_inverse_factor``, ``spd_apply_left``,
-``spd_apply_right``), with the same forward error at about twice the speed
-of two triangular solves. A failed factorization raises
+are solved by Cholesky (``cholesky``, then ``spd_solve``); the n x n
+systems with n right-hand sides (Z^i, C, and the C^i of a wide view) are
+applied through the inverse Cholesky factor (``spd_inverse_factor``,
+``spd_apply_left``, ``spd_apply_right``), with the same forward error at
+about twice the speed of two triangular solves. A failed factorization raises
 ``numpy.linalg.LinAlgError`` there, and ``solve`` turns it into a
 ``SolverNumericalError`` naming the iteration. The updates use the structure
 of their matrices:
@@ -83,8 +83,14 @@ takes views, then joins it.
    check of its iterates (``_view_after_consensus``).
 
 The views' results come back by view, and the calling thread folds them in
-view order. Each view's and the shared arithmetic is the same on either
-thread and in either order, so the results are bitwise those of the serial
+view order. A thread that would otherwise wait for the other at the end of
+a dispatch brings the next iteration's Y^i systems forward instead
+(``_look_ahead``): view i's system matrix 2(I - C^i)^T(I - C^i) + 16 mu I
+reads only its final C^i of the iteration and the next mu, so it is formed,
+then factored, one step at a time, and view i's next Y^i update takes the
+steps still missing (``_RepresentationSystem``). Each view's and the shared
+arithmetic is the same on either thread, in either order and whichever
+thread forms the system, so the results are bitwise those of the serial
 loops. The worker runs only with two or more views, two or more CPUs and
 single-threaded OpenBLAS (``_use_helper_thread``). What stays serial is
 small: the consensus multipliers, mu, the view weights, the folds and the
@@ -105,6 +111,7 @@ import numpy as np
 
 from ._lapack import (
     blas_threads,
+    cholesky,
     gram,
     spd_apply_left,
     spd_apply_right,
@@ -186,9 +193,12 @@ class SolverState:
     views they take: of Y, Ci and Zi before the C update, of Lam and Omega
     beside it, of Gamma after it. The shared work of a dispatch, on the
     calling thread, rebinds C beside the views' second step, and only Z (and
-    the solve's held Z^i factor) beside their third. Each thread reads only
-    what no other thread writes in that dispatch. Outside the dispatches one
-    thread owns the state.
+    the solve's held Z^i factor) beside their third. A thread's spare work
+    (``_look_ahead``) writes only view i's slot of the solve's next Y^i
+    systems, which only view i's next Y^i update reads, and reads only C^i
+    and mu; in the first dispatch it takes only views already folded. Each
+    thread reads only what no other thread writes in that dispatch. Outside
+    the dispatches one thread owns the state.
     """
 
     Y: list[np.ndarray]
@@ -272,21 +282,76 @@ def project_constraints(M: np.ndarray) -> np.ndarray:
     return M
 
 
+class _RepresentationSystem:
+    """The Y^i system matrix 2(I - C^i)^T(I - C^i) + 16 mu I at one C^i and
+    mu, brought forward a step at a time: ``step`` forms the matrix, then its
+    Cholesky factor in place of it. A LinAlgError from either step is held,
+    and ``factor`` raises it."""
+
+    def __init__(self, Ci: np.ndarray, mu: float):
+        self._Ci = Ci
+        self._mu = mu
+        self._matrix = None
+        self._factor = None
+
+    def step(self) -> bool:
+        """Take the next step, if one is left; return whether one is left
+        after it."""
+        if self._factor is not None:
+            return False
+        try:
+            if self._matrix is None:
+                n = self._Ci.shape[0]
+                self._matrix = _add_to_diagonal(gram(np.eye(n) - self._Ci, 2.0), 16.0 * self._mu)
+                return True
+            self._factor = cholesky(self._matrix)
+        except np.linalg.LinAlgError as exc:
+            self._factor = exc
+        self._matrix = None
+        return False
+
+    def factor(self) -> np.ndarray:
+        """The Cholesky factor, after taking the steps left; raises the held
+        error if a step failed."""
+        while self.step():
+            pass
+        if isinstance(self._factor, np.linalg.LinAlgError):
+            raise self._factor
+        return self._factor
+
+
 def update_view_representation(
-    state: SolverState, ds: MultiViewDataset, i: int, *, CX: np.ndarray
+    state: SolverState,
+    ds: MultiViewDataset,
+    i: int,
+    *,
+    CX: np.ndarray,
+    system: _RepresentationSystem | None = None,
 ) -> np.ndarray:
     """Closed-form smoothed features for view i.
 
     Minimizes ||Y - C^i Y||_F^2 + mu/2 ||4Y - 3X^i - CX^i + Gamma^i/mu||_F^2;
     the normal equations [2(I-C^i)^T(I-C^i) + 16 mu I] Y = 12 mu X^i
     + 4 mu C X^i - 4 Gamma^i are solved by Cholesky. ``CX`` is the product
-    C X^i.
+    C X^i. ``system`` is the system matrix at the state's C^i and mu as far
+    as ``_look_ahead`` brought it, and its missing steps are taken here;
+    without it the whole system is formed here.
     """
-    n = ds.n_samples
+    if system is None:
+        system = _RepresentationSystem(state.Ci[i], state.mu)
     X = ds.views[i]
-    lhs = _add_to_diagonal(gram(np.eye(n) - state.Ci[i], 2.0), 16.0 * state.mu)
     rhs = 12.0 * state.mu * X + 4.0 * state.mu * CX - 4.0 * state.Gamma[i]
-    return spd_solve(lhs, rhs)
+    return spd_solve(system.factor(), rhs)
+
+
+def _look_ahead(state: SolverState, cfg: SolverConfig, systems: list, i: int) -> bool:
+    """The solve's spare work for view i (``_run_views``): one step of the
+    next iteration's Y^i system, at the iteration's final C^i and the next
+    mu (``_grown_penalty``), held in ``systems[i]`` until view i's next Y^i
+    update uses it up. Returns whether a step is left."""
+    if systems[i] is None:
+        systems[i] = _RepresentationSystem(state.Ci[i], _grown_penalty(state.mu, cfg))
+    return systems[i].step()
 
 
 def update_view_coefficients(
@@ -676,18 +741,20 @@ def _view_before_consensus(
     factor: np.ndarray | None,
     CX: list[np.ndarray | None] | None,
     CZ: list[np.ndarray | None],
+    systems: list[_RepresentationSystem | None] | None,
 ) -> tuple:
     """View i's work before the C update: its Y^i, C^i and Z^i updates
     against the previous C, in that order; returns its terms of the C update
-    (``_consensus_terms``).
+    (``_consensus_terms``). ``systems[i]`` is view i's Y^i system as far as
+    ``_look_ahead`` brought it; ``systems`` is None where CX is.
 
-    Drops C X^i and C Z^i after their last reader, and the old C^i and Z^i
-    before their successors are built: the C^i update does not read C^i,
-    nor the Z^i update Z^i.
+    Drops C X^i, C Z^i and the Y^i system after their last reader, and the
+    old C^i and Z^i before their successors are built: the C^i update does
+    not read C^i, nor the Z^i update Z^i.
     """
     if CX is not None:
-        state.Y[i] = update_view_representation(state, ds, i, CX=CX[i])
-        CX[i] = None
+        state.Y[i] = update_view_representation(state, ds, i, CX=CX[i], system=systems[i])
+        CX[i] = systems[i] = None
     state.Ci[i] = None
     state.Ci[i] = update_view_coefficients(state, i, cfg, variant, CZi=CZ[i])
     CZ[i] = None
@@ -697,46 +764,88 @@ def _view_before_consensus(
 
 
 def _run_views(
-    pool: ThreadPoolExecutor | None, n_views: int, task, fold=None, shared=None
+    pool: ThreadPoolExecutor | None, n_views: int, task, fold=None, shared=None, spare=None
 ) -> list:
     """``task(i)`` for every view i; returns the results in view order, or
     with a ``fold`` runs ``fold(i, task(i))`` for every view in view order.
     ``shared()``, if given, is work that reads nothing the tasks write and
-    writes nothing they read; the calling thread runs it first.
+    writes nothing they read; the calling thread runs it first. ``spare(i)``,
+    if given, takes one step of work for view i that neither ``shared`` nor a
+    task or fold reads or writes, with a fold once view i is folded, and
+    returns whether view i has a step left.
 
     The only code that knows about threads: with a one-worker ``pool``, the
     worker starts taking the views in order from one shared sequence at
     once, and the calling thread joins it when ``shared`` returns; each
     folds the views it ran, view i only once view i - 1's fold has
-    finished. Once ``shared``, a task or a fold raises, neither thread takes
-    another view or fold, so the error is raised once.
+    finished. A thread with no view left to take runs ``spare`` while the
+    other is still inside ``shared``, a task or a fold: view by view in
+    order, with a fold only for views already folded, and only until the
+    other is done, so the dispatch ends at most one spare step late. Without
+    a pool no spare step runs. Once ``shared``, a task, a fold or a spare
+    step raises, neither thread takes another view, fold or spare step, so
+    the error is raised once.
     """
     results = [None] * n_views
     views = iter(range(n_views))
     folded = 0
+    spared = 0  # the views before this one have no spare step left
+    busy = 0 if shared is None else 1  # threads inside shared, a task or a fold
     failed = False
     changed = threading.Condition()
 
     def work() -> None:
-        nonlocal folded
+        nonlocal folded, busy
         while True:
             with changed:
                 i = None if failed else next(views, None)
+                if i is not None:
+                    busy += 1
             if i is None:
-                return
+                break
             result = task(i)
             if fold is None:
                 results[i] = result
-                continue
+            else:
+                with changed:
+                    changed.wait_for(lambda: failed or folded == i)
+                    if failed:
+                        return
+                fold(i, result)
+                del result  # not held through the next view's task
             with changed:
-                changed.wait_for(lambda: failed or folded == i)
-                if failed:
-                    return
-            fold(i, result)
-            del result  # not held through the next view's task
-            with changed:
-                folded += 1
+                if fold is not None:
+                    folded += 1
+                busy -= 1
                 changed.notify_all()
+        if spare is not None:
+            beside_the_other()
+
+    def beside_the_other() -> None:
+        # Spare steps never overlap: a thread spares only while the other is
+        # busy, and a busy thread does not spare.
+        nonlocal spared
+        while True:
+            with changed:
+                changed.wait_for(
+                    lambda: failed
+                    or not busy
+                    or spared == n_views
+                    or spared < (n_views if fold is None else folded)
+                )
+                if failed or not busy or spared == n_views:
+                    return
+                i = spared
+            if not spare(i):
+                with changed:
+                    spared = i + 1
+
+    def run_shared() -> None:
+        nonlocal busy
+        shared()
+        with changed:
+            busy -= 1
+            changed.notify_all()
 
     def stopping_on_error(run) -> None:
         nonlocal failed
@@ -750,14 +859,14 @@ def _run_views(
 
     if pool is None:
         if shared is not None:
-            shared()
+            run_shared()
         work()
         return results
     # a copy of the caller's context carries np.errstate to the worker
     worker = pool.submit(contextvars.copy_context().run, stopping_on_error, work)
     try:
         if shared is not None:
-            stopping_on_error(shared)
+            stopping_on_error(run_shared)
         stopping_on_error(work)
     finally:
         error = worker.exception()
@@ -768,30 +877,30 @@ def _run_views(
 
 def solve_peak_bytes(n_samples: int, n_views: int, total_dim: int) -> int:
     """Estimated peak bytes a solve allocates for n samples, v views and
-    total_dim = sum_i d_i: 8 [(4v + 13) n^2 + 6.5 n sum_i d_i].
+    total_dim = sum_i d_i: 8 [(5v + 13) n^2 + 6.5 n sum_i d_i].
 
-    The peak falls in an iteration's first dispatch, while its first two
-    views are in flight on the calling and the worker thread (or, with
-    views wider than n, about as high in the last). Live then
-    are 4v + 7 n x n arrays: C^i, Z^i, Lam^i and C Z^i of every view, C, Z,
-    Theta, sum_i X^i X^i^T, the Z^i inverse factor and the sums A and B of
-    the C update; each view in flight adds its update temporaries, or its
-    three n x n terms of the C update while it waits for its turn to fold
-    them. The n x d_i arrays (Y^i, Gamma^i, C X^i and the temporaries of the
-    views in flight, the thin-SVD factors among them) make up the second
-    term. Fitted to the worst interleaving of the two threads, taken as the
-    largest sum, over two units of one dispatch (a view's task and fold, or
-    the shared work), of one unit's tracemalloc peak and the other's rise
-    above its start, for all three variants at 14 shapes from n=60 to
-    n=300, v=2 to v=6 and d_i up to 7n: it bounds each from above. Forming
-    the next iteration's Z^i factor in the last dispatch, beside the views,
-    raised that worst interleaving by at most 0.73 n^2 (n=60, v=6), and no
-    shape came within 1.6 % of the estimate, which did not move. A solve
-    without the worker thread peaks 3 to 5 n^2 below that worst
-    interleaving.
+    Live through an iteration are 5v + 7 n x n arrays: C^i, Z^i, Lam^i and
+    C Z^i of every view, and the next Y^i system that each view may hold
+    (``_look_ahead``), with C, Z, Theta, sum_i X^i X^i^T, the Z^i inverse
+    factor and the sums A and B of the C update. Each unit in flight adds
+    its temporaries, and a view waiting for its turn to fold its three
+    n x n terms of the C update. The n x d_i arrays (Y^i, Gamma^i, C X^i and
+    the temporaries of the units in flight, the thin-SVD factors among them)
+    make up the second term. Fitted to the worst interleaving of the two
+    threads, taken as the largest sum, over two units of one dispatch (a
+    view's task and fold, a spare step, or the shared work), of one unit's
+    tracemalloc peak and the other's rise above its start, with every
+    view's look-ahead complete at the end of each dispatch, for all three
+    variants at 17 shapes from n=60 to n=300, v=2 to v=8 and d_i up to 7n:
+    it bounds each from above, the closest by 1.9 % (n=60, d_i = 7n and
+    5n). The held look-aheads moved the estimate up from (4v + 13) n^2:
+    with many narrow views the worst interleaving moves to the last two
+    dispatches, where every view may hold one, and rose by up to 6.2 n^2
+    (eight views at n=60), to 7.5 % above the old estimate (six views at
+    n=90). A solve without the worker thread forms no look-ahead.
     """
     n = n_samples
-    return 4 * ((8 * n_views + 26) * n * n + 13 * n * total_dim)
+    return 4 * ((10 * n_views + 26) * n * n + 13 * n * total_dim)
 
 
 def solve(
@@ -807,17 +916,19 @@ def solve(
     views' Y^i, C^i and Z^i updates, with each view's terms of the C update
     folded in view order; the C update beside the views' multiplier steps
     that read no C; and the Z update and the next iteration's Z^i factor
-    beside the rest of the views' work. The
-    outputs are bitwise those of one thread. The run stops once every
+    beside the rest of the views' work. In each dispatch a thread left
+    without a view while the other still works forms and factors the next
+    iteration's Y^i systems instead (``_look_ahead``). The outputs are
+    bitwise those of one thread. The run stops once every
     constraint-gap max-norm is <= cfg.eps and the squared successive changes
     of C and Z are <= RESID_TOL. The optional ``callback(state)`` fires after
     each completed iteration, on the calling thread. A linear algebra
     failure in an iteration's updates, on either thread, or a non-finite
     iterate, raises one ``SolverNumericalError`` with the iteration and the
-    diagnostics recorded so far; a failure to form the Z^i factor of
-    iteration k + 1, formed in iteration k, counts as iteration k + 1's and
-    is not raised if the run stops at k. The pool is shut down by the time
-    ``solve`` returns or raises.
+    diagnostics recorded so far; a failure to form the Z^i factor or a Y^i
+    system factor of iteration k + 1, formed in iteration k, counts as
+    iteration k + 1's and is not raised if the run stops at k. The pool is
+    shut down by the time ``solve`` returns or raises.
 
     ``no_smoothing`` pins Y^i to X^i, with no feature-coupling constraint or
     Gamma^i multiplier. ``frobenius`` puts a plain ridge penalty
@@ -841,6 +952,9 @@ def solve(
     # solve_peak_bytes.
     CZ = [np.zeros_like(Zi) if split else None for Zi in state.Zi]
     CX = [np.zeros_like(X) for X in ds.views] if smoothing else None
+    # View i's next Y^i system as far as the threads' spare time brought it.
+    systems = [None] * ds.n_views if smoothing else None
+    spare = functools.partial(_look_ahead, state, cfg, systems) if smoothing else None
 
     def next_factor(mu: float) -> np.ndarray | np.linalg.LinAlgError | None:
         """The Z^i inverse factor at the current C and ``mu``, or the
@@ -884,13 +998,14 @@ def solve(
                     raise factor
                 sums = _ConsensusSums(state, cfg)
                 before = functools.partial(
-                    _view_before_consensus, state, ds, cfg, variant, factor=factor, CX=CX, CZ=CZ
-                )
-                _run_views(pool, ds.n_views, before, fold=sums.add)
+                    _view_before_consensus, state, ds, cfg, variant, factor=factor, CX=CX, CZ=CZ,
+                    systems=systems,
+                )  # fmt: skip
+                _run_views(pool, ds.n_views, before, fold=sums.add, spare=spare)
                 del before
                 factor = None
                 steps = functools.partial(_view_beside_consensus, state)
-                beside = _run_views(pool, ds.n_views, steps, shared=update_consensus)
+                beside = _run_views(pool, ds.n_views, steps, shared=update_consensus, spare=spare)
                 del steps, sums
             except np.linalg.LinAlgError as exc:
                 raise SolverNumericalError(
@@ -901,7 +1016,7 @@ def solve(
             after = functools.partial(
                 _view_after_consensus, state, ds, cfg, variant, CX=CX, CZ=CZ, beside=beside
             )
-            views = _run_views(pool, ds.n_views, after, shared=after_consensus)
+            views = _run_views(pool, ds.n_views, after, shared=after_consensus, spare=spare)
             del after, beside
             gaps = constraint_gaps(residuals, views)
             update_multipliers(state, cfg, residuals)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gfclust import solver
 from gfclust.cli import (
     ConfigError,
     ExperimentConfig,
@@ -206,6 +207,17 @@ def test_exit_code_when_k_unresolvable(tmp_path):
     assert main(["run", "--config", str(config)]) == 1
 
 
+def test_k_above_the_sample_count_is_a_config_error(tmp_path, capsys):
+    # Caught before any solve: every grid point would solve, then fail to
+    # cluster 18 samples into 50 clusters.
+    config = write_config(tmp_path, k=50)
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: k=50 exceeds the 18 samples of the dataset\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("repetitions", "abc"), ("repetitions", None), ("restarts", None), ("seed", None)],
@@ -397,8 +409,13 @@ def test_unlabeled_manifest_with_explicit_k(tmp_path):
     assert summary["best"] is None
 
 
-def test_exit_code_when_all_points_fail(tmp_path, capsys):
-    config = write_config(tmp_path, k=50, grid={"alpha": [0.1, 0.5]})  # k > n = 18
+def test_exit_code_when_all_points_fail(tmp_path, capsys, monkeypatch):
+    # Every point's first Y^i system fails to factor, so every solve fails.
+    def indefinite(A):
+        raise np.linalg.LinAlgError("dpotrf: leading minor 1 is not positive definite")
+
+    monkeypatch.setattr(solver, "cholesky", indefinite)
+    config = write_config(tmp_path, grid={"alpha": [0.1, 0.5]})
     assert main(["run", "--config", str(config)]) == 2
     results = read_results(tmp_path / "out")
     assert len(results) == 2

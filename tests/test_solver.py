@@ -12,7 +12,14 @@ import pytest
 import scipy.linalg as sla
 
 from gfclust import _lapack, solver
-from gfclust._lapack import gram, spd_apply_left, spd_apply_right, spd_inverse_factor, spd_solve
+from gfclust._lapack import (
+    cholesky,
+    gram,
+    spd_apply_left,
+    spd_apply_right,
+    spd_inverse_factor,
+    spd_solve,
+)
 from gfclust.cli import DEFAULT_ETA_GRID, PRESETS
 from gfclust.data import MultiViewDataset, SyntheticSpec, generate_synthetic
 from gfclust.solver import (
@@ -779,7 +786,7 @@ def test_solve_converges_across_weight_exponents(alpha, beta, eta):
 
 def test_spd_solve_reports_failed_factorization():
     with pytest.raises(np.linalg.LinAlgError, match="leading minor 2 is not positive definite"):
-        spd_solve(np.diag([1.0, -1.0]), np.eye(2))
+        spd_solve(cholesky(np.diag([1.0, -1.0])), np.eye(2))
 
 
 def test_spd_inverse_factor_reports_failed_factorization():
@@ -845,6 +852,54 @@ def test_solve_holds_a_failed_view_auxiliary_factor(monkeypatch, max_iter):
     )
 
 
+@pytest.mark.parametrize("max_iter", [10, 2])
+def test_solve_holds_a_failed_look_ahead_factorization(monkeypatch, max_iter):
+    # In iteration 2 the C update waits until the worker, left without a
+    # view beside it, has tried to factor a Y^i system of iteration 3 ahead
+    # (view 1's: with two views, the last view's system is never started
+    # in the first dispatch), which fails. The failure is iteration 3's, and
+    # a solve that stops at 2 never raises it.
+    monkeypatch.setattr(solver, "_use_helper_thread", lambda n_views: True)
+    completed = []
+    failed_in = []
+    in_update = threading.Event()
+    failed = threading.Event()
+    original_cholesky = solver.cholesky
+    original_update = solver.update_consensus_coefficients
+
+    def fail_beside_the_second_c_update(A):
+        if in_update.is_set() and not failed.is_set():
+            failed_in.append(len(completed) + 1)
+            failed.set()
+            raise np.linalg.LinAlgError("dpotrf: leading minor 2 is not positive definite")
+        return original_cholesky(A)
+
+    def update_once_failed(*args, **kwargs):
+        if len(completed) == 1:
+            in_update.set()
+            assert failed.wait(timeout=30)
+            in_update.clear()
+        return original_update(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "cholesky", fail_beside_the_second_c_update)
+    monkeypatch.setattr(solver, "update_consensus_coefficients", update_once_failed)
+    cfg = SolverConfig(max_iter=max_iter)
+    if max_iter == 2:
+        out = solve(small_solvable_dataset(), cfg, callback=completed.append)
+        assert out.iterations == 2
+        assert failed_in == [2]
+        return
+    with pytest.raises(SolverNumericalError) as excinfo:
+        solve(small_solvable_dataset(), cfg, callback=completed.append)
+    assert failed_in == [2]
+    error = excinfo.value
+    assert error.iteration == 3
+    assert len(error.diagnostics) == 2
+    assert str(error) == (
+        "linear solve failed at iteration 3: dpotrf: leading minor 2 is not positive definite"
+    )
+
+
 def test_solve_reports_a_non_finite_view_iterate_from_the_worker(monkeypatch):
     # In iteration 3 the worker plants a NaN in the Lam^i it steps beside the
     # C update, which waits until it has. Only the view's own finiteness
@@ -899,7 +954,10 @@ def assert_bitwise_equal(actual, expected):
 def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
     # View dims 5 and 8 at n = 60 take the thin-SVD C^i update, 30 the
     # inverse Cholesky one. Both threads must run each of the views' three
-    # steps and fold terms into the C update's sums.
+    # steps and fold terms into the C update's sums. Every other C update is
+    # slowed, which leaves the worker without a view beside it, so that it
+    # brings the next Y^i systems forward, which a solve without the worker
+    # never does; in the other iterations either thread may take its views.
     spec = SyntheticSpec(
         k=3, n_per_cluster=20, subspace_dim=3, view_dims=(5, 30, 8), noise_sigma=0.1, seed=3
     )
@@ -928,6 +986,25 @@ def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
         ("Z^i factor", "_view_auxiliary_factor"),
     ]:
         monkeypatch.setattr(solver, name, recording(key, getattr(solver, name), calling_thread))
+    original_update = solver.update_consensus_coefficients
+    updates = []
+
+    def slow_update(*args, **kwargs):
+        updates.append(None)
+        if len(updates) % 2:
+            time.sleep(0.002)
+        return original_update(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "update_consensus_coefficients", slow_update)
+    calling = threading.current_thread()
+    look_ahead_on = {True: set(), False: set()}
+    original_look_ahead = solver._look_ahead
+
+    def record_look_ahead(*args):
+        look_ahead_on[helper].add("caller" if threading.current_thread() is calling else "worker")
+        return original_look_ahead(*args)
+
+    monkeypatch.setattr(solver, "_look_ahead", record_look_ahead)
     outputs = []
     threads_before = threading.active_count()
     # Switch threads as often as the interpreter allows, so that the two
@@ -947,6 +1024,9 @@ def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
     caller = {threading.get_ident()}
     expected = {"C update": caller, "Z^i factor": set() if variant == "frobenius" else caller}
     assert calling_thread == expected
+    # no_smoothing has no Y^i update to bring forward
+    assert ("worker" in look_ahead_on[True]) == (variant != "no_smoothing")
+    assert look_ahead_on[False] == set()
     assert threading.active_count() == threads_before
 
 
@@ -998,7 +1078,7 @@ def test_solve_reports_helper_thread_failure_once(monkeypatch):
 N_VIEWS = 8
 
 
-def run_views_on_pool(task, fold=None, shared=None) -> dict:
+def run_views_on_pool(task, fold=None, shared=None, spare=None) -> dict:
     """``_run_views`` on a real one-worker pool at the shortest switch
     interval, called from a thread named "run-views" that is joined with a
     timeout; returns the results or what it raised. Checks that it does not
@@ -1008,7 +1088,7 @@ def run_views_on_pool(task, fold=None, shared=None) -> dict:
     def run():
         try:
             with ThreadPoolExecutor(max_workers=1) as pool:
-                outcome["results"] = solver._run_views(pool, N_VIEWS, task, fold, shared)
+                outcome["results"] = solver._run_views(pool, N_VIEWS, task, fold, shared, spare)
         except Exception as exc:
             outcome["raised"] = exc
 
@@ -1169,6 +1249,145 @@ def test_run_views_raises_a_failure_beside_shared_once(failing):
     assert folds == []
 
 
+def thread_role() -> str:
+    """"caller" on the thread that calls ``run_views_on_pool``'s
+    ``_run_views``, "worker" on its pool's."""
+    return "caller" if threading.current_thread().name == "run-views" else "worker"
+
+
+def two_step_spare(record):
+    """A spare that takes two steps per view and appends (i, thread role)
+    to ``record`` for each."""
+
+    def spare(i):
+        record.append((i, thread_role()))
+        return [j for j, _ in record].count(i) < 2
+
+    return spare
+
+
+def test_run_views_spares_beside_shared_until_it_returns():
+    # The worker takes every view while shared runs, then spares. Its third
+    # step goes on until shared has returned, after which it must take no
+    # other: the dispatch ends at most one spare step late.
+    shared_returning = threading.Event()
+    third_step = threading.Event()
+    started, steps = [], []
+    spare = two_step_spare(steps)
+
+    def task(i):
+        started.append(i)
+        return i
+
+    def shared():
+        assert third_step.wait(timeout=30)
+        shared_returning.set()
+
+    def spare_until_shared_returns(i):
+        assert sorted(started) == list(range(N_VIEWS))  # no view left
+        if len(steps) == 2:
+            third_step.set()
+            assert shared_returning.wait(timeout=30)
+            time.sleep(0.1)  # let the calling thread finish the dispatch
+        return spare(i)
+
+    outcome = run_views_on_pool(task, shared=shared, spare=spare_until_shared_returns)
+    assert outcome == {"results": list(range(N_VIEWS))}
+    assert steps == [(0, "worker"), (0, "worker"), (1, "worker")]
+
+
+@pytest.mark.parametrize("folding", [True, False], ids=["fold", "results"])
+def test_run_views_spares_beside_the_last_view(folding):
+    # The last view's task runs until the other thread, left without a
+    # view, has spared every view it may: with a fold only views already
+    # folded, view by view in order. It must spare only while the last
+    # view's fold has not run, and not on the thread that runs the last view.
+    last = N_VIEWS - 1
+    allowed = last if folding else N_VIEWS
+    all_spared = threading.Event()
+    ran_on, folds, steps, seen = {}, [], [], []
+    spare = two_step_spare(steps)
+
+    def task(i):
+        ran_on[i] = thread_role()
+        if i == last:
+            assert all_spared.wait(timeout=30)
+            time.sleep(0.1)  # time to spare a view it may not
+        return i
+
+    def fold(i, result):
+        folds.append(i)
+
+    def spare_recording(i):
+        seen.append((i, list(folds)))
+        left = spare(i)
+        if not left and i == allowed - 1:
+            all_spared.set()
+        return left
+
+    outcome = run_views_on_pool(task, fold if folding else None, spare=spare_recording)
+    assert outcome == {"results": [None] * N_VIEWS if folding else list(range(N_VIEWS))}
+    assert [i for i, _ in steps] == [i for i in range(allowed) for _ in range(2)]
+    assert {role for _, role in steps} == {"caller", "worker"} - {ran_on[last]}
+    for i, folded in seen:
+        assert last not in folded
+        assert not folding or i in folded
+
+
+def test_run_views_without_a_pool_never_spares():
+    steps, folds = [], []
+    results = solver._run_views(
+        None, N_VIEWS, lambda i: i, lambda i, result: folds.append(i), lambda: None,
+        two_step_spare(steps),
+    )  # fmt: skip
+    assert results == [None] * N_VIEWS
+    assert folds == list(range(N_VIEWS))
+    assert steps == []
+
+
+@pytest.mark.parametrize("failing", ["spare", "view"])
+def test_run_views_raises_a_failure_beside_a_spare_once(failing):
+    # The thread left without a view takes its first spare step while the
+    # other runs the last view, and either that step fails or the last view
+    # fails during it. The one error must come out of _run_views, and
+    # neither the last view's fold nor another spare step may run.
+    last = N_VIEWS - 1
+    in_spare = threading.Event()
+    failed = threading.Event()
+    started, folds, steps, raised = [], [], [], []
+
+    def fail(what):
+        raised.append(ValueError(f"{what} failed"))
+        failed.set()
+        raise raised[-1]
+
+    def task(i):
+        started.append(i)
+        if i == last:
+            assert in_spare.wait(timeout=30)
+            if failing == "view":
+                fail(f"view {i}")
+            assert failed.wait(timeout=30)
+            time.sleep(0.1)  # let the failing thread record the failure
+        return i
+
+    def spare(i):
+        steps.append(i)
+        in_spare.set()
+        if failing == "spare":
+            fail(f"spare step of view {i}")
+        assert failed.wait(timeout=30)
+        time.sleep(0.1)  # let the failing thread record the failure
+        return True
+
+    outcome = run_views_on_pool(task, lambda i, result: folds.append(i), spare=spare)
+    assert len(raised) == 1
+    assert outcome == {"raised": raised[0]}
+    assert sorted(started) == list(range(N_VIEWS))
+    assert folds == list(range(last))
+    assert steps == [0]
+
+
 def test_blas_threads():
     # tests/conftest.py pins OPENBLAS_NUM_THREADS=1 before numpy is loaded.
     assert _lapack.blas_threads() == 1
@@ -1323,8 +1542,9 @@ def test_lapack_routines_match_scipys_bitwise(monkeypatch):
     # own. Each operation must give the same bits and memory order as the
     # scipy calls it stands for, surface the same nonzero info, and leave its
     # inputs as they were. n = 150 exceeds the block sizes of the blocked
-    # Cholesky and inverse. dpotrs writes its right-hand side in place, so B
-    # is Fortran-ordered: spd_solve must solve into a copy of it.
+    # Cholesky and inverse. dpotrf and dpotrs write their matrix or
+    # right-hand side in place, so A and B are Fortran-ordered: cholesky and
+    # spd_solve must work on copies of them.
     rng = np.random.default_rng(51)
     n, k = 150, 23
 
@@ -1344,10 +1564,14 @@ def test_lapack_routines_match_scipys_bitwise(monkeypatch):
     saved = [x.copy() for x in inputs]
     R, info = sla.lapack.dpotrf(A, lower=0, clean=0)
     assert info == 0
+    factor = cholesky(A)
+    same(factor, R)
+    inputs += (factor,)
+    saved.append(factor.copy())
     for b in (B, np.ascontiguousarray(B)):
         expected_X, info = sla.lapack.dpotrs(R, b, lower=0)
         assert info == 0
-        same(spd_solve(A, b), expected_X)
+        same(spd_solve(factor, b), expected_X)
     Ri = spd_inverse_factor(A)
     expected_Ri, info = sla.lapack.dtrtri(R, lower=0)
     assert info == 0
@@ -1367,7 +1591,7 @@ def test_lapack_routines_match_scipys_bitwise(monkeypatch):
     indefinite = np.diag([4.0, 1.0, -1.0, 2.0])
     assert sla.lapack.dpotrf(indefinite, lower=0, clean=0)[1] == 3
     with pytest.raises(np.linalg.LinAlgError, match="dpotrf: leading minor 3 "):
-        spd_solve(indefinite, np.eye(4))
+        spd_solve(cholesky(indefinite), np.eye(4))
     with pytest.raises(np.linalg.LinAlgError, match="dpotrf: leading minor 3 "):
         spd_inverse_factor(indefinite)
     # A Cholesky factor has a positive diagonal, so dtrtri's info is reached
@@ -1375,7 +1599,7 @@ def test_lapack_routines_match_scipys_bitwise(monkeypatch):
     singular = np.triu(rng.standard_normal((5, 5)))
     singular[3, 3] = 0.0
     assert sla.lapack.dtrtri(singular, lower=0)[1] == 4
-    monkeypatch.setattr(_lapack, "_cholesky", lambda A: np.asfortranarray(singular))
+    monkeypatch.setattr(_lapack, "cholesky", lambda A: np.asfortranarray(singular))
     with pytest.raises(np.linalg.LinAlgError, match="dtrtri: diagonal entry 4 "):
         spd_inverse_factor(np.eye(5))
     # The solver imports no scipy; a later import of scipy.linalg still works.
@@ -1391,12 +1615,13 @@ def test_lapack_routines_match_scipys_bitwise(monkeypatch):
 
 
 def test_spd_solve_matches_scipy_cholesky_bitwise():
-    # spd_solve makes the same LAPACK calls as cho_factor and cho_solve.
+    # cholesky and spd_solve make the same LAPACK calls as cho_factor and
+    # cho_solve.
     rng = np.random.default_rng(50)
     M = rng.standard_normal((50, 50))
     A = M @ M.T + 50.0 * np.eye(50)
     B = rng.standard_normal((50, 7))
-    assert np.array_equal(spd_solve(A, B), sla.cho_solve(sla.cho_factor(A), B))
+    assert np.array_equal(spd_solve(cholesky(A), B), sla.cho_solve(sla.cho_factor(A), B))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
