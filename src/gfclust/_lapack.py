@@ -19,10 +19,18 @@ right-hand sides is applied as A^{-1} = Ri Ri^T, where Ri is the inverse of
 the upper Cholesky factor A = R^T R, by two triangular products; these run at
 about twice the speed of the two triangular solves they replace. A C-ordered
 matrix B is read in place as the Fortran-ordered B^T, so the products are
-formed on a Fortran-ordered copy of B^T and come back C-ordered. No
-operation writes to its arguments. A nonzero info from dpotrf, dpotrs or
-dtrtri raises ``numpy.linalg.LinAlgError``. ``blas_threads`` reports how
-many threads that OpenBLAS runs each call on.
+formed on B^T and come back C-ordered.
+
+``cholesky`` and ``spd_inverse_factor`` own their A, and ``spd_apply_left``
+and ``spd_apply_right`` their B: where that argument already has the layout
+the routine writes (a writeable Fortran-ordered float64 A, or a writeable
+C-ordered float64 B, whose transpose is Fortran-ordered) the result is
+formed in its memory, so the caller hands over a matrix it no longer reads;
+otherwise the routine works on a copy and leaves the argument intact.
+``spd_solve`` returns a new matrix. No operation writes to any other
+argument. A nonzero info from dpotrf, dpotrs or dtrtri raises
+``numpy.linalg.LinAlgError``. ``blas_threads`` reports how many threads that
+OpenBLAS runs each call on.
 """
 
 from __future__ import annotations
@@ -88,6 +96,13 @@ def _fortran(a, copy: bool = False) -> np.ndarray:
     return a
 
 
+def _owned(a) -> np.ndarray:
+    """``a`` as a Fortran-ordered float64 matrix for a routine to write its
+    result into: ``a`` itself if it is a writeable one already, else a copy."""
+    a = np.asarray(a)
+    return _fortran(a, copy=not a.flags.writeable)
+
+
 def _square(a: np.ndarray, n: int | None = None) -> int:
     """Order of the square matrix ``a``, which must be ``n`` if given; a
     wrong shape would make the routine read out of bounds."""
@@ -123,9 +138,10 @@ def gram(M, scale: float = 1.0, outer: bool = False) -> np.ndarray:
 
 
 def cholesky(A) -> np.ndarray:
-    """Upper Cholesky factor R of SPD A = R^T R, in a Fortran-ordered copy of
-    A whose strict lower triangle keeps A's entries."""
-    R = _fortran(A, copy=True)
+    """Upper Cholesky factor R of SPD A = R^T R, formed in A's memory where A
+    has the layout (see the module docstring), else in a Fortran-ordered copy
+    of A; its strict lower triangle keeps A's entries."""
+    R = _owned(A)
     n = _square(R)
     info = _i64()
     _dpotrf(b"U", _i64(n), R.ctypes.data, _i64(max(1, n)), info, 1)
@@ -150,7 +166,8 @@ def spd_solve(R, B) -> np.ndarray:
 
 def spd_inverse_factor(A) -> np.ndarray:
     """Ri = R^{-1} for the upper Cholesky factor R of SPD A, so that
-    A^{-1} = Ri Ri^T. Only the upper triangle of Ri is meaningful."""
+    A^{-1} = Ri Ri^T, formed where ``cholesky(A)`` forms R. Only the upper
+    triangle of Ri is meaningful."""
     Ri = cholesky(A)
     n = Ri.shape[0]
     info = _i64()
@@ -160,11 +177,12 @@ def spd_inverse_factor(A) -> np.ndarray:
 
 
 def _apply(B, Ri: np.ndarray, side: bytes, first: bytes, second: bytes) -> np.ndarray:
-    """W op_1(Ri) op_2(Ri) (``side`` b"R") or op_2(Ri) op_1(Ri) W (b"L") on a
-    Fortran-ordered copy W of B^T, one dtrmm call per op, returned as its
-    C-ordered transpose; op(Ri) is the upper triangle of Ri (b"N") or its
-    transpose (b"T")."""
-    W = _fortran(B.T, copy=True)
+    """W op_1(Ri) op_2(Ri) (``side`` b"R") or op_2(Ri) op_1(Ri) W (b"L") on
+    W = B^T, one dtrmm call per op, returned as its C-ordered transpose; op(Ri)
+    is the upper triangle of Ri (b"N") or its transpose (b"T"). W is B's
+    memory where B is C-ordered (see the module docstring), else a
+    Fortran-ordered copy of B^T."""
+    W = _owned(B.T)
     Ri = _fortran(Ri)
     m, n = W.shape
     k = _square(Ri, n if side == b"R" else m)

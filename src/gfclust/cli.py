@@ -362,22 +362,33 @@ def run_grid_point(
     }
 
 
+def _check_solve_memory(n_samples: int, view_dims) -> None:
+    """Raise ConfigError if a solve at n_samples with views of view_dims
+    features would need more than the machine's physical memory."""
+    need = solve_peak_bytes(n_samples, len(view_dims), sum(view_dims))
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(
+            f"a solve at n={n_samples} with {len(view_dims)} views needs about"
+            f" {need:,} bytes, more than the {have:,} bytes of physical memory"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run all grid points; returns the process exit code (0, or 2 if every
     grid point failed). Solver failures are recorded per point and the sweep
     continues."""
+    spec = cfg.synthetic
+    if spec is not None:
+        # A spec too large to solve may be too large to generate, or take
+        # long to: its shape is checked before anything is built.
+        _check_solve_memory(spec.k * spec.n_per_cluster, spec.view_dims)
     ds = _load_experiment_dataset(cfg)
     if cfg.k is None and ds.labels is None:
         raise ConfigError("k is required when the dataset has no labels")
     if cfg.k is not None and cfg.k > ds.n_samples:
         raise ConfigError(f"k={cfg.k} exceeds the {ds.n_samples} samples of the dataset")
-    need = solve_peak_bytes(ds.n_samples, ds.n_views, sum(x.shape[1] for x in ds.views))
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ConfigError(
-            f"a solve at n={ds.n_samples} with {ds.n_views} views needs about"
-            f" {need:,} bytes, more than the {have:,} bytes of physical memory"
-        )
+    _check_solve_memory(ds.n_samples, [x.shape[1] for x in ds.views])
     try:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -55,9 +55,16 @@ updates, the old C^i and Z^i before their successors are built, view i's
 terms of the C update once folded, the sums of the C update once C is
 formed, the Z^i inverse factor after the first per-view phase, the previous
 C and Z once their squared changes are taken, and each residual after its
-multiplier step. ``solve_peak_bytes`` estimates the resulting peak; the
-iterates themselves are rebound each iteration and never written in place,
-so the returned C^i need no copy.
+multiplier step. Each update builds its result in arrays it owns: it sums
+its terms in place into one temporary or into a product it formed, and
+hands the matrices it no longer reads (the system matrices of Y^i, C^i, Z^i
+and C, the Z^i right-hand side, the C^i left factor and the C update's A)
+to the ``_lapack`` routine that owns them, which forms its result in their
+memory instead of a copy. So the C update consumes the sums A and B, and
+``update_multipliers`` the consensus residuals, which become Theta and Phi.
+``solve_peak_bytes`` estimates the resulting peak; the iterates themselves
+are rebound each iteration and never written in place once stored, so the
+returned C^i need no copy.
 
 The views are coupled only through the consensus: given C, each view's work
 reads no other view's iterates, and the work shared by all views reads no
@@ -276,10 +283,19 @@ def project_constraints(M: np.ndarray) -> np.ndarray:
     This is the prescribed sequential projection, not the Euclidean projection
     onto the intersection of the three constraint sets.
     """
-    M = 0.5 * (M + M.T)
+    M = np.add(M, M.T)
+    M *= 0.5
     np.maximum(M, 0.0, out=M)
     np.fill_diagonal(M, 0.0)
     return M
+
+
+def _squared_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b||_F^2, summed as np.sum((a - b) ** 2) sums it, in one
+    temporary."""
+    d = np.subtract(a, b)
+    np.square(d, out=d)
+    return float(np.sum(d))
 
 
 class _RepresentationSystem:
@@ -301,8 +317,9 @@ class _RepresentationSystem:
             return False
         try:
             if self._matrix is None:
-                n = self._Ci.shape[0]
-                self._matrix = _add_to_diagonal(gram(np.eye(n) - self._Ci, 2.0), 16.0 * self._mu)
+                # I - C^i as 0 - C^i with 1 added on the diagonal: the same bits
+                I_minus_Ci = _add_to_diagonal(np.subtract(0.0, self._Ci), 1.0)
+                self._matrix = _add_to_diagonal(gram(I_minus_Ci, 2.0), 16.0 * self._mu)
                 return True
             self._factor = cholesky(self._matrix)
         except np.linalg.LinAlgError as exc:
@@ -339,8 +356,13 @@ def update_view_representation(
     """
     if system is None:
         system = _RepresentationSystem(state.Ci[i], state.mu)
-    X = ds.views[i]
-    rhs = 12.0 * state.mu * X + 4.0 * state.mu * CX - 4.0 * state.Gamma[i]
+    mu = state.mu
+    rhs = np.multiply(12.0 * mu, ds.views[i])
+    term = np.multiply(4.0 * mu, CX)
+    rhs += term
+    np.multiply(4.0, state.Gamma[i], out=term)
+    rhs -= term
+    del term
     return spd_solve(system.factor(), rhs)
 
 
@@ -437,10 +459,16 @@ def update_view_auxiliary(
     solution, which is the stationary point of the quadratic subproblem.
     """
     if variant == VARIANT_FROBENIUS:
-        Z = state.Ci[i] + state.Lam[i] / state.mu
+        Z = state.Lam[i] / state.mu
+        Z += state.Ci[i]
     else:
-        rhs = 2.0 * cfg.alpha * (state.C.T @ state.Ci[i]) + state.mu * state.Ci[i] + state.Lam[i]
-        Z = spd_apply_left(factor, rhs)
+        # the right-hand side, summed in that order in the product's memory,
+        # in which spd_apply_left also forms Z
+        Z = state.C.T @ state.Ci[i]
+        Z *= 2.0 * cfg.alpha
+        Z += state.mu * state.Ci[i]
+        Z += state.Lam[i]
+        Z = spd_apply_left(factor, Z)
     return project_constraints(Z) if project else Z
 
 
@@ -467,8 +495,9 @@ def update_consensus_coefficients(
     right factor. ``no_smoothing`` drops the feature-coupling terms,
     ``frobenius`` drops the alpha terms. ``sums`` holds A and B as every
     view has added into them (``_ConsensusSums``); this adds the terms the
-    views share, in place, and applies B^{-1}. ``XXt`` is
-    ``_feature_gram(ds)``, None for ``no_smoothing``.
+    views share, in place, and applies B^{-1}, so that B's memory holds the
+    inverse factor and A's the returned C. ``XXt`` is ``_feature_gram(ds)``,
+    None for ``no_smoothing``.
     """
     mu = state.mu
     A, B = sums.A, sums.B
@@ -477,9 +506,12 @@ def update_consensus_coefficients(
         w = cfg.beta * state.gamma[i] ** cfg.eta
         shift += 2.0 * w
     if variant != VARIANT_NO_SMOOTHING:
-        A -= 3.0 * mu * XXt
+        term = np.multiply(3.0 * mu, XXt)
+        A -= term
+        np.multiply(mu, XXt, out=term)
         # XXt is exactly symmetric, and its transpose has B's Fortran order
-        B += (mu * XXt).T
+        B += term.T
+        del term
     _add_to_diagonal(B, shift)
     return spd_apply_right(A, spd_inverse_factor(B))
 
@@ -540,7 +572,8 @@ class _ConsensusSums:
 
 def update_consensus_auxiliary(state: SolverState, project: bool = True) -> np.ndarray:
     """Auxiliary Z = C + Theta/mu, then the constraint projection."""
-    Z = state.C + state.Theta / state.mu
+    Z = state.Theta / state.mu
+    Z += state.C
     return project_constraints(Z) if project else Z
 
 
@@ -574,9 +607,11 @@ def _view_beside_consensus(state: SolverState, i: int) -> tuple[float, float, fl
     split *= mu
     split += state.Lam[i]
     state.Lam[i] = split
-    state.Omega[i] = state.Omega[i] + mu * rows
+    rows *= mu
+    rows += state.Omega[i]
+    state.Omega[i] = rows
     del split, rows
-    fit = float(np.sum((Y - Ci @ Y) ** 2))
+    fit = _squared_distance(Y, Ci @ Y)
     return gap_CiZi, gap_Ci1, fit
 
 
@@ -612,12 +647,12 @@ def _view_after_consensus(
         gap_Y = float(np.abs(coupling).max())
         state.Gamma[i] = state.Gamma[i] + state.mu * coupling
         del coupling
-    J = float(np.sum((state.C - Ci) ** 2))
+    J = _squared_distance(state.C, Ci)
     if variant == VARIANT_FROBENIUS:
         penalty = cfg.alpha * float(np.sum(Ci**2))
     else:
         CZ[i] = state.C @ state.Zi[i]
-        penalty = cfg.alpha * float(np.sum((Ci - CZ[i]) ** 2))
+        penalty = cfg.alpha * _squared_distance(Ci, CZ[i])
     iterates = (Y, Ci, state.Zi[i], state.Gamma[i], state.Lam[i], state.Omega[i])
     finite = all(np.all(np.isfinite(arr)) for arr in iterates)
     gap_CiZi, gap_Ci1, fit = beside[i]
@@ -664,14 +699,19 @@ def update_multipliers(state: SolverState, cfg: SolverConfig, residuals: tuple) 
     """Ascend the consensus multipliers Theta and Phi with the current mu,
     then grow mu (``_grown_penalty``).
 
-    ``residuals`` is ``_consensus_residuals`` of the current state. Each
-    view's Lam^i and Omega^i step (``_view_beside_consensus``) and Gamma^i
-    step (``_view_after_consensus``), with the same mu, must run first.
+    ``residuals`` is ``_consensus_residuals`` of the current state, whose
+    arrays become the new Theta and Phi. Each view's Lam^i and Omega^i step
+    (``_view_beside_consensus``) and Gamma^i step (``_view_after_consensus``),
+    with the same mu, must run first.
     """
     mu = state.mu
     C_Z, C_1 = residuals
-    state.Theta = state.Theta + mu * C_Z
-    state.Phi = state.Phi + mu * C_1
+    C_Z *= mu
+    C_Z += state.Theta
+    state.Theta = C_Z
+    C_1 *= mu
+    C_1 += state.Phi
+    state.Phi = C_1
     state.mu = _grown_penalty(mu, cfg)
 
 
@@ -975,13 +1015,13 @@ def solve(
         nonlocal residual_C
         C_prev = state.C
         state.C = update_consensus_coefficients(state, ds, cfg, variant, XXt=XXt, sums=sums)
-        residual_C = float(np.sum((state.C - C_prev) ** 2))
+        residual_C = _squared_distance(state.C, C_prev)
 
     def after_consensus() -> None:
         nonlocal residual_Z, residuals, factor
         Z_prev = state.Z
         state.Z = update_consensus_auxiliary(state)
-        residual_Z = float(np.sum((state.Z - Z_prev) ** 2))
+        residual_Z = _squared_distance(state.Z, Z_prev)
         del Z_prev
         residuals = _consensus_residuals(state)
         factor = next_factor(_grown_penalty(state.mu, cfg))

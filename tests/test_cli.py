@@ -391,6 +391,29 @@ def test_memory_guard_against_physical_memory(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", str(config)]) == 0
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"n_per_cluster": 2**70},
+        {"view_dims": [5, 2**70]},
+        {"n_per_cluster": 10**12},
+        {"k": 10**8, "n_per_cluster": 1},
+    ],
+)
+def test_oversized_synthetic_spec_is_a_config_error(tmp_path, capsys, fields):
+    # The memory guard reads the spec's shape before any of it is generated,
+    # which numpy would refuse at these sizes or take long over.
+    spec = {**SMALL_SYNTHETIC, **fields}
+    config = write_config(tmp_path, dataset={"synthetic": spec})
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    n = spec["k"] * spec["n_per_cluster"]
+    views = len(spec["view_dims"])
+    assert err.startswith(f"config error: a solve at n={n} with {views} views needs about ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unlabeled_manifest_with_explicit_k(tmp_path):
     views_dir = tmp_path / "data"
     views_dir.mkdir()

@@ -1505,6 +1505,159 @@ def test_updates_match_dense_reference(variant, n, d):
     assert_equivalent(state.Phi, steps["Phi"])
 
 
+def same_bits(actual, expected):
+    """Equal bits, zeros' signs included, and memory order: later products
+    and sums see the same operands as the expression's result."""
+    assert np.array_equal(actual, expected)
+    assert actual.tobytes() == expected.tobytes()
+    assert actual.flags.c_contiguous == expected.flags.c_contiguous
+    assert actual.flags.f_contiguous == expected.flags.f_contiguous
+
+
+def expression_projection(M):
+    M = 0.5 * (M + M.T)
+    np.maximum(M, 0.0, out=M)
+    np.fill_diagonal(M, 0.0)
+    return M
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_in_place_updates_match_their_expression_forms(variant):
+    # The updates build their results in arrays they own. Each must give the
+    # bits of the expression it replaced, kept here as the reference: the
+    # same IEEE operations in the same order (x y = y x, a + b = b + a, and
+    # x**2 is np.square). Y^i is C-ordered as set up here and
+    # Fortran-ordered as spd_solve returns it in a solve.
+    ds = toy_dataset(n=40, v=2, d=9, seed=80)
+    n = ds.n_samples
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        state = random_state(ds, seed=81)
+        state.Y = [layout(Y) for Y in state.Y]
+        mu = state.mu
+        M = np.random.default_rng(82).standard_normal((n, n))
+        same_bits(project_constraints(M.copy()), expression_projection(M.copy()))
+        for a, b in [(M, state.C), (M.T, state.C), (state.Y[0], state.Ci[0] @ state.Y[0])]:
+            assert solver._squared_distance(a, b) == float(np.sum((a - b) ** 2))
+
+        factor = _view_auxiliary_factor(state.C, mu, CFG) if variant != "frobenius" else None
+        CX = [state.C @ X for X in ds.views]
+        # the zero C^i of a solve's first Y^i systems among them
+        for Ci in (np.zeros((n, n)), *state.Ci):
+            system = _add_to_diagonal(gram(np.eye(n) - Ci, 2.0), 16.0 * mu)
+            same_bits(solver._RepresentationSystem(Ci, mu).factor(), cholesky(system))
+        for i in range(ds.n_views):
+            Ci, X = state.Ci[i], ds.views[i]
+            R = solver._RepresentationSystem(Ci, mu).factor()
+            expected = spd_solve(R, 12.0 * mu * X + 4.0 * mu * CX[i] - 4.0 * state.Gamma[i])
+            same_bits(update_view_representation(state, ds, i, CX=CX[i]), expected)
+            if variant == "frobenius":
+                expected = state.Ci[i] + state.Lam[i] / mu
+            else:
+                rhs = 2.0 * CFG.alpha * (state.C.T @ Ci) + mu * Ci + state.Lam[i]
+                expected = spd_apply_left(factor, rhs)
+            raw = update_view_auxiliary(state, i, CFG, variant, project=False, factor=factor)
+            same_bits(raw, expected)
+            projected = update_view_auxiliary(state, i, CFG, variant, factor=factor)
+            same_bits(projected, expression_projection(expected))
+
+        XXt = _feature_gram(ds) if variant != "no_smoothing" else None
+        sums = consensus_sums(state, ds, CFG, variant)
+        if XXt is not None:
+            sums.A -= 3.0 * mu * XXt
+            sums.B += (mu * XXt).T
+        shift = mu
+        for g in state.gamma:
+            shift += 2.0 * (CFG.beta * g**CFG.eta)
+        expected = spd_apply_right(sums.A, spd_inverse_factor(_add_to_diagonal(sums.B, shift)))
+        C = update_consensus_coefficients(
+            state, ds, CFG, variant, XXt=XXt, sums=consensus_sums(state, ds, CFG, variant)
+        )
+        same_bits(C, expected)
+        same_bits(update_consensus_auxiliary(state, project=False), state.C + state.Theta / mu)
+
+        # the views' steps and measures beside and after the C update
+        omegas = [Omega + mu * (Ci.sum(axis=1) - 1.0) for Omega, Ci in zip(state.Omega, state.Ci)]
+        fits = [float(np.sum((Y - Ci @ Y) ** 2)) for Y, Ci in zip(state.Y, state.Ci)]
+        mismatches = [float(np.sum((state.C - Ci) ** 2)) for Ci in state.Ci]
+        if variant == "frobenius":
+            penalties = [CFG.alpha * float(np.sum(Ci**2)) for Ci in state.Ci]
+        else:
+            penalties = [
+                CFG.alpha * float(np.sum((Ci - state.C @ Zi) ** 2))
+                for Ci, Zi in zip(state.Ci, state.Zi)
+            ]
+        views = after_consensus(state, ds, CFG, variant)
+        for i, view in enumerate(views):
+            same_bits(state.Omega[i], omegas[i])
+            assert (view.fit, view.J, view.penalty) == (fits[i], mismatches[i], penalties[i])
+
+        C_Z, C_1 = _consensus_residuals(state)
+        Theta = state.Theta + mu * C_Z
+        Phi = state.Phi + mu * C_1
+        update_multipliers(state, CFG, _consensus_residuals(state))
+        same_bits(state.Theta, Theta)
+        same_bits(state.Phi, Phi)
+
+
+def state_arrays(state):
+    """Every array the state holds."""
+    groups = (state.Y, state.Ci, state.Zi, state.Gamma, state.Lam, state.Omega)
+    return [*(a for group in groups for a in group), state.C, state.Z, state.Theta, state.Phi,
+            state.gamma]  # fmt: skip
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_updates_write_only_arrays_they_own(variant):
+    # An update may rebind state entries, but it writes into no array that
+    # the state or its caller still holds: every state array and every
+    # product it is handed keeps its bits. The exceptions are the arrays an
+    # update's docstring names as consumed: the C update's sums A and B,
+    # and the residuals that update_multipliers turns into Theta and Phi.
+    ds = toy_dataset(n=40, v=2, d=9, seed=83)
+    state = random_state(ds, seed=84)
+    smoothing = variant != "no_smoothing"
+    split = variant != "frobenius"
+    CX = [state.C @ X for X in ds.views] if smoothing else None
+    CZ = [state.C @ Zi if split else None for Zi in state.Zi]
+    XXt = _feature_gram(ds) if smoothing else None
+    factor = _view_auxiliary_factor(state.C, state.mu, CFG) if split else None
+    products = [a for a in (*(CX or ()), *CZ, XXt, factor) if a is not None]
+
+    def holds(update):
+        held = [*state_arrays(state), *products]
+        saved = [a.copy() for a in held]
+        result = update()
+        for a, before in zip(held, saved):
+            assert np.array_equal(a, before)
+        return result
+
+    for i in range(ds.n_views):
+        if smoothing:
+            holds(lambda: update_view_representation(state, ds, i, CX=CX[i]))
+            system = solver._RepresentationSystem(state.Ci[i], state.mu)
+            holds(system.factor)
+        holds(lambda: update_view_coefficients(state, i, CFG, variant, CZi=CZ[i]))
+        holds(lambda: update_view_auxiliary(state, i, CFG, variant, factor=factor))
+        terms = holds(lambda: solver._consensus_terms(state, ds, CFG, variant, i))
+        products += [t for t in terms if t is not None]
+    holds(lambda: _view_auxiliary_factor(state.C, state.mu, CFG))
+    holds(lambda: project_constraints(state.C))
+    sums = holds(lambda: consensus_sums(state, ds, CFG, variant))
+    holds(lambda: update_consensus_coefficients(state, ds, CFG, variant, XXt=XXt, sums=sums))
+    holds(lambda: update_consensus_auxiliary(state))
+    beside = [holds(lambda: solver._view_beside_consensus(state, i)) for i in range(ds.n_views)]
+    after = functools.partial(
+        solver._view_after_consensus, state, ds, CFG, variant, CX=CX, CZ=CZ, beside=beside
+    )
+    views = [holds(lambda: after(i)) for i in range(ds.n_views)]
+    residuals = holds(lambda: _consensus_residuals(state))
+    holds(lambda: constraint_gaps(residuals, views))
+    holds(lambda: update_multipliers(state, CFG, residuals))
+    J = holds(lambda: view_mismatches(views))
+    holds(lambda: update_view_weights(J, CFG))
+    holds(lambda: objective_value(state, CFG, views))
+
+
 @pytest.mark.parametrize("d", [3, 10])
 def test_view_coefficients_tiny_alpha_large_mu(d):
     # the MSRC-v1 preset's alpha with a late-run penalty: the regime where a
@@ -1533,18 +1686,22 @@ def test_spd_inverse_factor_matches_cholesky_solve(n):
     B = rng.standard_normal((n, n))
     factor = sla.cho_factor(A)
     Ri = spd_inverse_factor(A)
-    assert_equivalent(spd_apply_left(Ri, B), sla.cho_solve(factor, B), rtol=1e-10)
-    assert_equivalent(spd_apply_right(B, Ri), sla.cho_solve(factor, B.T).T, rtol=1e-10)
+    # each product is formed in the memory of the B it is handed
+    assert_equivalent(spd_apply_left(Ri, B.copy()), sla.cho_solve(factor, B), rtol=1e-10)
+    assert_equivalent(spd_apply_right(B.copy(), Ri), sla.cho_solve(factor, B.T).T, rtol=1e-10)
 
 
 def test_lapack_routines_match_scipys_bitwise(monkeypatch):
     # gfclust._lapack calls numpy's OpenBLAS; scipy's f2py wrappers call its
     # own. Each operation must give the same bits and memory order as the
-    # scipy calls it stands for, surface the same nonzero info, and leave its
-    # inputs as they were. n = 150 exceeds the block sizes of the blocked
-    # Cholesky and inverse. dpotrf and dpotrs write their matrix or
-    # right-hand side in place, so A and B are Fortran-ordered: cholesky and
-    # spd_solve must work on copies of them.
+    # scipy calls it stands for and surface the same nonzero info. n = 150
+    # exceeds the block sizes of the blocked Cholesky and inverse.
+    # cholesky and spd_inverse_factor own their A, the two products their B:
+    # where that has the layout the routine writes, the result is formed in
+    # its memory, as scipy's overwrite_a=1 or overwrite_b=1 call forms it in
+    # a Fortran-ordered argument; otherwise the owned matrix is left as it
+    # was. spd_solve returns a new matrix, and no operation writes to any
+    # other argument.
     rng = np.random.default_rng(51)
     n, k = 150, 23
 
@@ -1553,41 +1710,62 @@ def test_lapack_routines_match_scipys_bitwise(monkeypatch):
         assert ours.flags.f_contiguous == theirs.flags.f_contiguous
         assert ours.flags.c_contiguous == theirs.flags.c_contiguous
 
+    def read_only(a):
+        a = a.copy(order="K")
+        a.flags.writeable = False
+        return a
+
+    def fresh(a):
+        """A copy of ``a`` in its memory order, read-only if ``a`` is."""
+        return a.copy(order="K") if a.flags.writeable else read_only(a)
+
+    def owning(operation, owned, expected, in_place, others=()):
+        """operation(owned) gives ``expected``, in the memory of ``owned`` if
+        ``in_place``, else leaving ``owned`` as it was; ``others`` are left
+        as they were either way."""
+        untouched = [*([] if in_place else [owned]), *others]
+        saved = [x.copy(order="K") for x in untouched]
+        result = operation(owned)
+        same(result, expected)
+        assert np.shares_memory(result, owned) == in_place
+        for x, before in zip(untouched, saved):
+            same(x, before)
+
     M = rng.standard_normal((n, k))
     for a in (M, M.T, np.asfortranarray(M)):
         for outer in (False, True):
-            same(gram(a, 0.7, outer), sla.blas.dsyrk(0.7, a.T, trans=int(outer)))
+            expected = sla.blas.dsyrk(0.7, a.T, trans=int(outer))
+            owning(lambda a: gram(a, 0.7, outer), a, expected, in_place=False)
     G = rng.standard_normal((n, n))
     A = np.asfortranarray(G @ G.T + n * np.eye(n))
     B = np.asfortranarray(rng.standard_normal((n, k)))
-    inputs = (M, G, A, B)
-    saved = [x.copy() for x in inputs]
-    R, info = sla.lapack.dpotrf(A, lower=0, clean=0)
+    R, info = sla.lapack.dpotrf(A.copy(order="F"), lower=0, clean=0, overwrite_a=1)
     assert info == 0
-    factor = cholesky(A)
-    same(factor, R)
-    inputs += (factor,)
-    saved.append(factor.copy())
+    Ri, info = sla.lapack.dtrtri(R.copy(order="F"), lower=0, overwrite_c=1)
+    assert info == 0
+    for a, in_place in [(A, True), (np.ascontiguousarray(A), False), (read_only(A), False)]:
+        owning(cholesky, fresh(a), R, in_place)
+        owning(spd_inverse_factor, fresh(a), Ri, in_place)
+    factor = R.copy(order="F")
     for b in (B, np.ascontiguousarray(B)):
         expected_X, info = sla.lapack.dpotrs(R, b, lower=0)
         assert info == 0
-        same(spd_solve(factor, b), expected_X)
-    Ri = spd_inverse_factor(A)
-    expected_Ri, info = sla.lapack.dtrtri(R, lower=0)
-    assert info == 0
-    same(Ri, expected_Ri)
-    inputs += (Ri,)
-    saved.append(Ri.copy())
+        owning(lambda b: spd_solve(factor, b), b, expected_X, False, (factor,))
 
     def scipy_trmm_twice(b, side, first, second):
-        W = sla.blas.dtrmm(1.0, Ri, b.T, side=side, lower=0, trans_a=first)
-        return sla.blas.dtrmm(1.0, Ri, W, side=side, lower=0, trans_a=second, overwrite_b=1).T
+        W = b.T.copy(order="F")
+        for trans in (first, second):
+            W = sla.blas.dtrmm(1.0, Ri, W, side=side, lower=0, trans_a=trans, overwrite_b=1)
+        return W.T
 
-    for b in (G, G.T, M):
-        same(spd_apply_left(Ri, b), scipy_trmm_twice(b, 1, 0, 1))
-    for b in (G, G.T, M.T):
-        same(spd_apply_right(b, Ri), scipy_trmm_twice(b, 0, 1, 0))
-    assert all(np.array_equal(x, y) for x, y in zip(inputs, saved))
+    inverse = Ri.copy(order="F")
+    # the products write B^T, which is Fortran-ordered where B is C-ordered
+    for b, in_place in [(G, True), (G.T, False), (M, True), (read_only(G), False)]:
+        owning(lambda b: spd_apply_left(inverse, b), fresh(b),
+               scipy_trmm_twice(b, 1, 0, 1), in_place, (inverse,))  # fmt: skip
+    for b, in_place in [(G, True), (G.T, False), (M.T.copy(), True), (read_only(G), False)]:
+        owning(lambda b: spd_apply_right(b, inverse), fresh(b),
+               scipy_trmm_twice(b, 0, 1, 0), in_place, (inverse,))  # fmt: skip
     indefinite = np.diag([4.0, 1.0, -1.0, 2.0])
     assert sla.lapack.dpotrf(indefinite, lower=0, clean=0)[1] == 3
     with pytest.raises(np.linalg.LinAlgError, match="dpotrf: leading minor 3 "):
