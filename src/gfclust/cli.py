@@ -43,6 +43,7 @@ from .data import (
     load_dataset,
     normalize_views,
     read_text,
+    synthetic_peak_bytes,
 )
 from .metrics import evaluate
 from .solver import (
@@ -362,16 +363,22 @@ def run_grid_point(
     }
 
 
+def _check_memory(need: int, what: str) -> None:
+    """Raise ConfigError if ``what``, estimated at ``need`` bytes, would need
+    more than the machine's physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(
+            f"{what} needs about {need:,} bytes, more than the {have:,} bytes"
+            " of physical memory"
+        )
+
+
 def _check_solve_memory(n_samples: int, view_dims) -> None:
     """Raise ConfigError if a solve at n_samples with views of view_dims
     features would need more than the machine's physical memory."""
     need = solve_peak_bytes(n_samples, len(view_dims), sum(view_dims))
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ConfigError(
-            f"a solve at n={n_samples} with {len(view_dims)} views needs about"
-            f" {need:,} bytes, more than the {have:,} bytes of physical memory"
-        )
+    _check_memory(need, f"a solve at n={n_samples} with {len(view_dims)} views")
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -383,6 +390,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         # A spec too large to solve may be too large to generate, or take
         # long to: its shape is checked before anything is built.
         _check_solve_memory(spec.k * spec.n_per_cluster, spec.view_dims)
+        _check_memory(synthetic_peak_bytes(spec), "generating the synthetic dataset")
     ds = _load_experiment_dataset(cfg)
     if cfg.k is None and ds.labels is None:
         raise ConfigError("k is required when the dataset has no labels")

@@ -45,9 +45,10 @@ of their matrices:
   multipliers; the mismatches J^i serve the view weights, the objective and
   the diagnostics.
 
-The solve is the one producer of these shared products: each update
-function takes the products it reads as required arguments, and gets None
-for a product its variant does not read.
+The solve is the one producer of these shared products, and the one place
+that maps a variant to them: each update function takes the products it
+reads as required arguments, and a None product means that the variant
+lacks the terms that read it.
 
 The solve drops each of these products after its last reader, so that no two
 generations of one exist at once: C Z^i and C X^i after view i's C^i and Y^i
@@ -66,42 +67,10 @@ memory instead of a copy. So the C update consumes the sums A and B, and
 are rebound each iteration and never written in place once stored, so the
 returned C^i need no copy.
 
-The views are coupled only through the consensus: given C, each view's work
-reads no other view's iterates, and the work shared by all views reads no
-view's multipliers. So each iteration runs in three dispatches of
-``_run_views``, on the calling thread and the one worker of a thread pool
-created once per solve; every BLAS/LAPACK call releases the GIL. In the
-last two, the calling thread first runs the shared work while the worker
-takes views, then joins it.
-
-1. Before the C update, view i's Y^i, C^i and Z^i updates against the
-   previous C, then its terms of the C update (``_consensus_terms``):
-   2 alpha C^i Z^i^T and (4 mu Y^i + Gamma^i) X^i^T for A, 2 alpha Z^i Z^i^T
-   for B. The thread that ran view i folds them, with 2w_i C^i, into A and
-   B (``_ConsensusSums.add``) once view i - 1's fold has finished, so the
-   floating-point sequence into A and B is the serial loop's.
-2. Beside the C update and the squared change of C (shared), view i's
-   work that reads no C (``_view_beside_consensus``): its split and row-sum
-   residuals, their gaps and Lam^i and Omega^i steps, and its fit
-   ||Y^i - C^i Y^i||_F^2.
-3. Beside the Z update, the squared change of Z, the consensus residuals
-   and the next iteration's Z^i inverse factor (shared), view i's
-   C X^i, Gamma^i step, mismatch J^i, C Z^i, penalty term and a finiteness
-   check of its iterates (``_view_after_consensus``).
-
-The views' results come back by view, and the calling thread folds them in
-view order. A thread that would otherwise wait for the other at the end of
-a dispatch brings the next iteration's Y^i systems forward instead
-(``_look_ahead``): view i's system matrix 2(I - C^i)^T(I - C^i) + 16 mu I
-reads only its final C^i of the iteration and the next mu, so it is formed,
-then factored, one step at a time, and view i's next Y^i update takes the
-steps still missing (``_RepresentationSystem``). Each view's and the shared
-arithmetic is the same on either thread, in either order and whichever
-thread forms the system, so the results are bitwise those of the serial
-loops. The worker runs only with two or more views, two or more CPUs and
-single-threaded OpenBLAS (``_use_helper_thread``). What stays serial is
-small: the consensus multipliers, mu, the view weights, the folds and the
-finiteness check of C, Z, Theta, Phi and gamma.
+The views are coupled only through the consensus, so each iteration runs in
+three dispatches of ``_run_views``, which may share the views' work with one
+worker thread; the results are bitwise those of one thread. README "Two
+threads per iteration" tells how.
 """
 
 from __future__ import annotations
@@ -195,17 +164,12 @@ class SolverConfig:
 class SolverState:
     """All iterates of one run.
 
-    During each of an iteration's three dispatches, the calling thread and
-    the solve's worker thread each rebind the entries of view i for the
-    views they take: of Y, Ci and Zi before the C update, of Lam and Omega
-    beside it, of Gamma after it. The shared work of a dispatch, on the
-    calling thread, rebinds C beside the views' second step, and only Z (and
-    the solve's held Z^i factor) beside their third. A thread's spare work
-    (``_look_ahead``) writes only view i's slot of the solve's next Y^i
-    systems, which only view i's next Y^i update reads, and reads only C^i
-    and mu; in the first dispatch it takes only views already folded. Each
-    thread reads only what no other thread writes in that dispatch. Outside
-    the dispatches one thread owns the state.
+    In each of an iteration's three dispatches of ``_run_views``, the thread
+    that takes view i rebinds only view i's entries: of Y, Ci and Zi in the
+    first, of Lam and Omega in the second, of Gamma in the third. The shared
+    work, on the calling thread, rebinds only C in the second and Z in the
+    third. Each thread reads only what no other thread writes in that
+    dispatch; outside the dispatches one thread owns the state.
     """
 
     Y: list[np.ndarray]
@@ -298,43 +262,57 @@ def _squared_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(d))
 
 
-class _RepresentationSystem:
-    """The Y^i system matrix 2(I - C^i)^T(I - C^i) + 16 mu I at one C^i and
-    mu, brought forward a step at a time: ``step`` forms the matrix, then its
-    Cholesky factor in place of it. A LinAlgError from either step is held,
-    and ``factor`` raises it."""
+def _view_weight(cfg: SolverConfig, gamma_i: float) -> float:
+    """beta gamma_i^eta, the weight of view i's mismatch ||C - C^i||_F^2."""
+    return cfg.beta * gamma_i**cfg.eta
 
-    def __init__(self, Ci: np.ndarray, mu: float):
-        self._Ci = Ci
-        self._mu = mu
-        self._matrix = None
-        self._factor = None
+
+class _HeldWork:
+    """Work for iteration k + 1 that iteration k forms, one step at a time:
+    ``first()``, then each of ``then`` on the result of the step before. It
+    holds the next Z^i factor and each view's next Y^i system. A LinAlgError
+    from a step is held and no later step runs; ``result`` raises it, so the
+    error is that of the iteration the work serves, and a solve that stops
+    first never raises it."""
+
+    def __init__(self, first, *then):
+        self._steps = [first, *then]
+        self._result = ()  # the last step's result, as the next step's arguments
+        self._error = None
 
     def step(self) -> bool:
         """Take the next step, if one is left; return whether one is left
         after it."""
-        if self._factor is not None:
-            return False
-        try:
-            if self._matrix is None:
-                # I - C^i as 0 - C^i with 1 added on the diagonal: the same bits
-                I_minus_Ci = _add_to_diagonal(np.subtract(0.0, self._Ci), 1.0)
-                self._matrix = _add_to_diagonal(gram(I_minus_Ci, 2.0), 16.0 * self._mu)
-                return True
-            self._factor = cholesky(self._matrix)
-        except np.linalg.LinAlgError as exc:
-            self._factor = exc
-        self._matrix = None
-        return False
+        if self._steps:
+            try:
+                self._result = (self._steps.pop(0)(*self._result),)
+            except np.linalg.LinAlgError as exc:
+                self._error = exc
+                self._steps.clear()
+                self._result = ()
+        return bool(self._steps)
 
-    def factor(self) -> np.ndarray:
-        """The Cholesky factor, after taking the steps left; raises the held
-        error if a step failed."""
+    def result(self):
+        """The last step's result, after taking the steps left; raises the
+        held error if a step failed."""
         while self.step():
             pass
-        if isinstance(self._factor, np.linalg.LinAlgError):
-            raise self._factor
-        return self._factor
+        if self._error is not None:
+            raise self._error
+        return self._result[0]
+
+
+def _representation_matrix(Ci: np.ndarray, mu: float) -> np.ndarray:
+    """The Y^i system matrix 2(I - C^i)^T(I - C^i) + 16 mu I."""
+    # I - C^i as 0 - C^i with 1 added on the diagonal: the same bits
+    I_minus_Ci = _add_to_diagonal(np.subtract(0.0, Ci), 1.0)
+    return _add_to_diagonal(gram(I_minus_Ci, 2.0), 16.0 * mu)
+
+
+def _representation_system(Ci: np.ndarray, mu: float) -> _HeldWork:
+    """The Y^i system at C^i and mu as held work: the matrix, then its
+    Cholesky factor in place of it."""
+    return _HeldWork(functools.partial(_representation_matrix, Ci, mu), cholesky)
 
 
 def update_view_representation(
@@ -343,19 +321,19 @@ def update_view_representation(
     i: int,
     *,
     CX: np.ndarray,
-    system: _RepresentationSystem | None = None,
+    system: _HeldWork | None = None,
 ) -> np.ndarray:
     """Closed-form smoothed features for view i.
 
     Minimizes ||Y - C^i Y||_F^2 + mu/2 ||4Y - 3X^i - CX^i + Gamma^i/mu||_F^2;
     the normal equations [2(I-C^i)^T(I-C^i) + 16 mu I] Y = 12 mu X^i
     + 4 mu C X^i - 4 Gamma^i are solved by Cholesky. ``CX`` is the product
-    C X^i. ``system`` is the system matrix at the state's C^i and mu as far
-    as ``_look_ahead`` brought it, and its missing steps are taken here;
-    without it the whole system is formed here.
+    C X^i. ``system`` is the ``_representation_system`` at the state's C^i
+    and mu, whose steps left are taken here; without it the whole system is
+    formed here.
     """
     if system is None:
-        system = _RepresentationSystem(state.Ci[i], state.mu)
+        system = _representation_system(state.Ci[i], state.mu)
     mu = state.mu
     rhs = np.multiply(12.0 * mu, ds.views[i])
     term = np.multiply(4.0 * mu, CX)
@@ -363,35 +341,20 @@ def update_view_representation(
     np.multiply(4.0, state.Gamma[i], out=term)
     rhs -= term
     del term
-    return spd_solve(system.factor(), rhs)
-
-
-def _look_ahead(state: SolverState, cfg: SolverConfig, systems: list, i: int) -> bool:
-    """The solve's spare work for view i (``_run_views``): one step of the
-    next iteration's Y^i system, at the iteration's final C^i and the next
-    mu (``_grown_penalty``), held in ``systems[i]`` until view i's next Y^i
-    update uses it up. Returns whether a step is left."""
-    if systems[i] is None:
-        systems[i] = _RepresentationSystem(state.Ci[i], _grown_penalty(state.mu, cfg))
-    return systems[i].step()
+    return spd_solve(system.result(), rhs)
 
 
 def update_view_coefficients(
-    state: SolverState,
-    i: int,
-    cfg: SolverConfig,
-    variant: str = VARIANT_FULL,
-    *,
-    CZi: np.ndarray | None,
+    state: SolverState, i: int, cfg: SolverConfig, *, CZi: np.ndarray | None
 ) -> np.ndarray:
     """Closed-form view coefficient matrix C^i = L R^{-1}.
 
     The left factor L collects 2 Y^i Y^i^T, the consensus pull, the split
-    copy Z^i, and the multiplier corrections. The ``frobenius`` variant drops
-    the alpha C Z^i coupling from it (its alpha term is a plain ridge
-    penalty); ``no_smoothing`` uses the same formula with Y^i = X^i, which
-    the state already holds. ``CZi`` is the product C Z^i, None for
-    ``frobenius``.
+    copy Z^i, the multiplier corrections and the alpha C Z^i coupling.
+    ``CZi`` is the product C Z^i, None for the ``frobenius`` variant, which
+    lacks the coupling (its alpha term is a plain ridge penalty);
+    ``no_smoothing`` uses the same formula with Y^i = X^i, which the state
+    already holds.
 
     The right factor 2 Y^i Y^i^T + 2(alpha + beta gamma_i^eta) I
     + mu (I + 11^T) is a I + U U^T with U = [sqrt(2) Y^i, sqrt(mu) 1] of
@@ -399,10 +362,10 @@ def update_view_coefficients(
     R^{-1} = I/a - Q diag(s^2 / (a(a + s^2))) Q^T in O(n^2 d_i); otherwise
     L R^{-1} is applied through the inverse Cholesky factor of R in O(n^3).
     """
-    n = state.C.shape[0]
     Y = state.Y[i]
+    n, d = Y.shape
     mu = state.mu
-    w = cfg.beta * state.gamma[i] ** cfg.eta
+    w = _view_weight(cfg, state.gamma[i])
     # left = 2 Y Y^T + 2w C + mu (Z^i + 1) - Lam^i - Omega^i 1^T [+ 2 alpha C Z^i],
     # summed in that order through one reused temporary
     left = Y @ Y.T
@@ -414,12 +377,14 @@ def update_view_coefficients(
     left += term
     left -= state.Lam[i]
     left -= state.Omega[i][:, None]
-    if variant != VARIANT_FROBENIUS:
+    if CZi is not None:
         np.multiply(2.0 * cfg.alpha, CZi, out=term)
         left += term
     del term
     a = 2.0 * (cfg.alpha + w) + mu
-    U = np.column_stack([np.sqrt(2.0) * Y, np.full(n, np.sqrt(mu))])
+    U = np.empty((n, d + 1))
+    np.multiply(np.sqrt(2.0), Y, out=U[:, :d])
+    U[:, d] = np.sqrt(mu)
     if 4 * U.shape[1] > n:
         factor = spd_inverse_factor(_add_to_diagonal(gram(U, outer=True), a))
         return spd_apply_right(left, factor)
@@ -445,20 +410,19 @@ def update_view_auxiliary(
     state: SolverState,
     i: int,
     cfg: SolverConfig,
-    variant: str = VARIANT_FULL,
     project: bool = True,
     *,
     factor: np.ndarray | None,
 ) -> np.ndarray:
     """Auxiliary Z^i: linear solve (or multiplier shift) then constraint projection.
 
-    Full/no-smoothing: solve (2 alpha C^T C + mu I) Z = 2 alpha C^T C^i
-    + mu C^i + Lam^i against ``factor`` (from ``_view_auxiliary_factor``).
-    Frobenius drops the data term, leaving Z = C^i + Lam^i/mu, and gets None
-    for ``factor``. ``project=False`` returns the pre-projection
+    Solves (2 alpha C^T C + mu I) Z = 2 alpha C^T C^i + mu C^i + Lam^i
+    against ``factor`` (from ``_view_auxiliary_factor``). ``factor`` is None
+    for the ``frobenius`` variant, which lacks the data term, leaving
+    Z = C^i + Lam^i/mu. ``project=False`` returns the pre-projection
     solution, which is the stationary point of the quadratic subproblem.
     """
-    if variant == VARIANT_FROBENIUS:
+    if factor is None:
         Z = state.Lam[i] / state.mu
         Z += state.Ci[i]
     else:
@@ -481,7 +445,6 @@ def update_consensus_coefficients(
     state: SolverState,
     ds: MultiViewDataset,
     cfg: SolverConfig,
-    variant: str = VARIANT_FULL,
     *,
     XXt: np.ndarray | None,
     sums: _ConsensusSums,
@@ -492,20 +455,18 @@ def update_consensus_coefficients(
     A sums per-view couplings (split copies, weighted view coefficients, and
     for smoothing variants the feature-coupling terms) plus the consensus
     auxiliary and multiplier corrections; B is the matching Gram-plus-shift
-    right factor. ``no_smoothing`` drops the feature-coupling terms,
-    ``frobenius`` drops the alpha terms. ``sums`` holds A and B as every
-    view has added into them (``_ConsensusSums``); this adds the terms the
-    views share, in place, and applies B^{-1}, so that B's memory holds the
-    inverse factor and A's the returned C. ``XXt`` is ``_feature_gram(ds)``,
-    None for ``no_smoothing``.
+    right factor. ``sums`` holds A and B as every view has added into them
+    (``_ConsensusSums``); this adds the terms the views share, in place, and
+    applies B^{-1}, so that B's memory holds the inverse factor and A's the
+    returned C. ``XXt`` is ``_feature_gram(ds)``, None for the
+    ``no_smoothing`` variant, which lacks the feature-coupling terms.
     """
     mu = state.mu
     A, B = sums.A, sums.B
     shift = mu
     for i in range(ds.n_views):
-        w = cfg.beta * state.gamma[i] ** cfg.eta
-        shift += 2.0 * w
-    if variant != VARIANT_NO_SMOOTHING:
+        shift += 2.0 * _view_weight(cfg, state.gamma[i])
+    if XXt is not None:
         term = np.multiply(3.0 * mu, XXt)
         A -= term
         np.multiply(mu, XXt, out=term)
@@ -517,17 +478,24 @@ def update_consensus_coefficients(
 
 
 def _consensus_terms(
-    state: SolverState, ds: MultiViewDataset, cfg: SolverConfig, variant: str, i: int
+    state: SolverState,
+    ds: MultiViewDataset,
+    cfg: SolverConfig,
+    i: int,
+    *,
+    split: bool,
+    smoothing: bool,
 ) -> tuple:
     """View i's terms of the C update from its new iterates: 2 alpha Z^i Z^i^T
-    for B, 2 alpha C^i Z^i^T and (4 mu Y^i + Gamma^i) X^i^T for A, each None
-    where the variant lacks it."""
+    for B and 2 alpha C^i Z^i^T for A if ``split`` (the model has the split
+    C Z^i, which ``frobenius`` lacks), (4 mu Y^i + Gamma^i) X^i^T for A if
+    ``smoothing`` (which ``no_smoothing`` lacks), each None otherwise."""
     ZZt = CZt = YXt = None
-    if variant != VARIANT_FROBENIUS:
+    if split:
         ZZt = gram(state.Zi[i], 2.0 * cfg.alpha, outer=True)
         CZt = state.Ci[i] @ state.Zi[i].T
         CZt *= 2.0 * cfg.alpha
-    if variant != VARIANT_NO_SMOOTHING:
+    if smoothing:
         YXt = (4.0 * state.mu * state.Y[i] + state.Gamma[i]) @ ds.views[i].T
     return ZZt, CZt, YXt
 
@@ -562,7 +530,7 @@ class _ConsensusSums:
             self.A -= state.Phi[:, None]
         if ZZt is not None:
             self.B += ZZt
-        w = self.cfg.beta * state.gamma[i] ** self.cfg.eta
+        w = _view_weight(self.cfg, state.gamma[i])
         self.A += np.multiply(2.0 * w, state.Ci[i], out=None if ZZt is None else ZZt.T)
         if CZt is not None:
             self.A += CZt
@@ -619,23 +587,22 @@ def _view_after_consensus(
     state: SolverState,
     ds: MultiViewDataset,
     cfg: SolverConfig,
-    variant: str,
     i: int,
     *,
     CX: list[np.ndarray | None] | None,
-    CZ: list[np.ndarray | None],
+    CZ: list[np.ndarray | None] | None,
     beside: list[tuple[float, float, float]],
 ) -> _ViewMeasures:
     """View i's work after the C update, reading only view i's iterates, C
     and mu, and its measures ``beside[i]`` from ``_view_beside_consensus``.
 
-    Forms C X^i into ``CX[i]`` (None for ``no_smoothing``), the coupling
-    residual 4Y^i - 3X^i - CX^i and its Gamma^i step with the current mu,
-    then J^i = ||C - C^i||_F^2, C Z^i into ``CZ[i]`` (not for
-    ``frobenius``) and the penalty term alpha ||C^i - C Z^i||_F^2
-    (alpha ||C^i||_F^2 for ``frobenius``), and checks that view i's iterates
-    are finite. C X^i and C Z^i serve the next iteration's Y^i and C^i
-    updates.
+    Forms C X^i into ``CX[i]``, the coupling residual 4Y^i - 3X^i - CX^i and
+    its Gamma^i step with the current mu, then J^i = ||C - C^i||_F^2, C Z^i
+    into ``CZ[i]`` and the penalty term alpha ||C^i - C Z^i||_F^2, and
+    checks that view i's iterates are finite. C X^i and C Z^i serve the next
+    iteration's Y^i and C^i updates. ``CX`` is None for the ``no_smoothing``
+    variant, which lacks the coupling; ``CZ`` is None for ``frobenius``,
+    whose penalty term is alpha ||C^i||_F^2.
     """
     Y = state.Y[i]
     Ci = state.Ci[i]
@@ -648,7 +615,7 @@ def _view_after_consensus(
         state.Gamma[i] = state.Gamma[i] + state.mu * coupling
         del coupling
     J = _squared_distance(state.C, Ci)
-    if variant == VARIANT_FROBENIUS:
+    if CZ is None:
         penalty = cfg.alpha * float(np.sum(Ci**2))
     else:
         CZ[i] = state.C @ state.Zi[i]
@@ -741,10 +708,9 @@ def objective_value(state: SolverState, cfg: SolverConfig, views: list[_ViewMeas
     order."""
     total = 0.0
     for i, view in enumerate(views):
-        w = cfg.beta * state.gamma[i] ** cfg.eta
         total += view.fit
         total += view.penalty
-        total += w * view.J
+        total += _view_weight(cfg, state.gamma[i]) * view.J
     return total
 
 
@@ -775,18 +741,19 @@ def _view_before_consensus(
     state: SolverState,
     ds: MultiViewDataset,
     cfg: SolverConfig,
-    variant: str,
     i: int,
     *,
     factor: np.ndarray | None,
     CX: list[np.ndarray | None] | None,
-    CZ: list[np.ndarray | None],
-    systems: list[_RepresentationSystem | None] | None,
+    CZ: list[np.ndarray | None] | None,
+    systems: list[_HeldWork | None] | None,
 ) -> tuple:
     """View i's work before the C update: its Y^i, C^i and Z^i updates
     against the previous C, in that order; returns its terms of the C update
-    (``_consensus_terms``). ``systems[i]`` is view i's Y^i system as far as
-    ``_look_ahead`` brought it; ``systems`` is None where CX is.
+    (``_consensus_terms``). ``systems[i]`` is view i's Y^i system, which it
+    replaces with the next iteration's, at its new C^i and the next mu
+    (``_grown_penalty``). ``CX`` and ``systems`` are None for the
+    ``no_smoothing`` variant, ``CZ`` and ``factor`` for ``frobenius``.
 
     Drops C X^i, C Z^i and the Y^i system after their last reader, and the
     old C^i and Z^i before their successors are built: the C^i update does
@@ -796,11 +763,14 @@ def _view_before_consensus(
         state.Y[i] = update_view_representation(state, ds, i, CX=CX[i], system=systems[i])
         CX[i] = systems[i] = None
     state.Ci[i] = None
-    state.Ci[i] = update_view_coefficients(state, i, cfg, variant, CZi=CZ[i])
-    CZ[i] = None
+    state.Ci[i] = update_view_coefficients(state, i, cfg, CZi=None if CZ is None else CZ[i])
+    if CZ is not None:
+        CZ[i] = None
+    if systems is not None:
+        systems[i] = _representation_system(state.Ci[i], _grown_penalty(state.mu, cfg))
     state.Zi[i] = None
-    state.Zi[i] = update_view_auxiliary(state, i, cfg, variant, factor=factor)
-    return _consensus_terms(state, ds, cfg, variant, i)
+    state.Zi[i] = update_view_auxiliary(state, i, cfg, factor=factor)
+    return _consensus_terms(state, ds, cfg, i, split=CZ is not None, smoothing=CX is not None)
 
 
 def _run_views(
@@ -920,24 +890,13 @@ def solve_peak_bytes(n_samples: int, n_views: int, total_dim: int) -> int:
     total_dim = sum_i d_i: 8 [(5v + 13) n^2 + 6.5 n sum_i d_i].
 
     Live through an iteration are 5v + 7 n x n arrays: C^i, Z^i, Lam^i and
-    C Z^i of every view, and the next Y^i system that each view may hold
-    (``_look_ahead``), with C, Z, Theta, sum_i X^i X^i^T, the Z^i inverse
-    factor and the sums A and B of the C update. Each unit in flight adds
-    its temporaries, and a view waiting for its turn to fold its three
-    n x n terms of the C update. The n x d_i arrays (Y^i, Gamma^i, C X^i and
-    the temporaries of the units in flight, the thin-SVD factors among them)
-    make up the second term. Fitted to the worst interleaving of the two
-    threads, taken as the largest sum, over two units of one dispatch (a
-    view's task and fold, a spare step, or the shared work), of one unit's
-    tracemalloc peak and the other's rise above its start, with every
-    view's look-ahead complete at the end of each dispatch, for all three
-    variants at 17 shapes from n=60 to n=300, v=2 to v=8 and d_i up to 7n:
-    it bounds each from above, the closest by 1.9 % (n=60, d_i = 7n and
-    5n). The held look-aheads moved the estimate up from (4v + 13) n^2:
-    with many narrow views the worst interleaving moves to the last two
-    dispatches, where every view may hold one, and rose by up to 6.2 n^2
-    (eight views at n=60), to 7.5 % above the old estimate (six views at
-    n=90). A solve without the worker thread forms no look-ahead.
+    C Z^i of every view, and the next Y^i system that each view may hold,
+    with C, Z, Theta, sum_i X^i X^i^T, the Z^i inverse factor and the sums A
+    and B of the C update. Each unit in flight adds its temporaries, and a
+    view waiting for its turn to fold its three n x n terms of the C update.
+    The n x d_i arrays (Y^i, Gamma^i, C X^i and the temporaries of the units
+    in flight, the thin-SVD factors among them) make up the second term.
+    README "Memory" tells how the estimate was fitted.
     """
     n = n_samples
     return 4 * ((10 * n_views + 26) * n * n + 13 * n * total_dim)
@@ -948,65 +907,59 @@ def solve(
 ) -> SolverOutput:
     """Run ``variant`` (one of VARIANTS) to convergence or cfg.max_iter.
 
+    The one place that maps a variant to what the updates read.
+    ``no_smoothing`` pins Y^i to X^i, with no feature-coupling constraint or
+    Gamma^i multiplier, so its updates get no C X^i, Y^i system or
+    sum_i X^i X^i^T. ``frobenius`` puts a plain ridge penalty
+    alpha ||C^i||_F^2 in place of the consensus-filter regularizer, so Z^i is
+    the projected multiplier shift of C^i, and its updates get no C Z^i or
+    Z^i factor.
+
     One iteration updates, in order: per view Y^i, C^i, Z^i (every view
     against the previous iteration's consensus), then C, Z, the multipliers
-    with the current mu, mu itself, and finally the view weights. Each
-    iteration runs in three dispatches on the calling thread and, where
-    ``_use_helper_thread`` allows, the one worker of a thread pool: the
-    views' Y^i, C^i and Z^i updates, with each view's terms of the C update
-    folded in view order; the C update beside the views' multiplier steps
-    that read no C; and the Z update and the next iteration's Z^i factor
-    beside the rest of the views' work. In each dispatch a thread left
-    without a view while the other still works forms and factors the next
-    iteration's Y^i systems instead (``_look_ahead``). The outputs are
-    bitwise those of one thread. The run stops once every
-    constraint-gap max-norm is <= cfg.eps and the squared successive changes
-    of C and Z are <= RESID_TOL. The optional ``callback(state)`` fires after
-    each completed iteration, on the calling thread. A linear algebra
-    failure in an iteration's updates, on either thread, or a non-finite
-    iterate, raises one ``SolverNumericalError`` with the iteration and the
-    diagnostics recorded so far; a failure to form the Z^i factor or a Y^i
-    system factor of iteration k + 1, formed in iteration k, counts as
+    with the current mu, mu itself, and finally the view weights. It runs in
+    three dispatches of ``_run_views`` on the calling thread and, where
+    ``_use_helper_thread`` allows, the one worker of a thread pool (README
+    "Two threads per iteration"); the outputs are bitwise those of one
+    thread. The run stops once every constraint-gap max-norm is <= cfg.eps
+    and the squared successive changes of C and Z are <= RESID_TOL. The
+    optional ``callback(state)`` fires after each completed iteration, on
+    the calling thread. A linear algebra failure in an iteration's updates,
+    on either thread, or a non-finite iterate, raises one
+    ``SolverNumericalError`` with the iteration and the diagnostics recorded
+    so far. The Z^i factor and the Y^i systems of iteration k + 1 are formed
+    in iteration k as ``_HeldWork``, so a failure to form one counts as
     iteration k + 1's and is not raised if the run stops at k. The pool is
     shut down by the time ``solve`` returns or raises.
-
-    ``no_smoothing`` pins Y^i to X^i, with no feature-coupling constraint or
-    Gamma^i multiplier. ``frobenius`` puts a plain ridge penalty
-    alpha ||C^i||_F^2 in place of the consensus-filter regularizer, so Z^i is
-    the projected multiplier shift of C^i.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    smoothing = variant != VARIANT_NO_SMOOTHING
+    split = variant != VARIANT_FROBENIUS
     state = init_state(ds, cfg)
-    if variant == VARIANT_NO_SMOOTHING:
+    if not smoothing:
         state.Y = [x.copy() for x in ds.views]
     diagnostics = Diagnostics()
     converged = False
-    smoothing = variant != VARIANT_NO_SMOOTHING
-    split = variant != VARIANT_FROBENIUS
     XXt = _feature_gram(ds) if smoothing else None
     # C Z^i and C X^i of the previous iteration's end, zero for the zero
     # start before the first: C and Z^i are unchanged until the C^i and Y^i
     # updates of view i have used them. Every n x n temporary of an iteration
     # is dropped after its last reader so that the solve's peak stays within
     # solve_peak_bytes.
-    CZ = [np.zeros_like(Zi) if split else None for Zi in state.Zi]
+    CZ = [np.zeros_like(Zi) for Zi in state.Zi] if split else None
     CX = [np.zeros_like(X) for X in ds.views] if smoothing else None
-    # View i's next Y^i system as far as the threads' spare time brought it.
-    systems = [None] * ds.n_views if smoothing else None
-    spare = functools.partial(_look_ahead, state, cfg, systems) if smoothing else None
+    # View i's next Y^i system, which a thread's spare time brings forward.
+    systems = [_representation_system(Ci, state.mu) for Ci in state.Ci] if smoothing else None
+    spare = (lambda i: systems[i].step()) if smoothing else None
 
-    def next_factor(mu: float) -> np.ndarray | np.linalg.LinAlgError | None:
-        """The Z^i inverse factor at the current C and ``mu``, or the
-        LinAlgError that forming it raised. The error is held: the iteration
-        that the factor serves raises it, so a solve that stops first never
-        does."""
+    def next_factor(mu: float) -> _HeldWork | None:
+        """The Z^i inverse factor at the current C and ``mu``, formed now."""
         if not split:
             return None
-        try:
-            return _view_auxiliary_factor(state.C, mu, cfg)
-        except np.linalg.LinAlgError as exc:
-            return exc
+        factor = _HeldWork(functools.partial(_view_auxiliary_factor, state.C, mu, cfg))
+        factor.step()
+        return factor
 
     # The shared work beside the views' second and third steps, on the
     # calling thread; each drops the previous C or Z once its squared change
@@ -1014,7 +967,7 @@ def solve(
     def update_consensus() -> None:
         nonlocal residual_C
         C_prev = state.C
-        state.C = update_consensus_coefficients(state, ds, cfg, variant, XXt=XXt, sums=sums)
+        state.C = update_consensus_coefficients(state, ds, cfg, XXt=XXt, sums=sums)
         residual_C = _squared_distance(state.C, C_prev)
 
     def after_consensus() -> None:
@@ -1034,12 +987,10 @@ def solve(
         for iteration in range(1, cfg.max_iter + 1):
             state.iteration = iteration
             try:
-                if isinstance(factor, np.linalg.LinAlgError):
-                    raise factor
                 sums = _ConsensusSums(state, cfg)
                 before = functools.partial(
-                    _view_before_consensus, state, ds, cfg, variant, factor=factor, CX=CX, CZ=CZ,
-                    systems=systems,
+                    _view_before_consensus, state, ds, cfg, CX=CX, CZ=CZ, systems=systems,
+                    factor=None if factor is None else factor.result(),
                 )  # fmt: skip
                 _run_views(pool, ds.n_views, before, fold=sums.add, spare=spare)
                 del before
@@ -1054,7 +1005,7 @@ def solve(
                     diagnostics=diagnostics,
                 ) from None
             after = functools.partial(
-                _view_after_consensus, state, ds, cfg, variant, CX=CX, CZ=CZ, beside=beside
+                _view_after_consensus, state, ds, cfg, CX=CX, CZ=CZ, beside=beside
             )
             views = _run_views(pool, ds.n_views, after, shared=after_consensus, spare=spare)
             del after, beside

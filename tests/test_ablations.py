@@ -42,7 +42,7 @@ def test_no_smoothing_ci_update_stationarity():
             + state.mu / 2.0 * np.sum((Ci @ ones - 1.0 + state.Omega[0] / state.mu) ** 2)
         )
 
-    Ci = update_view_coefficients(state, 0, CFG, variant="no_smoothing", CZi=state.C @ state.Zi[0])
+    Ci = update_view_coefficients(state, 0, CFG, CZi=state.C @ state.Zi[0])
     assert_stationary(f, Ci)
 
 
@@ -61,14 +61,14 @@ def test_frobenius_ci_update_stationarity():
             + state.mu / 2.0 * np.sum((Ci @ ones - 1.0 + state.Omega[1] / state.mu) ** 2)
         )
 
-    Ci = update_view_coefficients(state, 1, CFG, variant="frobenius", CZi=None)
+    Ci = update_view_coefficients(state, 1, CFG, CZi=None)
     assert_stationary(f, Ci)
 
 
 def test_frobenius_zi_update_is_multiplier_shift():
     ds = toy_dataset(n=5, v=2, d=4, seed=64)
     state = random_state(ds, seed=65)
-    raw = update_view_auxiliary(state, 0, CFG, variant="frobenius", project=False, factor=None)
+    raw = update_view_auxiliary(state, 0, CFG, project=False, factor=None)
     np.testing.assert_allclose(raw, state.Ci[0] + state.Lam[0] / state.mu, atol=1e-14)
 
     def f(Zi):
@@ -93,7 +93,7 @@ def test_no_smoothing_consensus_update_stationarity():
         return total
 
     sums = consensus_sums(state, ds, CFG, "no_smoothing")
-    C = update_consensus_coefficients(state, ds, CFG, variant="no_smoothing", XXt=None, sums=sums)
+    C = update_consensus_coefficients(state, ds, CFG, XXt=None, sums=sums)
     assert_stationary(f, C)
 
 
@@ -119,9 +119,7 @@ def test_frobenius_consensus_update_stationarity():
         return total
 
     sums = consensus_sums(state, ds, CFG, "frobenius")
-    C = update_consensus_coefficients(
-        state, ds, CFG, variant="frobenius", XXt=_feature_gram(ds), sums=sums
-    )
+    C = update_consensus_coefficients(state, ds, CFG, XXt=_feature_gram(ds), sums=sums)
     assert_stationary(f, C)
 
 

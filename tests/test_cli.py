@@ -398,18 +398,23 @@ def test_memory_guard_against_physical_memory(tmp_path, capsys, monkeypatch):
         {"view_dims": [5, 2**70]},
         {"n_per_cluster": 10**12},
         {"k": 10**8, "n_per_cluster": 1},
+        {"k": 2, "n_per_cluster": 1, "view_dims": [10**6], "subspace_dim": 10**6 - 1},
     ],
 )
 def test_oversized_synthetic_spec_is_a_config_error(tmp_path, capsys, fields):
     # The memory guard reads the spec's shape before any of it is generated,
-    # which numpy would refuse at these sizes or take long over.
+    # which numpy would refuse at these sizes or take long over. The last
+    # spec's solve (n = 2) is small, but its basis draws are not.
     spec = {**SMALL_SYNTHETIC, **fields}
     config = write_config(tmp_path, dataset={"synthetic": spec})
     assert main(["run", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     n = spec["k"] * spec["n_per_cluster"]
     views = len(spec["view_dims"])
-    assert err.startswith(f"config error: a solve at n={n} with {views} views needs about ")
+    if "subspace_dim" in fields:
+        assert err.startswith("config error: generating the synthetic dataset needs about ")
+    else:
+        assert err.startswith(f"config error: a solve at n={n} with {views} views needs about ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

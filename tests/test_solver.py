@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import os
 import sys
 import threading
@@ -92,7 +93,10 @@ def consensus_sums(state, ds, cfg=CFG, variant="full"):
     """The view sums of the C update, folded view by view on this thread as
     solve folds them without the worker thread."""
     sums = solver._ConsensusSums(state, cfg)
-    terms = functools.partial(solver._consensus_terms, state, ds, cfg, variant)
+    terms = functools.partial(
+        solver._consensus_terms, state, ds, cfg,
+        split=variant != "frobenius", smoothing=variant != "no_smoothing",
+    )  # fmt: skip
     solver._run_views(None, ds.n_views, terms, fold=sums.add)
     return sums
 
@@ -104,10 +108,10 @@ def after_consensus(state, ds, cfg=CFG, variant="full"):
     task = functools.partial(solver._view_beside_consensus, state)
     beside = solver._run_views(None, ds.n_views, task)
     CX = None if variant == "no_smoothing" else [None] * ds.n_views
+    CZ = None if variant == "frobenius" else [None] * ds.n_views
     task = functools.partial(
-        solver._view_after_consensus, state, ds, cfg, variant, CX=CX, CZ=[None] * ds.n_views,
-        beside=beside,
-    )  # fmt: skip
+        solver._view_after_consensus, state, ds, cfg, CX=CX, CZ=CZ, beside=beside
+    )
     return solver._run_views(None, ds.n_views, task)
 
 
@@ -900,6 +904,75 @@ def test_solve_holds_a_failed_look_ahead_factorization(monkeypatch, max_iter):
     )
 
 
+def test_held_work_takes_steps_and_holds_a_failure(monkeypatch):
+    # The next iteration's work: a view's Y^i system (the matrix, then its
+    # Cholesky factor) and the Z^i factor (one step).
+    ds = toy_dataset(n=6, v=1, d=3, seed=90)
+    state = random_state(ds, seed=91)
+    Ci, mu = state.Ci[0], state.mu
+    expected = cholesky(_add_to_diagonal(gram(np.eye(6) - Ci, 2.0), 16.0 * mu))
+    system = solver._representation_system(Ci, mu)
+    assert [system.step(), system.step(), system.step()] == [True, False, False]
+    same_bits(system.result(), expected)
+    factor = solver._HeldWork(functools.partial(_view_auxiliary_factor, state.C, mu, CFG))
+    assert factor.step() is False
+    same_bits(factor.result(), _view_auxiliary_factor(state.C, mu, CFG))
+    # result takes the steps left
+    same_bits(solver._representation_system(Ci, mu).result(), expected)
+
+    error = np.linalg.LinAlgError("dpotrf: leading minor 2 is not positive definite")
+    ran = []
+
+    def fails(*args):
+        ran.append("failed")
+        raise error
+
+    def must_not_run(*args):
+        ran.append("ran after a failure")
+
+    monkeypatch.setattr(solver, "_representation_matrix", fails)
+    monkeypatch.setattr(solver, "cholesky", must_not_run)
+    first_fails = solver._representation_system(Ci, mu)
+    monkeypatch.undo()
+    monkeypatch.setattr(solver, "cholesky", fails)
+    second_fails = solver._representation_system(Ci, mu)
+    monkeypatch.setattr(solver, "_view_auxiliary_factor", fails)
+    factor_fails = solver._HeldWork(
+        functools.partial(solver._view_auxiliary_factor, state.C, mu, CFG)
+    )
+    for work, steps_before in [(first_fails, 0), (second_fails, 1), (factor_fails, 0)]:
+        ran.clear()
+        for _ in range(steps_before):
+            assert work.step()
+        # the failing step leaves no step, and no later step runs
+        assert work.step() is False
+        assert work.step() is False
+        for _ in range(2):
+            with pytest.raises(np.linalg.LinAlgError) as excinfo:
+                work.result()
+            assert excinfo.value is error
+        assert ran == ["failed"]
+
+
+def test_only_solve_takes_a_variant():
+    # solve is the one place that maps a variant to what the updates read:
+    # every other function gets the products, None where a variant lacks one.
+    takes = []
+    for name, obj in vars(solver).items():
+        if getattr(obj, "__module__", None) != solver.__name__:
+            continue
+        if inspect.isclass(obj):
+            functions = [(f"{name}.{k}", f) for k, f in vars(obj).items() if inspect.isfunction(f)]
+        elif inspect.isfunction(obj):
+            functions = [(name, obj)]
+        else:
+            continue
+        takes += [
+            qualified for qualified, f in functions if "variant" in inspect.signature(f).parameters
+        ]
+    assert takes == ["solve"]
+
+
 def test_solve_reports_a_non_finite_view_iterate_from_the_worker(monkeypatch):
     # In iteration 3 the worker plants a NaN in the Lam^i it steps beside the
     # C update, which waits until it has. Only the view's own finiteness
@@ -998,13 +1071,18 @@ def test_solve_with_helper_thread_is_bitwise_serial(monkeypatch, variant):
     monkeypatch.setattr(solver, "update_consensus_coefficients", slow_update)
     calling = threading.current_thread()
     look_ahead_on = {True: set(), False: set()}
-    original_look_ahead = solver._look_ahead
+    original_run_views = solver._run_views
 
-    def record_look_ahead(*args):
-        look_ahead_on[helper].add("caller" if threading.current_thread() is calling else "worker")
-        return original_look_ahead(*args)
+    def run_views_recording_spare(pool, n_views, task, fold=None, shared=None, spare=None):
+        def record_spare(i):
+            thread = "caller" if threading.current_thread() is calling else "worker"
+            look_ahead_on[helper].add(thread)
+            return spare(i)
 
-    monkeypatch.setattr(solver, "_look_ahead", record_look_ahead)
+        spare_step = None if spare is None else record_spare
+        return original_run_views(pool, n_views, task, fold=fold, shared=shared, spare=spare_step)
+
+    monkeypatch.setattr(solver, "_run_views", run_views_recording_spare)
     outputs = []
     threads_before = threading.active_count()
     # Switch threads as often as the interpreter allows, so that the two
@@ -1463,25 +1541,27 @@ STRUCTURE_CASES = [(5, 4), (40, 3), (40, 9), (40, 10)]
 def test_updates_match_dense_reference(variant, n, d):
     ds = toy_dataset(n=n, v=2, d=d, seed=60 + n + d)
     state = random_state(ds, seed=61 + d)
+    split = variant != "frobenius"
     CX = [state.C @ X for X in ds.views]
-    CZ = [state.C @ Zi for Zi in state.Zi]
-    factor = _view_auxiliary_factor(state.C, state.mu, CFG)
+    CZ = [state.C @ Zi if split else None for Zi in state.Zi]
+    factor = _view_auxiliary_factor(state.C, state.mu, CFG) if split else None
+    XXt = _feature_gram(ds) if variant != "no_smoothing" else None
     for i in range(ds.n_views):
         assert_equivalent(
             update_view_representation(state, ds, i, CX=CX[i]),
             oracles.dense_view_representation(state, ds, i),
         )
         assert_equivalent(
-            update_view_coefficients(state, i, CFG, variant, CZi=CZ[i]),
+            update_view_coefficients(state, i, CFG, CZi=CZ[i]),
             oracles.dense_view_coefficients(state, i, CFG, variant),
         )
         assert_equivalent(
-            update_view_auxiliary(state, i, CFG, variant, project=False, factor=factor),
+            update_view_auxiliary(state, i, CFG, project=False, factor=factor),
             oracles.dense_view_auxiliary(state, i, CFG, variant),
         )
     assert_equivalent(
         update_consensus_coefficients(
-            state, ds, CFG, variant, XXt=_feature_gram(ds), sums=consensus_sums(state, ds, CFG, variant)
+            state, ds, CFG, XXt=XXt, sums=consensus_sums(state, ds, CFG, variant)
         ),
         oracles.dense_consensus_coefficients(state, ds, CFG, variant),
     )
@@ -1544,20 +1624,35 @@ def test_in_place_updates_match_their_expression_forms(variant):
         # the zero C^i of a solve's first Y^i systems among them
         for Ci in (np.zeros((n, n)), *state.Ci):
             system = _add_to_diagonal(gram(np.eye(n) - Ci, 2.0), 16.0 * mu)
-            same_bits(solver._RepresentationSystem(Ci, mu).factor(), cholesky(system))
+            same_bits(solver._representation_system(Ci, mu).result(), cholesky(system))
         for i in range(ds.n_views):
-            Ci, X = state.Ci[i], ds.views[i]
-            R = solver._RepresentationSystem(Ci, mu).factor()
+            Ci, X, Y = state.Ci[i], ds.views[i], state.Y[i]
+            R = solver._representation_system(Ci, mu).result()
             expected = spd_solve(R, 12.0 * mu * X + 4.0 * mu * CX[i] - 4.0 * state.Gamma[i])
             same_bits(update_view_representation(state, ds, i, CX=CX[i]), expected)
+            # C^i through the thin SVD of U (d = 9 at n = 40)
+            w = CFG.beta * state.gamma[i] ** CFG.eta
+            left = (
+                2.0 * (Y @ Y.T) + 2.0 * w * state.C + mu * (state.Zi[i] + 1.0) - state.Lam[i]
+                - state.Omega[i][:, None]
+            )  # fmt: skip
+            CZi = None if variant == "frobenius" else state.C @ state.Zi[i]
+            if CZi is not None:
+                left = left + 2.0 * CFG.alpha * CZi
+            a = 2.0 * (CFG.alpha + w) + mu
+            U = np.column_stack([np.sqrt(2.0) * Y, np.full(n, np.sqrt(mu))])
+            Q, s, _ = np.linalg.svd(U, full_matrices=False)
+            s2 = s * s
+            expected = left / a - ((left @ Q) * (s2 / (a * (a + s2)))) @ Q.T
+            same_bits(update_view_coefficients(state, i, CFG, CZi=CZi), expected)
             if variant == "frobenius":
                 expected = state.Ci[i] + state.Lam[i] / mu
             else:
                 rhs = 2.0 * CFG.alpha * (state.C.T @ Ci) + mu * Ci + state.Lam[i]
                 expected = spd_apply_left(factor, rhs)
-            raw = update_view_auxiliary(state, i, CFG, variant, project=False, factor=factor)
+            raw = update_view_auxiliary(state, i, CFG, project=False, factor=factor)
             same_bits(raw, expected)
-            projected = update_view_auxiliary(state, i, CFG, variant, factor=factor)
+            projected = update_view_auxiliary(state, i, CFG, factor=factor)
             same_bits(projected, expression_projection(expected))
 
         XXt = _feature_gram(ds) if variant != "no_smoothing" else None
@@ -1570,7 +1665,7 @@ def test_in_place_updates_match_their_expression_forms(variant):
             shift += 2.0 * (CFG.beta * g**CFG.eta)
         expected = spd_apply_right(sums.A, spd_inverse_factor(_add_to_diagonal(sums.B, shift)))
         C = update_consensus_coefficients(
-            state, ds, CFG, variant, XXt=XXt, sums=consensus_sums(state, ds, CFG, variant)
+            state, ds, CFG, XXt=XXt, sums=consensus_sums(state, ds, CFG, variant)
         )
         same_bits(C, expected)
         same_bits(update_consensus_auxiliary(state, project=False), state.C + state.Theta / mu)
@@ -1618,10 +1713,10 @@ def test_updates_write_only_arrays_they_own(variant):
     smoothing = variant != "no_smoothing"
     split = variant != "frobenius"
     CX = [state.C @ X for X in ds.views] if smoothing else None
-    CZ = [state.C @ Zi if split else None for Zi in state.Zi]
+    CZ = [state.C @ Zi for Zi in state.Zi] if split else None
     XXt = _feature_gram(ds) if smoothing else None
     factor = _view_auxiliary_factor(state.C, state.mu, CFG) if split else None
-    products = [a for a in (*(CX or ()), *CZ, XXt, factor) if a is not None]
+    products = [a for a in (*(CX or ()), *(CZ or ()), XXt, factor) if a is not None]
 
     def holds(update):
         held = [*state_arrays(state), *products]
@@ -1634,20 +1729,23 @@ def test_updates_write_only_arrays_they_own(variant):
     for i in range(ds.n_views):
         if smoothing:
             holds(lambda: update_view_representation(state, ds, i, CX=CX[i]))
-            system = solver._RepresentationSystem(state.Ci[i], state.mu)
-            holds(system.factor)
-        holds(lambda: update_view_coefficients(state, i, CFG, variant, CZi=CZ[i]))
-        holds(lambda: update_view_auxiliary(state, i, CFG, variant, factor=factor))
-        terms = holds(lambda: solver._consensus_terms(state, ds, CFG, variant, i))
+            system = solver._representation_system(state.Ci[i], state.mu)
+            holds(system.result)
+        CZi = CZ[i] if split else None
+        holds(lambda: update_view_coefficients(state, i, CFG, CZi=CZi))
+        holds(lambda: update_view_auxiliary(state, i, CFG, factor=factor))
+        terms = holds(
+            lambda: solver._consensus_terms(state, ds, CFG, i, split=split, smoothing=smoothing)
+        )
         products += [t for t in terms if t is not None]
     holds(lambda: _view_auxiliary_factor(state.C, state.mu, CFG))
     holds(lambda: project_constraints(state.C))
     sums = holds(lambda: consensus_sums(state, ds, CFG, variant))
-    holds(lambda: update_consensus_coefficients(state, ds, CFG, variant, XXt=XXt, sums=sums))
+    holds(lambda: update_consensus_coefficients(state, ds, CFG, XXt=XXt, sums=sums))
     holds(lambda: update_consensus_auxiliary(state))
     beside = [holds(lambda: solver._view_beside_consensus(state, i)) for i in range(ds.n_views)]
     after = functools.partial(
-        solver._view_after_consensus, state, ds, CFG, variant, CX=CX, CZ=CZ, beside=beside
+        solver._view_after_consensus, state, ds, CFG, CX=CX, CZ=CZ, beside=beside
     )
     views = [holds(lambda: after(i)) for i in range(ds.n_views)]
     residuals = holds(lambda: _consensus_residuals(state))
