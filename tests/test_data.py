@@ -1,10 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from gfclust import data
 from gfclust.data import (
     DatasetError,
     MultiViewDataset,
@@ -149,6 +152,183 @@ def test_load_dataset_header_skipped(tmp_path):
     path = _manifest(tmp_path, [rows], has_header=True)
     ds = load_dataset(path)
     assert ds.views[0].shape == (2, 2)
+
+
+def _load_view_bytes(folder, raw, has_header=False):
+    """Load a one-view manifest whose view file holds ``raw``, with every
+    warning an error, so that none can escape unseen."""
+    (folder / "v0.csv").write_bytes(raw)
+    manifest = folder / "manifest.json"
+    _write(manifest, json.dumps({"views": [{"path": "v0.csv", "has_header": has_header}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return load_dataset(manifest)
+
+
+ROWS_1234 = [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize(
+    "raw, has_header, expected",
+    [
+        pytest.param(b"1,2\n   \n3,4\n", False, ROWS_1234, id="whitespace_line"),
+        pytest.param(b"", False, "empty matrix file", id="empty_file"),
+        pytest.param(b"\n\r\n\n", False, "empty matrix file", id="blank_only"),
+        pytest.param(b" \n\t\n", False, "empty matrix file", id="whitespace_only"),
+        pytest.param(b"a,b\n\n", True, "empty matrix file", id="header_only"),
+        pytest.param(b"1,2\r\n3,4\r\n", False, ROWS_1234, id="crlf"),
+        pytest.param(b"1,2\r3,4\r", False, ROWS_1234, id="lone_cr"),
+        pytest.param(b"a,b\r1,2\r3,4", True, ROWS_1234, id="header_lone_cr"),
+        pytest.param(b"a,b\n\n1,2\n3,4\n", True, ROWS_1234, id="header_then_blank"),
+        pytest.param(b"\n1,2\n3,4\n", True, ROWS_1234, id="blank_header"),
+        pytest.param(
+            b"1,2,\n3,4,\n", False, r"non-numeric cell '' at \S+ line 1, column 3",
+            id="trailing_comma",
+        ),
+        pytest.param(
+            b"1,2\n#3,4\n", False, r"non-numeric cell '#3' at \S+ line 2, column 1", id="hash"
+        ),
+        pytest.param(
+            b"1\t2\n3\t4\n", False, r"non-numeric cell '1\\t2' at \S+ line 1, column 1",
+            id="tab_separated",
+        ),
+        pytest.param(b"1\t,2\n 3 , 4 \n", False, ROWS_1234, id="padded_cells"),
+        pytest.param(
+            b"\xef\xbb\xbf1,2\n3,4\n", False, r"non-numeric cell '\\ufeff1' at \S+ line 1",
+            id="utf8_bom",
+        ),
+        pytest.param(b"\xef\xbb\xbfa,b\n1,2\n3,4\n", True, ROWS_1234, id="utf8_bom_header"),
+        pytest.param(
+            b"1,2\n3,\xe94\n", False, r"v0.csv is not UTF-8 text: invalid continuation byte",
+            id="not_utf8",
+        ),
+        pytest.param(b"1_0,2\n3,4\n", False, [[10.0, 2.0], [3.0, 4.0]], id="underscore"),
+        pytest.param(b"1,2\x0b3,4\n", False, ROWS_1234, id="vertical_tab_break"),
+        # np.loadtxt alone reads these two as [[1, 2], [3, 4]]: it strips the
+        # \x0b as whitespace where str.splitlines ends a line.
+        pytest.param(
+            b"1,\x0b2\n3,4\n", False, r"non-numeric cell '' at \S+ line 1, column 2",
+            id="vertical_tab_in_row",
+        ),
+        pytest.param(
+            b"a\x0bb\n1,2\n3,4\n", True, r"non-numeric cell 'b' at \S+ line 2, column 1",
+            id="vertical_tab_in_header",
+        ),
+        pytest.param(b"1,2\x0c\n3,4\n", False, ROWS_1234, id="form_feed"),
+        pytest.param(
+            "1, 2\n3,4\n".encode(), False, r"non-numeric cell '' at \S+ line 1, column 2",
+            id="line_separator",
+        ),
+        pytest.param("١,2\n3,4\n".encode(), False, ROWS_1234, id="arabic_indic_digit"),
+        pytest.param(" 1,2\n3,4\n".encode(), False, ROWS_1234, id="no_break_space"),
+        pytest.param(
+            b"1\x00,2\n3,4\n", False, r"non-numeric cell '1\\x00' at \S+ line 1, column 1",
+            id="nul",
+        ),
+        pytest.param(
+            b'"1",2\n3,4\n', False, r"""non-numeric cell '"1"' at \S+ line 1, column 1""",
+            id="quoted",
+        ),
+    ],
+)
+def test_view_csv_edge_cases(tmp_path, raw, has_header, expected):
+    if isinstance(expected, list):
+        view = _load_view_bytes(tmp_path, raw, has_header).views[0]
+        assert view.tobytes() == np.asarray(expected).tobytes()
+    else:
+        with pytest.raises(DatasetError, match=expected):
+            _load_view_bytes(tmp_path, raw, has_header)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"a,b\n1,2\n\n3\n", r"ragged rows in \S+: line 4 has 1 cells, expected 2"),
+        (b"a,b\n1,2\n\n3,x\n", r"non-numeric cell 'x' at \S+ line 4, column 2"),
+    ],
+    ids=["ragged", "non_numeric"],
+)
+def test_view_csv_errors_name_file_line_and_column(tmp_path, raw, message):
+    # Lines count from 1 and include the header and blank lines.
+    with pytest.raises(DatasetError, match=message):
+        _load_view_bytes(tmp_path, raw, has_header=True)
+
+
+def test_written_views_skip_the_per_cell_parser(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-cell parser called")
+
+    ds = generate_synthetic(SyntheticSpec(k=2, n_per_cluster=3, subspace_dim=1, view_dims=(4,)))
+    manifest = write_dataset(ds, tmp_path)
+    monkeypatch.setattr(data, "_parse_matrix_csv", refuse)
+    assert load_dataset(manifest).views[0].tobytes() == ds.views[0].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        arrays(
+            np.float64,
+            st.tuples(st.just(3), st.integers(1, 4)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=2,
+    )
+)
+@example([np.array([[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308],
+                    [-1.7e308, 1e-310]])])
+def test_write_load_roundtrip_is_bitwise(tmp_path_factory, views):
+    ds = MultiViewDataset(views=views, labels=np.array([0, 1, 1]))
+    loaded = load_dataset(write_dataset(ds, tmp_path_factory.mktemp("roundtrip")))
+    for original, reread in zip(ds.views, loaded.views):
+        assert reread.tobytes() == original.tobytes()
+    np.testing.assert_array_equal(loaded.labels, ds.labels)
+
+
+# Bytes that some reader treats specially: line ends and the breaks only
+# str.splitlines honours, separators and padding, a comment sign, numeric
+# spellings, a UTF-8 BOM, NEL and LS, a lone continuation byte and NUL.
+MUTATION_BYTES = [
+    b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1f", b",", b" ", b"\t", b"#",
+    b"_", b"e", b"-", b".", b"nan", b"inf", b"\xef\xbb\xbf", b"\xc2\x85", b"\xe2\x80\xa8",
+    b"\x80", b"\x00",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    has_header=st.booleans(),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 200),
+            st.integers(0, 2),
+            st.one_of(st.sampled_from(MUTATION_BYTES), st.binary(min_size=1, max_size=2)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_mutated_view_csv_loads_or_raises_dataset_error(tmp_path_factory, has_header, edits):
+    raw = bytearray(b"a,b,c\n" if has_header else b"")
+    raw += b"1.5,-2,3e-7\n0.25,1e300,-0\n7,8,9\n"
+    for position, deleted, inserted in edits:
+        position %= len(raw) + 1
+        raw[position:position + deleted] = inserted
+    folder = tmp_path_factory.mktemp("mutated")
+    path = folder / "v0.csv"
+
+    def exact():
+        return MultiViewDataset(views=[data._parse_matrix_csv(path, has_header)]).views[0]
+
+    # The same bits or the same error as the per-cell parser alone.
+    outcomes = []
+    for load in (lambda: _load_view_bytes(folder, bytes(raw), has_header).views[0], exact):
+        try:
+            outcomes.append(load().tobytes())
+        except DatasetError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_write_load_roundtrip(tmp_path):
@@ -336,3 +516,24 @@ def test_unit_row_norm_property(rows):
     norms = np.linalg.norm(out.views[0], axis=1)
     for norm in norms:
         assert norm == 0.0 or abs(norm - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["unit_row_norm", "zscore_columns"])
+def test_normalize_matches_expression_form_and_leaves_input(mode):
+    rng = np.random.default_rng(3)
+    ds = MultiViewDataset(views=[rng.standard_normal((5, 3)), rng.standard_normal((5, 2)) * 1e-160])
+    before = [view.tobytes() for view in ds.views]
+    out = normalize_views(ds, mode)
+    for view, got, raw in zip(ds.views, out.views, before):
+        x = view.copy()
+        if mode == "unit_row_norm":
+            peak = np.abs(x).max(axis=1)
+            x = x / np.where(peak > 0, peak, 1.0)[:, None]
+            norms = np.linalg.norm(x, axis=1)
+            expected = x / np.where(norms > 0, norms, 1.0)[:, None]
+        else:
+            x = x - x.mean(axis=0)
+            std = x.std(axis=0)
+            expected = x / np.where(std > 0, std, 1.0)
+        assert got.tobytes() == expected.tobytes()
+        assert view.tobytes() == raw
