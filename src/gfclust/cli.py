@@ -19,7 +19,6 @@ deterministic, so repetitions vary the k-means seed alone.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import itertools
 import json
@@ -116,9 +115,6 @@ RUN_FLAGS = {
     "normalize": str,
 }
 
-# The benchmark tracer wraps the solve through this table, one entry per variant.
-_SOLVE_FUNCS = {variant: functools.partial(solve, variant=variant) for variant in VARIANTS}
-
 
 def _int_field(raw: dict, key: str, default: int | None) -> int | None:
     """The integer ``raw[key]``; null is accepted only for a key whose default
@@ -126,6 +122,15 @@ def _int_field(raw: dict, key: str, default: int | None) -> int | None:
     value = raw.get(key, default)
     if not (is_int(value) or (value is None and default is None)):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _count_field(raw: dict, key: str, default: int) -> int:
+    """The integer ``raw[key]`` in [1, 1e4], the bound of max_iter: a count
+    beyond it would run on for hours, not fail."""
+    value = _int_field(raw, key, default)
+    if not 1 <= value <= 10_000:
+        raise ConfigError(f"{key} must be in [1, 1e4], got {value}")
     return value
 
 
@@ -214,12 +219,8 @@ class ExperimentConfig:
             grid = {key: _grid_axis(key, values, solver) for key, values in grid.items()}
             if any(not values for values in grid.values()):
                 raise ConfigError("grid lists must be non-empty")
-        repetitions = _int_field(raw, "repetitions", 1)
-        if repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
-        restarts = _int_field(raw, "restarts", 20)
-        if restarts < 1:
-            raise ConfigError("restarts must be >= 1")
+        repetitions = _count_field(raw, "repetitions", 1)
+        restarts = _count_field(raw, "restarts", 20)
         variant = raw.get("variant", "full")
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}; known: {VARIANTS}")
@@ -327,7 +328,7 @@ def run_grid_point(
     consensus and plot artifacts into the existing point_dir; return the
     point's record."""
     solver_cfg = replace(cfg.solver, **params)
-    output = _SOLVE_FUNCS[cfg.variant](ds, solver_cfg)
+    output = solve(ds, solver_cfg, cfg.variant)
     _write_trace_csv(point_dir / "trace.csv", output)
     np.savetxt(point_dir / "consensus.csv", output.consensus_C, fmt="%.17g", delimiter=",")
     emit_convergence_plot(point_dir / "trace.csv", point_dir / "plot.svg")

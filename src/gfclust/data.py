@@ -62,12 +62,6 @@ def read_text(path: Path, error: type[Exception]) -> str:
         raise error(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float) if arr.dtype != np.float64 else arr.copy()
-    out.flags.writeable = False
-    return out
-
-
 def _missing_ids(present: np.ndarray, shown: int = 5) -> str:
     """The first ``shown`` ids in [0, max] absent from the sorted distinct
     ids ``present``, as plain ints, with the total count if there are more."""
@@ -106,14 +100,15 @@ class MultiViewDataset:
             raise DatasetError("dataset needs at least one view")
         views = []
         for idx, view in enumerate(self.views):
-            arr = np.asarray(view, dtype=float)
+            arr = np.array(view, dtype=float, order="C")  # the dataset's own copy
             if arr.ndim != 2:
                 raise DatasetError(f"view {idx} is not a 2-D matrix")
             if arr.shape[1] < 1:
                 raise DatasetError(f"view {idx} has no feature columns")
             if not np.all(np.isfinite(arr)):
                 raise DatasetError(f"view {idx} contains NaN or Inf entries")
-            views.append(_freeze(arr))
+            arr.flags.writeable = False
+            views.append(arr)
         n = views[0].shape[0]
         if n < 2:
             raise DatasetError("dataset needs at least two samples")

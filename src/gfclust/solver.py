@@ -321,7 +321,7 @@ def update_view_representation(
     i: int,
     *,
     CX: np.ndarray,
-    system: _HeldWork | None = None,
+    system: _HeldWork,
 ) -> np.ndarray:
     """Closed-form smoothed features for view i.
 
@@ -329,11 +329,8 @@ def update_view_representation(
     the normal equations [2(I-C^i)^T(I-C^i) + 16 mu I] Y = 12 mu X^i
     + 4 mu C X^i - 4 Gamma^i are solved by Cholesky. ``CX`` is the product
     C X^i. ``system`` is the ``_representation_system`` at the state's C^i
-    and mu, whose steps left are taken here; without it the whole system is
-    formed here.
+    and mu, whose steps left are taken here.
     """
-    if system is None:
-        system = _representation_system(state.Ci[i], state.mu)
     mu = state.mu
     rhs = np.multiply(12.0 * mu, ds.views[i])
     term = np.multiply(4.0 * mu, CX)
@@ -730,10 +727,10 @@ def _check_finite(
 
 
 def _use_helper_thread(n_views: int) -> bool:
-    """Whether a solve shares its per-view updates with a helper thread: with
-    two or more views, two or more CPUs this process may run on, and
+    """Whether a solve shares its per-view updates with a worker: with two or
+    more views, two or more CPUs this process may run on, and
     single-threaded OpenBLAS, whose threads would otherwise compete with the
-    helper for the cores."""
+    worker for the cores."""
     return n_views >= 2 and len(os.sched_getaffinity(0)) >= 2 and blas_threads() == 1
 
 

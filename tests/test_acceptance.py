@@ -70,6 +70,7 @@ from test_solver import (
     random_state,
     toy_dataset,
     y_subproblem,
+    y_system,
     z_subproblem,
     zi_subproblem,
 )
@@ -90,7 +91,9 @@ def test_criterion_01_stationarity_suite():
         ds = toy_dataset(n=n, v=v, d=d, seed=1000 + idx)
         state = random_state(ds, cfg=cfg, seed=2000 + idx)
         i = idx % v
-        Y = update_view_representation(state, ds, i, CX=state.C @ ds.views[i])
+        Y = update_view_representation(
+            state, ds, i, CX=state.C @ ds.views[i], system=y_system(state, i)
+        )
         Ci = update_view_coefficients(state, i, cfg, CZi=state.C @ state.Zi[i])
         factor = _view_auxiliary_factor(state.C, state.mu, cfg)
         Zi = update_view_auxiliary(state, i, cfg, project=False, factor=factor)

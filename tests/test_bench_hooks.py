@@ -30,10 +30,6 @@ def test_tracer_targets_resolve():
         assert callable(fn), f"{module_name}.{attr} ({span})"
         if span == "solver.solve":
             solve_funcs.append(fn)
-    module_name, attr, _ = tracer.SOLVE_TABLE
-    table = getattr(importlib.import_module(module_name), attr, None)
-    assert isinstance(table, dict), f"{module_name}.{attr}"
-    solve_funcs += table.values()
     assert solve_funcs
     for fn in solve_funcs:
         assert "callback" in inspect.signature(fn).parameters, fn.__name__

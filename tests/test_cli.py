@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gfclust import solver
+from gfclust import cli, solver
 from gfclust.cli import (
     ConfigError,
     ExperimentConfig,
@@ -227,6 +227,33 @@ def test_exit_code_on_non_integer_field(tmp_path, capsys, key, value):
     assert main(["run", "--config", str(config)]) == 1
     assert f"config error: {key} must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [10_001, 2**70])
+@pytest.mark.parametrize("key", ["repetitions", "restarts"])
+def test_count_above_its_bound_is_a_config_error(key, value):
+    # 2^70 clustering repetitions or k-means restarts would run until killed;
+    # both counts share max_iter's bound.
+    raw = {"dataset": {"synthetic": SMALL_SYNTHETIC}}
+    assert getattr(ExperimentConfig.from_dict({**raw, key: 10_000}), key) == 10_000
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be in [1, 1e4], got {value}")):
+        ExperimentConfig.from_dict({**raw, key: value})
+
+
+def test_each_grid_point_calls_solve_once_with_its_variant(tmp_path, monkeypatch):
+    # The runner has one solve entry point, gfclust.cli.solve.
+    calls = []
+
+    def recorder(ds, cfg, variant):
+        calls.append((cfg.alpha, variant))
+        return solver.solve(ds, cfg, variant)
+
+    monkeypatch.setattr(cli, "solve", recorder)
+    config = write_config(
+        tmp_path, solver={"max_iter": 3}, grid={"alpha": [0.1, 0.5]}, variant="frobenius"
+    )
+    assert main(["run", "--config", str(config)]) == 0
+    assert sorted(calls) == [(0.1, "frobenius"), (0.5, "frobenius")]
 
 
 def test_exit_code_on_scalar_grid_values(tmp_path, capsys):

@@ -115,6 +115,12 @@ def after_consensus(state, ds, cfg=CFG, variant="full"):
     return solver._run_views(None, ds.n_views, task)
 
 
+def y_system(state, i):
+    """View i's Y^i system at the state's C^i and mu, as solve hands it to
+    update_view_representation."""
+    return solver._representation_system(state.Ci[i], state.mu)
+
+
 # ---- subproblem objectives (independent oracles for stationarity checks) ----
 
 
@@ -247,21 +253,27 @@ def test_view_representation_zero_state_closed_form():
     ds = toy_dataset()
     state = init_state(ds, CFG)
     state.mu = 1.0
-    Y = update_view_representation(state, ds, 0, CX=state.C @ ds.views[0])
+    Y = update_view_representation(
+        state, ds, 0, CX=state.C @ ds.views[0], system=y_system(state, 0)
+    )
     np.testing.assert_allclose(Y, (2.0 / 3.0) * ds.views[0], atol=1e-12)
 
 
 def test_view_representation_stationarity():
     ds = toy_dataset(n=6, v=2, d=4, seed=1)
     state = random_state(ds, seed=2)
-    Y = update_view_representation(state, ds, 0, CX=state.C @ ds.views[0])
+    Y = update_view_representation(
+        state, ds, 0, CX=state.C @ ds.views[0], system=y_system(state, 0)
+    )
     assert_stationary(y_subproblem(state, ds, 0), Y)
 
 
 def test_view_representation_is_local_minimum():
     ds = toy_dataset(n=5, v=2, d=4, seed=3)
     state = random_state(ds, seed=4)
-    Y = update_view_representation(state, ds, 1, CX=state.C @ ds.views[1])
+    Y = update_view_representation(
+        state, ds, 1, CX=state.C @ ds.views[1], system=y_system(state, 1)
+    )
     f = y_subproblem(state, ds, 1)
     base = f(Y)
     rng = np.random.default_rng(5)
@@ -684,10 +696,15 @@ def test_solve_single_view_runs_with_unit_weight():
 # the full variant, above the bound of 27.0 n^2. The benchmark's
 # shapes: two narrow views at n = 300, and six views of the UCI Handwritten
 # dims at n = 200, four of them wide enough for the Cholesky C^i update.
+# The wide shapes are the presets' regime, d_i of 8 n to 12 n, beyond the
+# 7 n the estimate was fitted on; with the worker's timing, wide2_n40's
+# frobenius solve has peaked at up to 95 % of the estimate.
 PEAK_SHAPES = {
     "n150": (3, 50, (15, 20, 10)),
     "solve_n300": (3, 100, (20, 30)),
     "hw6_manifest": (10, 20, (76, 216, 64, 240, 47, 6)),
+    "wide3_n60": (6, 10, (600, 700, 500)),
+    "wide2_n40": (4, 10, (400, 400)),
 }
 
 
@@ -971,6 +988,20 @@ def test_only_solve_takes_a_variant():
             qualified for qualified, f in functions if "variant" in inspect.signature(f).parameters
         ]
     assert takes == ["solve"]
+
+
+def test_updates_take_every_product_they_read():
+    # solve forms each product an update reads (C X^i, C Z^i, the Y^i system,
+    # the Z^i factor, sum_i X^i X^i^T) once and hands it over, so no update
+    # has a default under which it would form one from the state itself.
+    defaulted = [
+        f"{name}({param.name}=...)"
+        for name, f in vars(solver).items()
+        if name.startswith("update_") and inspect.isfunction(f)
+        for param in inspect.signature(f).parameters.values()
+        if param.kind is param.KEYWORD_ONLY and param.default is not param.empty
+    ]
+    assert defaulted == []
 
 
 def test_solve_reports_a_non_finite_view_iterate_from_the_worker(monkeypatch):
@@ -1548,7 +1579,7 @@ def test_updates_match_dense_reference(variant, n, d):
     XXt = _feature_gram(ds) if variant != "no_smoothing" else None
     for i in range(ds.n_views):
         assert_equivalent(
-            update_view_representation(state, ds, i, CX=CX[i]),
+            update_view_representation(state, ds, i, CX=CX[i], system=y_system(state, i)),
             oracles.dense_view_representation(state, ds, i),
         )
         assert_equivalent(
@@ -1629,7 +1660,8 @@ def test_in_place_updates_match_their_expression_forms(variant):
             Ci, X, Y = state.Ci[i], ds.views[i], state.Y[i]
             R = solver._representation_system(Ci, mu).result()
             expected = spd_solve(R, 12.0 * mu * X + 4.0 * mu * CX[i] - 4.0 * state.Gamma[i])
-            same_bits(update_view_representation(state, ds, i, CX=CX[i]), expected)
+            Y_new = update_view_representation(state, ds, i, CX=CX[i], system=y_system(state, i))
+            same_bits(Y_new, expected)
             # C^i through the thin SVD of U (d = 9 at n = 40)
             w = CFG.beta * state.gamma[i] ** CFG.eta
             left = (
@@ -1728,7 +1760,11 @@ def test_updates_write_only_arrays_they_own(variant):
 
     for i in range(ds.n_views):
         if smoothing:
-            holds(lambda: update_view_representation(state, ds, i, CX=CX[i]))
+            holds(
+                lambda: update_view_representation(
+                    state, ds, i, CX=CX[i], system=y_system(state, i)
+                )
+            )
             system = solver._representation_system(state.Ci[i], state.mu)
             holds(system.result)
         CZi = CZ[i] if split else None
