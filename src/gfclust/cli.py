@@ -3,8 +3,9 @@
 A JSON config describes the dataset (manifest path or synthetic spec), the
 solver settings, an optional parameter grid, the clustering repetition
 protocol, and the output directory. For every grid point the runner performs
-one deterministic solve, repeats the seed-varied spectral clustering stage,
-and writes per-point artifacts::
+one deterministic solve, forms one spectral embedding of its consensus
+matrix, rounds it by k-means once per repetition seed, and writes per-point
+artifacts::
 
     <output_dir>/<grid_point_hash>/result.json     per-point parameters + metrics
     <output_dir>/<grid_point_hash>/trace.csv       per-iteration residuals and gaps
@@ -324,9 +325,9 @@ def _weight_regime(eta: float) -> str:
 def run_grid_point(
     ds: MultiViewDataset, cfg: ExperimentConfig, params: dict[str, float], point_dir: Path
 ) -> dict:
-    """Solve one grid point, run the clustering repetitions, write the trace,
-    consensus and plot artifacts into the existing point_dir; return the
-    point's record."""
+    """Solve one grid point, cluster and score it once per repetition seed
+    (labeled datasets only), write the trace, consensus and plot artifacts
+    into the existing point_dir; return the point's record."""
     solver_cfg = replace(cfg.solver, **params)
     output = solve(ds, solver_cfg, cfg.variant)
     _write_trace_csv(point_dir / "trace.csv", output)
@@ -334,14 +335,14 @@ def run_grid_point(
     emit_convergence_plot(point_dir / "trace.csv", point_dir / "plot.svg")
 
     k = cfg.k if cfg.k is not None else ds.n_classes
-    W = build_affinity(output.consensus_C)
-    reports = []
-    for r in range(cfg.repetitions):
-        assignment = spectral_clustering(W, k, seed=cfg.seed + r, restarts=cfg.restarts)
-        if ds.labels is not None:
-            reports.append(evaluate(assignment.labels, ds.labels))
     metrics = None
-    if reports:
+    if ds.labels is not None:
+        # An unlabeled dataset is not clustered: nothing would score or keep its labels.
+        seeds = range(cfg.seed, cfg.seed + cfg.repetitions)
+        assignments = spectral_clustering(
+            build_affinity(output.consensus_C), k, seeds, restarts=cfg.restarts
+        )
+        reports = [evaluate(a.labels, ds.labels) for a in assignments]
         metrics = {
             name: _metric_summary([getattr(report, name) for report in reports])
             for name in METRIC_NAMES

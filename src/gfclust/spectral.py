@@ -3,9 +3,12 @@ normalized spectral embedding, and a seeded k-means with restarts."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+
+LLOYD_MAX_ITER = 300  # Lloyd rounds per k-means restart
 
 
 @dataclass
@@ -45,11 +48,11 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300):
+def _lloyd(points: np.ndarray, centers: np.ndarray):
     k = centers.shape[0]
     prev_inertia = np.inf
     labels = np.zeros(points.shape[0], dtype=int)
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
         inertia = float(d2[np.arange(points.shape[0]), labels].sum())
@@ -74,17 +77,22 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 20) -> Clu
 
     Each restart r draws from an independent generator seeded by (seed, r),
     so results are deterministic for a fixed seed and restart count. Lloyd
-    stops when the inertia improvement drops below 1e-10 or after 300 rounds.
+    stops when the inertia improvement drops below 1e-10 or after
+    ``LLOYD_MAX_ITER`` rounds.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must be a 2-D array")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"cluster count k={k} must be in [1, {n}]")
+    if restarts < 1:
+        raise ValueError(f"restarts={restarts} must be at least 1")
     best_labels = None
     best_inertia = np.inf
-    for r in range(max(1, restarts)):
+    for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         centers = _kmeanspp_init(points, k, rng)
         labels, inertia = _lloyd(points, centers)
@@ -95,18 +103,22 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 20) -> Clu
 
 
 def spectral_clustering(
-    W: np.ndarray, k: int, seed: int = 0, restarts: int = 20
-) -> ClusterAssignment:
-    """Normalized-cuts style clustering of an affinity matrix.
+    W: np.ndarray, k: int, seeds: Iterable[int], restarts: int = 20
+) -> list[ClusterAssignment]:
+    """Normalized-cuts style clustering of an affinity matrix, once per seed.
 
     Builds L = I - D^{-1/2} W D^{-1/2} with D the degree matrix of W itself
     (no self-loop augmentation on the clustering side), embeds samples with
-    the k eigenvectors of smallest eigenvalue, row-normalizes the embedding
-    (zero rows stay zero), and rounds with seeded k-means restarts.
+    the k eigenvectors of smallest eigenvalue and row-normalizes the embedding
+    (zero rows stay zero). The embedding depends on W and k alone, so it is
+    formed once and rounded by ``kmeans`` for each of ``seeds``; the result
+    holds one assignment per seed, in order.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError(f"affinity must be square, got shape {W.shape}")
+    if not np.isfinite(W).all():
+        raise ValueError("affinity must be finite")
     n = W.shape[0]
     scale = max(1.0, float(np.abs(W).max()))
     if np.abs(W - W.T).max() > 1e-8 * scale:
@@ -122,4 +134,4 @@ def spectral_clustering(
     embedding = vectors[:, :k]
     norms = np.linalg.norm(embedding, axis=1)
     embedding = embedding / np.where(norms > 0, norms, 1.0)[:, None]
-    return kmeans(embedding, k, seed=seed, restarts=restarts)
+    return [kmeans(embedding, k, seed=seed, restarts=restarts) for seed in seeds]

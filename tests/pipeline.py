@@ -16,8 +16,7 @@ def cluster_scores(consensus_C, labels, k, seeds, restarts=20):
     """Per-metric score lists across k-means seeds for one consensus matrix."""
     W = build_affinity(consensus_C)
     scores = {"acc": [], "nmi": [], "ari": [], "f_score": []}
-    for seed in seeds:
-        assignment = spectral_clustering(W, k, seed=seed, restarts=restarts)
+    for assignment in spectral_clustering(W, k, seeds, restarts=restarts):
         report = evaluate(assignment.labels, labels)
         scores["acc"].append(report.acc)
         scores["nmi"].append(report.nmi)

@@ -285,7 +285,7 @@ def test_criterion_09_spectral_oracle():
             W[start : start + size, start : start + size] = block
             start += size
         truth = connected_component_labels(W)
-        assignment = spectral_clustering(W, k=components, seed=3, restarts=20)
+        [assignment] = spectral_clustering(W, k=components, seeds=[3], restarts=20)
         assert clustering_accuracy(assignment.labels, truth) == 1.0
     report(9, True, f"{len(cases)} block-diagonal affinities recovered exactly (ACC 1.0)")
 

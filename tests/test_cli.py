@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gfclust import cli, solver
+from gfclust import cli, solver, spectral
 from gfclust.cli import (
     ConfigError,
     ExperimentConfig,
@@ -256,6 +256,37 @@ def test_each_grid_point_calls_solve_once_with_its_variant(tmp_path, monkeypatch
     assert sorted(calls) == [(0.1, "frobenius"), (0.5, "frobenius")]
 
 
+def spectral_recorder(monkeypatch):
+    """Record each call of gfclust.cli.spectral_clustering as (n, k, seeds,
+    restarts) and pass it on to the real function."""
+    calls = []
+
+    def recorder(W, k, seeds, restarts=20):
+        calls.append((W.shape[0], k, list(seeds), restarts))
+        return spectral.spectral_clustering(W, k, seeds, restarts=restarts)
+
+    monkeypatch.setattr(cli, "spectral_clustering", recorder)
+    return calls
+
+
+def test_each_grid_point_embeds_once_for_all_repetition_seeds(tmp_path, monkeypatch):
+    # One embedding per grid point, rounded by k-means for seeds
+    # seed .. seed + repetitions - 1, with the configured restarts.
+    calls = spectral_recorder(monkeypatch)
+    config = write_config(
+        tmp_path,
+        solver={"max_iter": 3},
+        grid={"alpha": [0.1, 0.5]},
+        repetitions=3,
+        restarts=4,
+        seed=5,
+    )
+    assert main(["run", "--config", str(config)]) == 0
+    assert calls == [(18, 3, [5, 6, 7], 4)] * 2
+    for result in read_results(tmp_path / "out").values():
+        assert len(result["metrics"]["nmi"]["values"]) == 3
+
+
 def test_exit_code_on_scalar_grid_values(tmp_path, capsys):
     config = write_config(tmp_path, grid={"alpha": 0.5})
     assert main(["run", "--config", str(config)]) == 1
@@ -446,7 +477,9 @@ def test_oversized_synthetic_spec_is_a_config_error(tmp_path, capsys, fields):
     assert not (tmp_path / "out").exists()
 
 
-def test_unlabeled_manifest_with_explicit_k(tmp_path):
+def test_unlabeled_manifest_with_explicit_k(tmp_path, monkeypatch):
+    # Nothing would score or keep the labels, so nothing is clustered.
+    calls = spectral_recorder(monkeypatch)
     views_dir = tmp_path / "data"
     views_dir.mkdir()
     rng = np.random.default_rng(0)
@@ -462,6 +495,7 @@ def test_unlabeled_manifest_with_explicit_k(tmp_path):
     assert result["metrics"] is None
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["best"] is None
+    assert calls == []
 
 
 def test_exit_code_when_all_points_fail(tmp_path, capsys, monkeypatch):
