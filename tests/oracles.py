@@ -1,8 +1,9 @@
-"""Independent brute-force reference implementations used to check the
-package's metrics, assignment, and clustering routines, and the dense form of
-the solver's ADMM updates. Everything here works by explicit enumeration or
-plain dense algebra and stays deliberately separate from the library's code
-paths."""
+"""Reference implementations. The brute-force oracles and the ``dense_*``
+forms of the solver's ADMM updates are independent math, by explicit
+enumeration or plain dense algebra, apart from the library's code paths.
+``serial_solve`` is the orchestration reference: it shares the library's
+update functions and replaces ``solve``'s threads and look-ahead by one
+plain loop, which ``solve`` must match bit for bit."""
 
 import itertools
 import math
@@ -338,3 +339,95 @@ def dense_solve(ds, cfg, variant, iterations):
         state.gamma = update_view_weights(dense_view_mismatches(state), cfg)
         objectives.append(dense_objective_value(state, ds, cfg, variant))
     return state, objectives
+
+
+# ---- the serial reference solve ----
+
+
+def serial_solve(ds, cfg, variant):
+    """`gfclust.solver.solve` as one plain loop in its order, whose output or
+    `SolverNumericalError` `solve` must give bit for bit. Every product is
+    formed where it is read: C X^i and C Z^i from the previous C, the Y^i
+    system and the Z^i factor in their own iteration. The C update's sums,
+    the multiplier steps and the per-view measures are written out in view
+    order. Library functions are looked up on `gfclust.solver` at each call,
+    so a test that patches one there patches both solves."""
+    from gfclust import solver as S
+
+    smoothing = variant != VARIANT_NO_SMOOTHING
+    split = variant != VARIANT_FROBENIUS
+    state = S.init_state(ds, cfg)
+    if not smoothing:
+        state.Y = [x.copy() for x in ds.views]
+    diagnostics = S.Diagnostics()
+    XXt = S._feature_gram(ds) if smoothing else None
+    converged = False
+    for iteration in range(1, cfg.max_iter + 1):
+        state.iteration = iteration
+        C_prev, Z_prev, mu = state.C, state.Z, state.mu
+        try:
+            factor = S._view_auxiliary_factor(C_prev, mu, cfg) if split else None
+            for i, X in enumerate(ds.views):
+                if smoothing:
+                    system = S._representation_system(state.Ci[i], mu)
+                    state.Y[i] = S.update_view_representation(
+                        state, ds, i, CX=C_prev @ X, system=system
+                    )
+                CZi = C_prev @ state.Zi[i] if split else None
+                state.Ci[i] = S.update_view_coefficients(state, i, cfg, CZi=CZi)
+                state.Zi[i] = S.update_view_auxiliary(state, i, cfg, factor=factor)
+            B = np.full(C_prev.shape, mu, order="F")
+            A = mu * (Z_prev + 1.0) - state.Theta - state.Phi[:, None]
+            for i in range(ds.n_views):
+                terms = S._consensus_terms(state, ds, cfg, i, split=split, smoothing=smoothing)
+                ZZt, CZt, YXt = terms
+                A += 2.0 * S._view_weight(cfg, state.gamma[i]) * state.Ci[i]
+                if split:
+                    B += ZZt
+                    A += CZt
+                if smoothing:
+                    A += YXt
+            sums = S._ConsensusSums(state, cfg, A=A, B=B)
+            state.C = S.update_consensus_coefficients(state, ds, cfg, XXt=XXt, sums=sums)
+        except np.linalg.LinAlgError as exc:
+            message = f"linear solve failed at iteration {iteration}: {exc}"
+            raise S.SolverNumericalError(message, iteration, diagnostics) from None
+        state.Z = S.update_consensus_auxiliary(state)
+        residuals = S._consensus_residuals(state)
+        views = []
+        for i, X in enumerate(ds.views):
+            Y, Ci, Zi = state.Y[i], state.Ci[i], state.Zi[i]
+            split_residual = Ci - Zi
+            rows = Ci.sum(axis=1) - 1.0
+            state.Lam[i] = state.Lam[i] + mu * split_residual
+            state.Omega[i] = state.Omega[i] + mu * rows
+            gap_Y = 0.0
+            if smoothing:
+                coupling = 4.0 * Y - 3.0 * X - state.C @ X
+                gap_Y = float(np.abs(coupling).max())
+                state.Gamma[i] = state.Gamma[i] + mu * coupling
+            if split:
+                penalty = cfg.alpha * S._squared_distance(Ci, state.C @ Zi)
+            else:
+                penalty = cfg.alpha * float(np.sum(Ci**2))
+            iterates = (Y, Ci, Zi, state.Gamma[i], state.Lam[i], state.Omega[i])
+            views.append(S._ViewMeasures(
+                gap_Y, float(np.abs(split_residual).max()), float(np.abs(rows).max()),
+                S._squared_distance(state.C, Ci), S._squared_distance(Y, Ci @ Y), penalty,
+                all(np.all(np.isfinite(arr)) for arr in iterates),
+            ))  # fmt: skip
+        gaps = S.constraint_gaps(residuals, views)
+        S.update_multipliers(state, cfg, residuals)
+        J = S.view_mismatches(views)
+        state.gamma = S.update_view_weights(J, cfg)
+        residual_C = S._squared_distance(state.C, C_prev)
+        residual_Z = S._squared_distance(state.Z, Z_prev)
+        record = {"residual_C": residual_C, "residual_Z": residual_Z, **gaps, "J": J}
+        record["objective"] = S.objective_value(state, cfg, views)
+        for key, value in record.items():
+            getattr(diagnostics, key).append(value)
+        S._check_finite(state, diagnostics, views)
+        if max(gaps.values()) <= cfg.eps and max(residual_C, residual_Z) <= S.RESID_TOL:
+            converged = True
+            break
+    return S.SolverOutput(state.C, state.Ci, state.gamma, diagnostics, converged, iteration)
