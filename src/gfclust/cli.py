@@ -37,9 +37,9 @@ from .data import (
     MultiViewDataset,
     NORMALIZATION_MODES,
     SyntheticSpec,
+    check_field_types,
     check_known_keys,
     generate_synthetic,
-    is_int,
     load_dataset,
     normalize_views,
     read_text,
@@ -117,24 +117,6 @@ RUN_FLAGS = {
 }
 
 
-def _int_field(raw: dict, key: str, default: int | None) -> int | None:
-    """The integer ``raw[key]``; null is accepted only for a key whose default
-    is None."""
-    value = raw.get(key, default)
-    if not (is_int(value) or (value is None and default is None)):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _count_field(raw: dict, key: str, default: int) -> int:
-    """The integer ``raw[key]`` in [1, 1e4], the bound of max_iter: a count
-    beyond it would run on for hours, not fail."""
-    value = _int_field(raw, key, default)
-    if not 1 <= value <= 10_000:
-        raise ConfigError(f"{key} must be in [1, 1e4], got {value}")
-    return value
-
-
 def _expand_default_grid(grid):
     """A whole-grid ``"default"`` as one ``"default"`` entry per grid key."""
     return dict.fromkeys(DEFAULT_GRID, "default") if grid == "default" else grid
@@ -149,12 +131,12 @@ def _grid_axis(key: str, values, solver: SolverConfig) -> list[float]:
     axis = []
     for value in values:
         try:
-            replace(solver, **{key: value})
+            value = getattr(replace(solver, **{key: value}), key)
         except ValueError as exc:
             raise ConfigError(f"invalid grid {key} value {value!r}: {exc}") from None
-        if float(value) in axis:
-            raise ConfigError(f"grid {key} lists the value {float(value)!r} more than once")
-        axis.append(float(value))
+        if value in axis:
+            raise ConfigError(f"grid {key} lists the value {value!r} more than once")
+        axis.append(value)
     return axis
 
 
@@ -171,6 +153,21 @@ class ExperimentConfig:
     seed: int
     variant: str
     output_dir: Path
+
+    def __post_init__(self):
+        check_field_types(self, ConfigError)
+        if self.normalize not in NORMALIZATION_MODES:
+            raise ConfigError(f"unknown normalization mode {self.normalize!r}")
+        for key in ("repetitions", "restarts"):
+            # max_iter's bound: a count beyond it would run on for hours, not fail.
+            if not 1 <= getattr(self, key) <= 10_000:
+                raise ConfigError(f"{key} must be in [1, 1e4], got {getattr(self, key)}")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {self.variant!r}; known: {VARIANTS}")
+        if self.k is not None and self.k < 1:
+            raise ConfigError("k must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @staticmethod
     def from_dict(raw: dict, base_dir: Path | None = None) -> "ExperimentConfig":
@@ -196,9 +193,6 @@ class ExperimentConfig:
                 synthetic = SyntheticSpec(**dataset["synthetic"])
             except (TypeError, DatasetError) as exc:
                 raise ConfigError(f"invalid synthetic spec: {exc}") from None
-        normalize = raw.get("normalize", "none")
-        if normalize not in NORMALIZATION_MODES:
-            raise ConfigError(f"unknown normalization mode {normalize!r}")
         solver_fields = raw.get("solver", {})
         if not isinstance(solver_fields, dict):
             raise ConfigError("solver must be a JSON object")
@@ -220,18 +214,6 @@ class ExperimentConfig:
             grid = {key: _grid_axis(key, values, solver) for key, values in grid.items()}
             if any(not values for values in grid.values()):
                 raise ConfigError("grid lists must be non-empty")
-        repetitions = _count_field(raw, "repetitions", 1)
-        restarts = _count_field(raw, "restarts", 20)
-        variant = raw.get("variant", "full")
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}; known: {VARIANTS}")
-        k = _int_field(raw, "k", None)
-        if k is not None:
-            if k < 1:
-                raise ConfigError("k must be >= 1")
-        seed = _int_field(raw, "seed", 0)
-        if seed < 0:
-            raise ConfigError("seed must be >= 0")
         output_dir = raw.get("output_dir", "results")
         if not isinstance(output_dir, (str, os.PathLike)):
             raise ConfigError("output_dir must be a path string")
@@ -241,14 +223,14 @@ class ExperimentConfig:
         return ExperimentConfig(
             manifest=manifest,
             synthetic=synthetic,
-            normalize=normalize,
+            normalize=raw.get("normalize", "none"),
             solver=solver,
             grid=grid,
-            k=k,
-            repetitions=repetitions,
-            restarts=restarts,
-            seed=seed,
-            variant=variant,
+            k=raw.get("k"),
+            repetitions=raw.get("repetitions", 1),
+            restarts=raw.get("restarts", 20),
+            seed=raw.get("seed", 0),
+            variant=raw.get("variant", "full"),
             output_dir=output_dir,
         )
 
@@ -256,9 +238,10 @@ class ExperimentConfig:
 def _read_config(path: Path):
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    text = read_text(path, ConfigError)
     try:
-        return json.loads(read_text(path, ConfigError))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # see load_dataset
         raise ConfigError(f"invalid config JSON: {exc}") from None
 
 
@@ -268,10 +251,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def grid_points(cfg: ExperimentConfig) -> list[dict[str, float]]:
-    """Cartesian product of the grid lists, singleton solver values elsewhere,
-    all as floats so that 1 and 1.0 name the same point."""
+    """Cartesian product of the grid lists, singleton solver values elsewhere;
+    SolverConfig holds each as a float, so 1 and 1.0 name the same point."""
     grid = cfg.grid or {}
-    axes = [grid.get(key, [float(getattr(cfg.solver, key))]) for key in DEFAULT_GRID]
+    axes = [grid.get(key, [getattr(cfg.solver, key)]) for key in DEFAULT_GRID]
     return [dict(zip(DEFAULT_GRID, values)) for values in itertools.product(*axes)]
 
 

@@ -34,17 +34,31 @@ def is_int(value) -> bool:
 
 
 def check_field_types(obj, error: type[Exception]) -> None:
-    """Raise ``error`` unless every ``int`` field of the dataclass ``obj``
-    holds an integer and every ``float`` field a finite number; a bool is
-    neither. Field types are read as the strings that postponed annotations
-    make them."""
+    """Settle each number field of the config dataclass ``obj`` or raise
+    ``error``; no other code checks these types. An ``int`` field holds an
+    integer (an ``int | None`` field may hold None), a ``float`` field a
+    finite number, stored as a Python float so that a JSON 1 reads as 1.0,
+    and a ``tuple[int, ...]`` field a list or tuple of integers, stored as a
+    tuple. A bool is none of these. Field types are read as the strings that
+    postponed annotations make them."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.type == "int" and not is_int(value):
-            raise error(f"{f.name} must be an integer, got {value!r}")
-        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if f.type == "float" and not (number and math.isfinite(value)):
-            raise error(f"{f.name} must be a finite number, got {value!r}")
+        if f.type in ("int", "int | None"):
+            if not (is_int(value) or (value is None and f.type == "int | None")):
+                raise error(f"{f.name} must be an integer, got {value!r}")
+        elif f.type == "float":
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            try:
+                settled = float(value) if number else math.nan
+            except OverflowError:  # an integer beyond the double range
+                settled = math.nan
+            if not math.isfinite(settled):
+                raise error(f"{f.name} must be a finite number, got {value!r}")
+            object.__setattr__(obj, f.name, settled)
+        elif f.type == "tuple[int, ...]":
+            if not (isinstance(value, (list, tuple)) and all(map(is_int, value))):
+                raise error(f"{f.name} must be integers, got {value!r}")
+            object.__setattr__(obj, f.name, tuple(map(int, value)))
 
 
 def check_known_keys(raw: dict, known, what: str, error: type[Exception]) -> None:
@@ -164,9 +178,6 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_field_types(self, DatasetError)
-        if not all(is_int(d) for d in self.view_dims):
-            raise DatasetError(f"view_dims must be integers, got {list(self.view_dims)!r}")
-        object.__setattr__(self, "view_dims", tuple(int(d) for d in self.view_dims))
         if self.k < 2:
             raise DatasetError("need at least two clusters")
         if self.n_per_cluster < 1:
@@ -321,9 +332,13 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise DatasetError(f"manifest not found: {manifest_path}")
+    text = read_text(manifest_path, DatasetError)
     try:
-        manifest = json.loads(read_text(manifest_path, DatasetError))
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # Besides a JSONDecodeError, json.loads raises ValueError on an
+        # integer literal of over 4300 digits and RecursionError on arrays
+        # nested deeper than the interpreter's recursion limit.
         raise DatasetError(f"invalid manifest JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise DatasetError("manifest must be a JSON object")

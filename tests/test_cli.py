@@ -193,6 +193,36 @@ def test_exit_code_on_invalid_config(tmp_path):
     assert main(["run", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "text", ['{"k": ' + "1" * 5000 + "}", "[" * 100_000], ids=["long_int", "deep"]
+)
+def test_exit_code_on_json_the_parser_refuses(tmp_path, capsys, text):
+    # json.loads raises a plain ValueError on an integer literal of over 4300
+    # digits and RecursionError on deep nesting, not a JSONDecodeError.
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([], "config must be a JSON object"),
+        (
+            {"dataset": {"synthetic": SMALL_SYNTHETIC}, "grid": {"alpha": []}},
+            "grid lists must be non-empty",
+        ),
+    ],
+    ids=["json_array", "empty_grid_list"],
+)
+def test_config_error_message(tmp_path, capsys, raw, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_exit_code_when_k_unresolvable(tmp_path):
     # no labels and no k: the runner cannot choose a cluster count
     views_dir = tmp_path / "data"

@@ -106,6 +106,34 @@ def test_load_dataset_malformed_manifest(tmp_path, manifest, message):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "invalid manifest JSON: Expecting property name enclosed in double"
+         " quotes: line 1 column 2 (char 1)"),
+        ('{"views": []}', "manifest lists no views"),
+    ],
+)
+def test_load_dataset_unusable_manifest_message(tmp_path, text, message):
+    path = tmp_path / "manifest.json"
+    _write(path, text)
+    with pytest.raises(DatasetError) as info:
+        load_dataset(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text", ['{"views": ' + "1" * 5000 + "}", "[" * 100_000], ids=["long_int", "deep"]
+)
+def test_load_dataset_json_the_parser_refuses(tmp_path, text):
+    # json.loads raises a plain ValueError on an integer literal of over 4300
+    # digits and RecursionError on deep nesting, not a JSONDecodeError.
+    path = tmp_path / "manifest.json"
+    _write(path, text)
+    with pytest.raises(DatasetError):
+        load_dataset(path)
+
+
 def test_load_dataset_ragged_rows(tmp_path):
     path = _manifest(tmp_path, [[[1.0, 2.0], [3.0]]])
     with pytest.raises(DatasetError, match="ragged"):
@@ -349,6 +377,22 @@ def test_dataset_rejects_nan():
     bad[1, 1] = np.nan
     with pytest.raises(DatasetError, match="NaN"):
         MultiViewDataset(views=[bad])
+
+
+@pytest.mark.parametrize(
+    "views, labels, message",
+    [
+        ([], None, "dataset needs at least one view"),
+        ([np.ones(3)], None, "view 0 is not a 2-D matrix"),
+        ([np.ones((3, 2)), np.ones((3, 0))], None, "view 1 has no feature columns"),
+        ([np.ones((3, 2))], np.array([0, -1, 1]), "labels must be 0-based class ids"),
+    ],
+    ids=["no_views", "1d_view", "no_columns", "negative_label"],
+)
+def test_dataset_rejects_malformed_views_and_labels(views, labels, message):
+    with pytest.raises(DatasetError) as info:
+        MultiViewDataset(views=views, labels=labels)
+    assert str(info.value) == message
 
 
 def test_dataset_rejects_single_sample():
