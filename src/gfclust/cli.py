@@ -33,8 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    AT_LEAST_ONE,
+    COUNT,
     DatasetError,
     MultiViewDataset,
+    NONNEGATIVE,
     NORMALIZATION_MODES,
     SyntheticSpec,
     check_field_types,
@@ -44,6 +47,7 @@ from .data import (
     normalize_views,
     read_text,
     synthetic_peak_bytes,
+    within,
 )
 from .metrics import evaluate
 from .solver import (
@@ -144,30 +148,18 @@ def _grid_axis(key: str, values, solver: SolverConfig) -> list[float]:
 class ExperimentConfig:
     manifest: Path | None
     synthetic: SyntheticSpec | None
-    normalize: str
+    normalize: str = within(NORMALIZATION_MODES)
     solver: SolverConfig
     grid: dict[str, list[float]] | None
-    k: int | None
-    repetitions: int
-    restarts: int
-    seed: int
-    variant: str
+    k: int | None = within(AT_LEAST_ONE)
+    repetitions: int = within(COUNT)
+    restarts: int = within(COUNT)
+    seed: int = within(NONNEGATIVE)
+    variant: str = within(VARIANTS)
     output_dir: Path
 
     def __post_init__(self):
         check_field_types(self, ConfigError)
-        if self.normalize not in NORMALIZATION_MODES:
-            raise ConfigError(f"unknown normalization mode {self.normalize!r}")
-        for key in ("repetitions", "restarts"):
-            # max_iter's bound: a count beyond it would run on for hours, not fail.
-            if not 1 <= getattr(self, key) <= 10_000:
-                raise ConfigError(f"{key} must be in [1, 1e4], got {getattr(self, key)}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; known: {VARIANTS}")
-        if self.k is not None and self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
 
     @staticmethod
     def from_dict(raw: dict, base_dir: Path | None = None) -> "ExperimentConfig":
@@ -180,14 +172,11 @@ class ExperimentConfig:
             check_known_keys(dataset, DATASET_KEYS, "dataset", ConfigError)
         if not isinstance(dataset, dict) or ("manifest" in dataset) == ("synthetic" in dataset):
             raise ConfigError("dataset must specify exactly one of 'manifest' or 'synthetic'")
-        manifest = None
-        synthetic = None
+        manifest = synthetic = None
         if "manifest" in dataset:
             if not isinstance(dataset["manifest"], (str, os.PathLike)):
                 raise ConfigError("dataset manifest must be a path string")
-            manifest = Path(dataset["manifest"])
-            if not manifest.is_absolute():
-                manifest = base_dir / manifest
+            manifest = base_dir / dataset["manifest"]  # an absolute path replaces base_dir
         else:
             try:
                 synthetic = SyntheticSpec(**dataset["synthetic"])
@@ -217,9 +206,7 @@ class ExperimentConfig:
         output_dir = raw.get("output_dir", "results")
         if not isinstance(output_dir, (str, os.PathLike)):
             raise ConfigError("output_dir must be a path string")
-        output_dir = Path(output_dir)
-        if not output_dir.is_absolute():
-            output_dir = base_dir / output_dir
+        output_dir = base_dir / output_dir
         return ExperimentConfig(
             manifest=manifest,
             synthetic=synthetic,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +33,35 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+# Ranges of number fields, as messages and the README write them: "[lo, hi]",
+# "(lo, hi]", ">= lo" or "> lo". README "Config field ranges" gives reasons.
+POSITIVE = "> 0"
+NONNEGATIVE = ">= 0"
+AT_LEAST_ONE = ">= 1"
+COUNT = "[1, 1e4]"
+
+
+def within(domain, default=MISSING):
+    """A config field that ``check_field_types`` keeps in ``domain``: a named
+    range for a number field, the tuple of its allowed values for a str field."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def _in_range(value, bounds: str) -> bool:
+    """Whether the number ``value`` lies in the range ``bounds``."""
+    lo, hi, *_ = [*map(float, bounds.strip("[(]>= ").split(", ")), math.inf]
+    strict = bounds[0] == "(" or bounds.startswith("> ")
+    return (lo < value if strict else lo <= value) and value <= hi
+
+
 def check_field_types(obj, error: type[Exception]) -> None:
-    """Settle each number field of the config dataclass ``obj`` or raise
-    ``error``; no other code checks these types. An ``int`` field holds an
-    integer (an ``int | None`` field may hold None), a ``float`` field a
-    finite number, stored as a Python float so that a JSON 1 reads as 1.0,
-    and a ``tuple[int, ...]`` field a list or tuple of integers, stored as a
-    tuple. A bool is none of these. Field types are read as the strings that
-    postponed annotations make them."""
+    """Settle each number field of the config dataclass ``obj`` and keep each
+    field in the domain it is declared ``within``, or raise ``error``; no
+    other code checks these. An ``int`` field holds an integer (``int | None``
+    also None), a ``float`` field a finite number, stored as a Python float so
+    that a JSON 1 reads as 1.0, and a ``tuple[int, ...]`` field integers,
+    stored as a tuple. A bool is none of these. Field types are read as the
+    strings that postponed annotations make them."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type in ("int", "int | None"):
@@ -54,11 +75,17 @@ def check_field_types(obj, error: type[Exception]) -> None:
                 settled = math.nan
             if not math.isfinite(settled):
                 raise error(f"{f.name} must be a finite number, got {value!r}")
-            object.__setattr__(obj, f.name, settled)
+            object.__setattr__(obj, f.name, value := settled)
         elif f.type == "tuple[int, ...]":
             if not (isinstance(value, (list, tuple)) and all(map(is_int, value))):
                 raise error(f"{f.name} must be integers, got {value!r}")
             object.__setattr__(obj, f.name, tuple(map(int, value)))
+        domain = f.metadata.get("domain")
+        if isinstance(domain, str) and value is not None and not _in_range(value, domain):
+            bound = domain if domain[0] == ">" else f"in {domain}"
+            raise error(f"{f.name} must be {bound}, got {value!r}")
+        if isinstance(domain, tuple) and value not in domain:
+            raise error(f"unknown {f.name} {value!r}; known: {domain}")
 
 
 def check_known_keys(raw: dict, known, what: str, error: type[Exception]) -> None:
@@ -169,29 +196,17 @@ class MultiViewDataset:
 class SyntheticSpec:
     """Parameters of a union-of-subspaces synthetic multi-view dataset."""
 
-    k: int
-    n_per_cluster: int
-    subspace_dim: int
+    k: int = within(">= 2")
+    n_per_cluster: int = within(AT_LEAST_ONE)
+    subspace_dim: int = within(AT_LEAST_ONE)
     view_dims: tuple[int, ...]
-    noise_sigma: float = 0.0
-    seed: int = 0
+    noise_sigma: float = within("[0, 1]", 0.0)
+    seed: int = within(NONNEGATIVE, 0)
 
     def __post_init__(self):
         check_field_types(self, DatasetError)
-        if self.k < 2:
-            raise DatasetError("need at least two clusters")
-        if self.n_per_cluster < 1:
-            raise DatasetError("need at least one sample per cluster")
-        if self.subspace_dim < 1:
-            raise DatasetError("subspace dimension must be positive")
-        if not self.view_dims:
-            raise DatasetError("need at least one view dimension")
-        if any(d <= self.subspace_dim for d in self.view_dims):
-            raise DatasetError("each view dimension must exceed the subspace dimension")
-        if self.noise_sigma < 0:
-            raise DatasetError("noise sigma must be nonnegative")
-        if self.seed < 0:
-            raise DatasetError("seed must be nonnegative")
+        if not self.view_dims or min(self.view_dims) <= self.subspace_dim:
+            raise DatasetError(f"need view_dims, each above subspace_dim, got {self.view_dims}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> MultiViewDataset:

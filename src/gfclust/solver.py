@@ -94,7 +94,7 @@ from ._lapack import (
     spd_inverse_factor,
     spd_solve,
 )
-from .data import MultiViewDataset, check_field_types
+from .data import AT_LEAST_ONE, COUNT, POSITIVE, MultiViewDataset, check_field_types, within
 
 VARIANT_FULL = "full"
 VARIANT_NO_SMOOTHING = "no_smoothing"
@@ -109,6 +109,11 @@ J_FLOOR = 1e-12
 # still a normal double, while for 0.96 < eta < 1.04 J^{1/(1-eta)} under- or
 # overflows and every view weight turns NaN.
 MAX_WEIGHT_EXPONENT = 25
+# The model weights' ranges. Small solves converge for alpha and beta up to
+# 1e12 and for eta down to -20, and overflow from 1e200 and -200; the README's
+# "Config field ranges" gives the runs.
+WEIGHT = "(0, 1e6]"
+ETA = ">= -20"
 
 
 class SolverNumericalError(RuntimeError):
@@ -132,32 +137,24 @@ class SolverConfig:
     before the run stops.
     """
 
-    alpha: float = 0.5
-    beta: float = 0.5
-    eta: float = 0.5
-    mu0: float = 1e-6
-    mu_max: float = 1e30
-    rho: float = 1.1
-    eps: float = 1e-4
-    max_iter: int = 1000
+    alpha: float = within(WEIGHT, 0.5)
+    beta: float = within(WEIGHT, 0.5)
+    eta: float = within(ETA, 0.5)
+    mu0: float = within(POSITIVE, 1e-6)
+    mu_max: float = within(POSITIVE, 1e30)
+    rho: float = within(AT_LEAST_ONE, 1.1)
+    eps: float = within(POSITIVE, 1e-4)
+    max_iter: int = within(COUNT, 1000)
 
     def __post_init__(self):
         check_field_types(self, ValueError)
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
         if abs(1.0 - self.eta) * MAX_WEIGHT_EXPONENT < 1:
             raise ValueError(
                 f"eta must satisfy |1/(1 - eta)| <= {MAX_WEIGHT_EXPONENT}, that is"
                 f" |eta - 1| >= {1 / MAX_WEIGHT_EXPONENT:g}, got {self.eta!r}"
             )
-        if self.mu0 <= 0 or self.mu_max <= 0 or self.mu0 > self.mu_max:
-            raise ValueError("need 0 < mu0 <= mu_max")
-        if self.rho < 1:
-            raise ValueError("rho must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if not 1 <= self.max_iter <= 10_000:
-            raise ValueError("max_iter must be in [1, 1e4]")
+        if self.mu0 > self.mu_max:
+            raise ValueError(f"need mu0 <= mu_max, got {self.mu0!r} > {self.mu_max!r}")
 
 
 @dataclass

@@ -2,19 +2,21 @@
 
 Whatever value a single config or manifest field holds, `gfclust run` either
 exits 1 with a `config error:` line, runs (0), or reports that every grid
-point failed (2). It never raises. Each field of a valid tiny config is
+point failed (2). It never raises or warns. Each field of a valid tiny config is
 swapped for each value of a fixed pool; the whole sweep runs in process.
 """
 
 import copy
+import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import fields
 
 import pytest
 
-from gfclust.cli import CONFIG_KEYS, main
+from gfclust.cli import CONFIG_KEYS, ConfigError, ExperimentConfig, main
 from gfclust.data import SyntheticSpec, generate_synthetic, write_dataset
 from gfclust.solver import SolverConfig
 
@@ -32,19 +34,6 @@ POOL = [
     "", [], {}, [[1]], 1e-320, 1e308, 1, 10**400,
 ]
 
-# The cases whose run warns of floating-point overflow before it ends as the
-# contract allows. alpha 1e308 and eta -2**70 fail their grid point (exit 2),
-# beta 1e308 runs to exit 0 past an infinite shift in the C update, and
-# noise_sigma 1e308 generates infinite data, a config error. ROADMAP item 5
-# records them; any other case that warns breaks the contract.
-OVERFLOWS = [
-    ("solver.alpha", 1e308),
-    ("solver.beta", 1e308),
-    ("solver.eta", -(2**70)),
-    ("dataset.synthetic.noise_sigma", 1e308),
-]
-
-
 def run_config(case_dir, raw, capsys):
     """`gfclust run` on ``raw`` written into the new directory ``case_dir``:
     its exit code or the exception it raised, its stderr, and the messages
@@ -61,14 +50,14 @@ def run_config(case_dir, raw, capsys):
     return code, capsys.readouterr().err, [str(w.message) for w in caught]
 
 
-def breaches(tmp_path, capsys, name, variants):
-    """The (value, outcome) of each ``(value, raw config)`` in ``variants``,
-    a sweep of the field ``name``, whose run breaks the contract."""
+def breaches(tmp_path, capsys, variants):
+    """The (value, outcome) of each ``(value, raw config)`` in ``variants``
+    whose run breaks the contract or warns."""
     found = []
     for case, (value, raw) in enumerate(variants):
         code, err, warned = run_config(tmp_path / str(case), raw, capsys)
         exited = code in (0, 2) or (code == 1 and err.startswith("config error: "))
-        if not exited or (warned and (name, value) not in OVERFLOWS):
+        if not exited or warned:
             found.append((value, code, err, warned))
     return found
 
@@ -93,7 +82,7 @@ FIELD_PATHS = (
 @pytest.mark.parametrize("path", FIELD_PATHS, ids=".".join)
 def test_every_config_value_runs_or_is_a_config_error(tmp_path, capsys, path):
     variants = [(value, with_field(TINY_CONFIG, path, value)) for value in POOL]
-    assert breaches(tmp_path, capsys, ".".join(path), variants) == []
+    assert breaches(tmp_path, capsys, variants) == []
 
 
 @pytest.mark.parametrize(
@@ -110,7 +99,7 @@ def test_every_manifest_value_runs_or_is_a_config_error(tmp_path, capsys, path):
         manifest_path.write_text(json.dumps(with_field(manifest, path, value)), encoding="utf-8")
         config = {**TINY_CONFIG, "dataset": {"manifest": str(manifest_path)}}
         variants.append((value, config))
-    assert breaches(tmp_path, capsys, ".".join(map(str, path)), variants) == []
+    assert breaches(tmp_path, capsys, variants) == []
 
 
 ARTIFACTS = ("trace.csv", "consensus.csv", "plot.svg")
@@ -162,3 +151,90 @@ def test_integer_beyond_the_double_range_is_a_config_error(tmp_path, capsys, pat
     assert code == 1
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "must be a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("solver", "alpha"), 0, "alpha must be in (0, 1e6], got 0.0"),
+        (("solver", "eta"), -21, "eta must be >= -20, got -21.0"),
+        (("solver", "mu0"), -1e-6, "mu0 must be > 0, got -1e-06"),
+        (("solver", "rho"), 0.5, "rho must be >= 1, got 0.5"),
+        (("solver", "max_iter"), 0, "max_iter must be in [1, 1e4], got 0"),
+        (("dataset", "synthetic", "k"), 1, "k must be >= 2, got 1"),
+        (("dataset", "synthetic", "noise_sigma"), -0.1, "noise_sigma must be in [0, 1], got -0.1"),
+        (("k",), 0, "k must be >= 1, got 0"),
+        (("seed",), -1, "seed must be >= 0, got -1"),
+    ],
+    ids=lambda case: ".".join(case) if isinstance(case, tuple) else None,
+)
+def test_value_outside_its_range_is_named_with_the_range(path, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_dict(with_field(TINY_CONFIG, path, value))
+
+
+def test_closed_range_ends_are_accepted():
+    ends = {"alpha": 1e6, "eta": -20, "rho": 1, "max_iter": 10_000, "mu0": 5.0, "mu_max": 5.0}
+    raw = {**TINY_CONFIG, "solver": ends, "k": 1, "seed": 0, "repetitions": 1, "restarts": 10_000}
+    raw["dataset"] = {"synthetic": {**TINY_SYNTHETIC, "k": 2, "noise_sigma": 1, "seed": 0}}
+    cfg = ExperimentConfig.from_dict(raw)
+    assert (cfg.solver.alpha, cfg.solver.eta, cfg.synthetic.noise_sigma) == (1e6, -20.0, 1.0)
+
+
+# Each bound that keeps the model's weights and the synthetic noise from
+# overflowing, with the next value beyond it. Beyond these, alpha = 1e308,
+# eta = -2**70 and noise_sigma = 1e308 warned of overflow mid-run.
+OVERFLOW_BOUNDS = [
+    (("solver", "alpha"), 1e6, 1.1e6),
+    (("solver", "beta"), 1e6, 1.1e6),
+    (("solver", "eta"), -20, -20.5),
+    (("dataset", "synthetic", "noise_sigma"), 1.0, 1.1),
+]
+
+
+@pytest.mark.parametrize(
+    "path, bound, beyond", OVERFLOW_BOUNDS, ids=[".".join(p) for p, _, _ in OVERFLOW_BOUNDS]
+)
+def test_each_overflow_bound_runs_and_beyond_it_is_a_config_error(
+    tmp_path, capsys, path, bound, beyond
+):
+    code, _, warned = run_config(tmp_path / "bound", with_field(TINY_CONFIG, path, bound), capsys)
+    assert (code, warned) == (0, [])
+    code, err, _ = run_config(tmp_path / "beyond", with_field(TINY_CONFIG, path, beyond), capsys)
+    assert code == 1
+    assert err.startswith("config error: ") and f"{path[-1]} must be " in err
+
+
+# Cell values of a malformed trace: blanks, the non-finite spellings float()
+# reads, a value beyond the double range, signs and zero, text, and a comma
+# that splits the cell in two.
+TRACE_POOL = ["", " ", "nan", "inf", "-inf", "1e400", "-1", "0", "abc", "1,2"]
+
+
+def test_every_trace_cell_plots_or_is_a_plot_error(tmp_path, capsys):
+    # `gfclust plot` on a trace.csv with one cell (header cells included)
+    # swapped for a pool value either writes an SVG of finite coordinates (0)
+    # or exits 1 with one `plot error:` line; it never raises or warns.
+    assert run_config(tmp_path / "run", TINY_CONFIG, capsys)[0] == 0
+    (trace,) = (tmp_path / "run" / "out").glob("*/trace.csv")
+    rows = [line.split(",") for line in trace.read_text(encoding="utf-8").splitlines()]
+    swapped, svg = tmp_path / "trace.csv", tmp_path / "plot.svg"
+    found = []
+    for row, col in itertools.product(range(len(rows)), range(len(rows[0]))):
+        for value in TRACE_POOL:
+            cells = [list(r) for r in rows]
+            cells[row][col] = value
+            swapped.write_text("\n".join(map(",".join, cells)) + "\n", encoding="utf-8")
+            svg.unlink(missing_ok=True)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = main(["plot", str(swapped), "--out", str(svg)])
+                except Exception as exc:
+                    code = exc
+            err = capsys.readouterr().err
+            plotted = code == 0 and not re.search("nan|inf", svg.read_text(encoding="utf-8"))
+            refused = code == 1 and err.startswith("plot error: ") and err.count("\n") == 1
+            if not (plotted or refused) or caught:
+                found.append((row, col, value, code, err, [str(w.message) for w in caught]))
+    assert found == []

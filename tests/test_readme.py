@@ -1,6 +1,10 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
+from gfclust.cli import ExperimentConfig
+from gfclust.data import SyntheticSpec
+from gfclust.solver import SolverConfig
 from pipeline import run_in_fresh_interpreter
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -18,3 +22,28 @@ def library_usage_snippet() -> str:
 def test_readme_library_snippet_runs():
     # An API change must not leave the README's example stale.
     run_in_fresh_interpreter(library_usage_snippet())
+
+
+def declared_ranges() -> dict[str, str]:
+    """Each number field's declared range, by its config key; a str field's
+    domain is a tuple of names instead."""
+    ranges = {}
+    for prefix, config in (
+        ("solver.", SolverConfig),
+        ("dataset.synthetic.", SyntheticSpec),
+        ("", ExperimentConfig),
+    ):
+        for f in fields(config):
+            domain = f.metadata.get("domain")
+            if isinstance(domain, str):
+                ranges[prefix + f.name] = domain
+    return ranges
+
+
+def test_readme_range_table_lists_the_declared_ranges():
+    # The table and the checker must not drift apart.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Config field ranges\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", section, re.M)
+    assert dict(rows) == declared_ranges()
+    assert len(rows) == len(dict(rows))

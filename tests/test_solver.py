@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import inspect
+import itertools
 import os
 import sys
 import threading
@@ -803,6 +804,49 @@ def test_solve_converges_across_weight_exponents(alpha, beta, eta):
     assert out.gamma.min() > 0.0
     assert abs(out.gamma.sum() - 1.0) <= 1e-12
     assert np.isfinite(out.diagnostics.objective[-1])
+
+
+# The default grid's corners: alpha, beta in {1e-5, 10} and eta in {-5, 0.5, 5},
+# as (eta, alpha, beta). The shapes are (k, n_per_cluster, view_dims), with
+# subspace_dim 3, sigma 0.1 and seed 7: the n = 45 spec that the whole default
+# grid converged on, six views of the UCI Handwritten dims at n = 60, and
+# two views wider than n.
+GRID_CORNERS = list(itertools.product((-5.0, 0.5, 5.0), (1e-5, 10.0), (1e-5, 10.0)))
+CORNER_SHAPES = {
+    "n45": (3, 15, (12, 20)),
+    "hw6_n60": (3, 20, (76, 216, 64, 240, 47, 6)),
+    "wide2_n40": PEAK_SHAPES["wide2_n40"],
+}
+# Every corner on every shape in every variant is 108 solves; all of them
+# passed these assertions in one run of 65 s on 2 CPUs. To stay near 5 s,
+# each shape keeps every step-th corner from its own start, the step set by
+# the shape's cost (a wide2_n40 solve costs about three n45 solves, a hw6_n60
+# solve five), and the variants are dealt to the kept points in turn.
+CORNER_STEPS = {"n45": (0, 3), "hw6_n60": (1, 12), "wide2_n40": (2, 6)}
+CORNER_CASES = [
+    (shape, VARIANTS[i % len(VARIANTS)], *corner)
+    for i, (shape, corner) in enumerate(
+        (shape, corner)
+        for shape, (start, step) in CORNER_STEPS.items()
+        for corner in GRID_CORNERS[start::step]
+    )
+]
+GAP_NAMES = [f.name for f in dataclasses.fields(Diagnostics) if f.name.startswith("gap_")]
+
+
+@pytest.mark.parametrize("shape, variant, eta, alpha, beta", CORNER_CASES)
+def test_solve_converges_at_the_grid_corners(monkeypatch, shape, variant, eta, alpha, beta):
+    monkeypatch.setattr(solver, "_use_helper_thread", lambda n_views: False)
+    k, n_per_cluster, view_dims = CORNER_SHAPES[shape]
+    spec = SyntheticSpec(
+        k=k, n_per_cluster=n_per_cluster, subspace_dim=3, view_dims=view_dims, noise_sigma=0.1,
+        seed=7,
+    )  # fmt: skip
+    cfg = SolverConfig(alpha=alpha, beta=beta, eta=eta)
+    out = solve(generate_synthetic(spec), cfg, variant)
+    assert out.converged and out.iterations < cfg.max_iter
+    assert np.isfinite(out.consensus_C).all()
+    assert max(getattr(out.diagnostics, name)[-1] for name in GAP_NAMES) <= cfg.eps
 
 
 FAILED_FACTOR = "dpotrf: leading minor 2 is not positive definite"
