@@ -45,9 +45,13 @@ from .data import (
     generate_synthetic,
     load_dataset,
     normalize_views,
+    read_json,
+    read_matrix_csv,
     read_text,
     synthetic_peak_bytes,
     within,
+    write_json,
+    write_matrix_csv,
 )
 from .metrics import evaluate
 from .solver import (
@@ -223,13 +227,7 @@ class ExperimentConfig:
 
 
 def _read_config(path: Path):
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    text = read_text(path, ConfigError)
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # see load_dataset
-        raise ConfigError(f"invalid config JSON: {exc}") from None
+    return read_json(path, ConfigError, "config file not found", "invalid config JSON")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -258,19 +256,13 @@ def _load_experiment_dataset(cfg: ExperimentConfig) -> MultiViewDataset:
     return normalize_views(ds, cfg.normalize)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _write_trace_csv(path: Path, output: SolverOutput) -> None:
     """One row per iteration: ``iter``, then every scalar series of the
     diagnostics in field order (J holds one array per iteration)."""
     diag = output.diagnostics
     columns = [f.name for f in fields(diag) if f.name != "J"]
-    lines = [",".join(["iter", *columns])]
-    for idx, row in enumerate(zip(*(getattr(diag, name) for name in columns)), start=1):
-        lines.append(",".join([str(idx), *(format(x, ".17g") for x in row)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.column_stack([np.arange(1, len(diag) + 1), *(getattr(diag, c) for c in columns)])
+    write_matrix_csv(path, table, header=",".join(["iter", *columns]))
 
 
 def _metric_summary(values: list[float]) -> dict:
@@ -301,7 +293,7 @@ def run_grid_point(
     solver_cfg = replace(cfg.solver, **params)
     output = solve(ds, solver_cfg, cfg.variant)
     _write_trace_csv(point_dir / "trace.csv", output)
-    np.savetxt(point_dir / "consensus.csv", output.consensus_C, fmt="%.17g", delimiter=",")
+    write_matrix_csv(point_dir / "consensus.csv", output.consensus_C)
     emit_convergence_plot(point_dir / "trace.csv", point_dir / "plot.svg")
 
     k = cfg.k if cfg.k is not None else ds.n_classes
@@ -388,7 +380,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         except (SolverNumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             record = {"params": params, "variant": cfg.variant, "error": str(exc)}
         record["timestamp"] = datetime.now(timezone.utc).isoformat()
-        _write_json(point_dir / "result.json", record)
+        write_json(point_dir / "result.json", record)
         points.append((digest, record))
     n_failed = sum("error" in record for _, record in points)
     scored = [(digest, record) for digest, record in points if record.get("metrics") is not None]
@@ -413,7 +405,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "best": best,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _write_json(cfg.output_dir / "summary.json", summary)
+    write_json(cfg.output_dir / "summary.json", summary)
     if points and n_failed == len(points):
         return 2
     return 0
@@ -423,31 +415,25 @@ def emit_convergence_plot(trace_path: str | Path, out_path: str | Path) -> Path:
     """Render the residual columns of a trace CSV as a standalone SVG.
 
     Both residual curves are drawn against the iteration count on a log10
-    vertical axis spanning the data range.
+    vertical axis spanning the data range. A cell that is not a number, in
+    any column, is a DatasetError naming the file, line and column.
     """
     trace_path = Path(trace_path)
-    rows = trace_path.read_text(encoding="utf-8").splitlines()
-    if not rows:
-        raise ValueError(f"empty trace: {trace_path}")
-    header = rows[0].split(",")
-    data_rows = [line.split(",") for line in rows[1:] if line.strip()]
-    if not data_rows:
-        raise ValueError(f"empty trace: {trace_path}")
-    for idx, row in enumerate(data_rows, start=1):
-        if len(row) != len(header):
-            raise ValueError(
-                f"ragged rows in {trace_path}: row {idx} has {len(row)} cells, header has {len(header)}"
-            )
+    table = read_matrix_csv(trace_path, has_header=True)
+    header = read_text(trace_path, DatasetError).splitlines()[0].split(",")
+    if table.shape[1] != len(header):
+        raise ValueError(
+            f"ragged rows in {trace_path}: row 1 has {table.shape[1]} cells, header has {len(header)}"
+        )
     columns = []
     for name in ("iter", "residual_C", "residual_Z"):
         if name not in header:
             raise ValueError(f"{trace_path} has no {name} column")
         columns.append(header.index(name))
-    iters, res_c, res_z = ([float(r[col]) for r in data_rows] for col in columns)
-    if not all(map(math.isfinite, iters + res_c + res_z)):
+    if not np.isfinite(table[:, columns]).all():
         raise ValueError(f"non-finite iteration or residual in {trace_path}")
-    res_c = [max(x, 1e-300) for x in res_c]
-    res_z = [max(x, 1e-300) for x in res_z]
+    iters = table[:, columns[0]].tolist()
+    res_c, res_z = (np.maximum(table[:, col], 1e-300).tolist() for col in columns[1:])
 
     width, height = 640.0, 420.0
     left, right, top, bottom = 72.0, 16.0, 16.0, 48.0

@@ -103,6 +103,32 @@ def read_text(path: Path, error: type[Exception]) -> str:
         raise error(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
+def read_json(path: Path, error: type[Exception], missing: str, invalid: str):
+    """The JSON value in the UTF-8 file ``path`` (a config or manifest), or
+    ``error`` saying ``missing`` if there is no such file and ``invalid`` with
+    the reason if json.loads refuses the text."""
+    if not path.is_file():
+        raise error(f"{missing}: {path}")
+    text = read_text(path, error)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # Besides a JSONDecodeError: an integer literal of over 4300 digits
+        # is a ValueError, arrays nested past the recursion limit a RecursionError.
+        raise error(f"{invalid}: {exc}") from None
+
+
+def write_json(path: Path, payload) -> None:
+    """``payload`` as indented JSON with sorted keys and a trailing newline."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_matrix_csv(path: Path, matrix, header: str = "") -> None:
+    """``matrix`` as a CSV file, after a ``header`` line if one is given; each
+    value %.17g, which read_matrix_csv reads back to its bits."""
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
 def _missing_ids(present: np.ndarray, shown: int = 5) -> str:
     """The first ``shown`` ids in [0, max] absent from the sorted distinct
     ids ``present``, as plain ints, with the total count if there are more."""
@@ -304,7 +330,7 @@ def _parse_matrix_csv(path: Path, has_header: bool) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _read_matrix_csv(path: Path, has_header: bool) -> np.ndarray:
+def read_matrix_csv(path: Path, has_header: bool) -> np.ndarray:
     """The matrix in the CSV file ``path``, to the bits and errors of
     _parse_matrix_csv.
 
@@ -328,13 +354,6 @@ def _read_matrix_csv(path: Path, has_header: bool) -> np.ndarray:
     return _parse_matrix_csv(path, has_header)
 
 
-def _read_labels_csv(path: Path) -> np.ndarray:
-    values = _read_matrix_csv(path, has_header=False)
-    if values.shape[1] != 1:
-        raise DatasetError(f"labels file {path} has {values.shape[1]} columns, expected 1")
-    return _integral_labels(values[:, 0], str(path))
-
-
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     """Load a dataset described by a JSON manifest.
 
@@ -345,16 +364,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     key cannot silently drop the labels or a header setting.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise DatasetError(f"manifest not found: {manifest_path}")
-    text = read_text(manifest_path, DatasetError)
-    try:
-        manifest = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # Besides a JSONDecodeError, json.loads raises ValueError on an
-        # integer literal of over 4300 digits and RecursionError on arrays
-        # nested deeper than the interpreter's recursion limit.
-        raise DatasetError(f"invalid manifest JSON: {exc}") from None
+    manifest = read_json(manifest_path, DatasetError, "manifest not found", "invalid manifest JSON")
     if not isinstance(manifest, dict):
         raise DatasetError("manifest must be a JSON object")
     check_known_keys(manifest, MANIFEST_KEYS, "manifest", DatasetError)
@@ -371,34 +381,35 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
             raise DatasetError(
                 f"manifest view {idx} has_header must be true or false, got {has_header!r}"
             )
-        views.append(_read_matrix_csv(base / entry["path"], has_header))
+        views.append(read_matrix_csv(base / entry["path"], has_header))
     labels = None
     if manifest.get("labels"):
         if not isinstance(manifest["labels"], str):
             raise DatasetError("manifest labels must be a path string or null")
-        labels = _read_labels_csv(base / manifest["labels"])
+        path = base / manifest["labels"]
+        values = read_matrix_csv(path, has_header=False)
+        if values.shape[1] != 1:
+            raise DatasetError(f"labels file {path} has {values.shape[1]} columns, expected 1")
+        labels = _integral_labels(values[:, 0], str(path))
     return MultiViewDataset(views=views, labels=labels)
 
 
 def write_dataset(ds: MultiViewDataset, out_dir: str | Path, name: str = "dataset") -> Path:
-    """Write a dataset as per-view CSVs plus a manifest; returns the manifest path.
-
-    Floats are written with 17 significant digits so that a write/load round
-    trip reproduces the matrices exactly.
-    """
+    """Write a dataset as per-view CSVs plus a manifest; returns the manifest
+    path. load_dataset reads the matrices back exactly."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for idx, view in enumerate(ds.views):
         fname = f"view_{idx}.csv"
-        np.savetxt(out_dir / fname, view, fmt="%.17g", delimiter=",")
+        write_matrix_csv(out_dir / fname, view)
         entries.append({"path": fname, "has_header": False})
     manifest = {"views": entries, "labels": None, "name": name}
     if ds.labels is not None:
-        np.savetxt(out_dir / "labels.csv", ds.labels, fmt="%d")
+        write_matrix_csv(out_dir / "labels.csv", ds.labels)
         manifest["labels"] = "labels.csv"
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 

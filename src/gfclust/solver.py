@@ -932,7 +932,7 @@ def solve(
     split = variant != VARIANT_FROBENIUS
     state = init_state(ds, cfg)
     if not smoothing:
-        state.Y = [x.copy() for x in ds.views]
+        state.Y = list(ds.views)  # read-only views: no update writes Y^i here
     diagnostics = Diagnostics()
     converged = False
     XXt = _feature_gram(ds) if smoothing else None

@@ -132,6 +132,18 @@ def test_ablations_share_zero_initialization():
     np.testing.assert_array_equal(state.gamma, [0.5, 0.5])
 
 
+def test_no_smoothing_holds_the_views_as_representations():
+    # Without the smoothing term no update writes Y^i, so the solve holds the
+    # dataset's read-only views as Y^i instead of copies of them.
+    ds = toy_dataset(n=8, v=3, seed=71)
+    shared = []
+    solve(
+        ds, SolverConfig(max_iter=3), "no_smoothing",
+        callback=lambda state: shared.append([Y is X for Y, X in zip(state.Y, ds.views)]),
+    )
+    assert shared == [[True] * 3] * 3
+
+
 def test_ablations_converge_on_benchmark(benchmark_ablations):
     for name, output in benchmark_ablations.items():
         assert output.converged, name

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -576,7 +577,7 @@ def test_plot_empty_trace_errors(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace.write_text("iter,residual_C,residual_Z,gap_Y,gap_CiZi,gap_Ci1,gap_CZ,gap_C1,objective\n")
     assert main(["plot", str(trace), "--out", str(tmp_path / "p.svg")]) == 1
-    assert "empty trace" in capsys.readouterr().err
+    assert "empty matrix file" in capsys.readouterr().err
 
 
 FULL_HEADER = "iter,residual_C,residual_Z,gap_Y,gap_CiZi,gap_Ci1,gap_CZ,gap_C1,objective\n"
@@ -601,6 +602,50 @@ def test_plot_malformed_trace_errors(tmp_path, capsys, header, row, message):
     assert err.startswith("plot error: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("column", [2, 4], ids=["residual_C", "gap_Y"])
+def test_plot_non_numeric_cell_names_file_line_and_column(tmp_path, capsys, column):
+    # The plot reads the trace with the dataset CSV reader, so a cell float()
+    # cannot read is one error naming where it is, in a plotted column or not.
+    cells = "1,0.5,0.25,1,1,1,1,1,10".split(",")
+    cells[column - 1] = "abc"
+    trace = tmp_path / "trace.csv"
+    trace.write_text(FULL_HEADER + ",".join(cells) + "\n")
+    out = tmp_path / "p.svg"
+    assert main(["plot", str(trace), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"plot error: non-numeric cell 'abc' at {trace} line 2, column {column}\n"
+    assert not out.exists()
+
+
+def test_trace_csv_bytes_match_a_per_value_join(tmp_path):
+    # The one CSV writer must give the bytes of the per-value join it
+    # replaced, kept here as the reference, on doubles at the ends of the
+    # range, a negative zero and integral values.
+    rng = np.random.default_rng(29)
+    rows = 1100
+    columns = [f.name for f in dataclasses.fields(solver.Diagnostics) if f.name != "J"]
+    special = [0.1, 5e-324, 1e308, -0.0, 0.0, 1.0, 7, 2**53 + 1, -3, 1e22]
+    diag = solver.Diagnostics()
+    for offset, name in enumerate(columns):
+        drawn = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        values = [
+            special[(idx + offset) % len(special)] if idx % 3 else float(x)
+            for idx, x in enumerate(drawn)
+        ]
+        setattr(diag, name, values)
+    output = solver.SolverOutput(
+        consensus_C=np.eye(2), view_C=[], gamma=np.ones(1), diagnostics=diag,
+        converged=False, iterations=rows,
+    )
+    path = tmp_path / "trace.csv"
+    cli._write_trace_csv(path, output)
+
+    lines = [",".join(["iter", *columns])]
+    for idx, row in enumerate(zip(*(getattr(diag, name) for name in columns)), start=1):
+        lines.append(",".join([str(idx), *(format(x, ".17g") for x in row)]))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_plot_axis_spans_data_range(tmp_path):
