@@ -41,8 +41,8 @@ from .data import (
     NORMALIZATION_MODES,
     SyntheticSpec,
     check_field_types,
-    check_known_keys,
     generate_synthetic,
+    json_object,
     load_dataset,
     normalize_views,
     read_json,
@@ -168,13 +168,9 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict, base_dir: Path | None = None) -> "ExperimentConfig":
         base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        check_known_keys(raw, CONFIG_KEYS, "config", ConfigError)
-        dataset = raw.get("dataset")
-        if isinstance(dataset, dict):
-            check_known_keys(dataset, DATASET_KEYS, "dataset", ConfigError)
-        if not isinstance(dataset, dict) or ("manifest" in dataset) == ("synthetic" in dataset):
+        raw = json_object(raw, "config", CONFIG_KEYS, ConfigError)
+        dataset = json_object(raw.get("dataset"), "dataset", DATASET_KEYS, ConfigError)
+        if ("manifest" in dataset) == ("synthetic" in dataset):
             raise ConfigError("dataset must specify exactly one of 'manifest' or 'synthetic'")
         manifest = synthetic = None
         if "manifest" in dataset:
@@ -182,14 +178,12 @@ class ExperimentConfig:
                 raise ConfigError("dataset manifest must be a path string")
             manifest = base_dir / dataset["manifest"]  # an absolute path replaces base_dir
         else:
+            spec = json_object(dataset["synthetic"], "synthetic spec", SyntheticSpec, ConfigError)
             try:
-                synthetic = SyntheticSpec(**dataset["synthetic"])
-            except (TypeError, DatasetError) as exc:
+                synthetic = SyntheticSpec(**spec)
+            except DatasetError as exc:
                 raise ConfigError(f"invalid synthetic spec: {exc}") from None
-        solver_fields = raw.get("solver", {})
-        if not isinstance(solver_fields, dict):
-            raise ConfigError("solver must be a JSON object")
-        solver_fields = dict(solver_fields)
+        solver_fields = {**json_object(raw.get("solver", {}), "solver", SolverConfig, ConfigError)}
         preset = raw.get("preset")
         if preset is not None:
             if not isinstance(preset, str) or preset not in PRESETS:
@@ -198,12 +192,11 @@ class ExperimentConfig:
                 solver_fields.setdefault(key, value)
         try:
             solver = SolverConfig(**solver_fields)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid solver config: {exc}") from None
         grid = _expand_default_grid(raw.get("grid"))
         if grid is not None:
-            if not isinstance(grid, dict) or not set(grid) <= set(DEFAULT_GRID):
-                raise ConfigError("grid may only list alpha, beta, and eta values")
+            grid = json_object(grid, "grid", DEFAULT_GRID, ConfigError)
             grid = {key: _grid_axis(key, values, solver) for key, values in grid.items()}
             if any(not values for values in grid.values()):
                 raise ConfigError("grid lists must be non-empty")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,11 +88,23 @@ def check_field_types(obj, error: type[Exception]) -> None:
             raise error(f"unknown {f.name} {value!r}; known: {domain}")
 
 
-def check_known_keys(raw: dict, known, what: str, error: type[Exception]) -> None:
-    """Raise ``error`` listing the keys of ``raw`` that are not in ``known``."""
-    unknown = sorted(set(raw) - set(known))
+def json_object(value, what: str, keys, error: type[Exception]) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``: the key
+    names, or the dataclass it builds, whose fields without a default it must
+    hold. Else ``error`` naming the object ``what``."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object")
+    required = []
+    if is_dataclass(keys):
+        required = [f.name for f in fields(keys) if f.default is f.default_factory is MISSING]
+        keys = [f.name for f in fields(keys)]
+    unknown = sorted(set(value) - set(keys))
     if unknown:
-        raise error(f"unknown {what} keys {unknown}; known: {sorted(known)}")
+        raise error(f"unknown {what} keys {unknown}; known: {sorted(keys)}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise error(f"missing {what} keys {missing}")
+    return value
 
 
 def read_text(path: Path, error: type[Exception]) -> str:
@@ -364,29 +376,27 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     key cannot silently drop the labels or a header setting.
     """
     manifest_path = Path(manifest_path)
-    manifest = read_json(manifest_path, DatasetError, "manifest not found", "invalid manifest JSON")
-    if not isinstance(manifest, dict):
-        raise DatasetError("manifest must be a JSON object")
-    check_known_keys(manifest, MANIFEST_KEYS, "manifest", DatasetError)
+    raw = read_json(manifest_path, DatasetError, "manifest not found", "invalid manifest JSON")
+    manifest = json_object(raw, "manifest", MANIFEST_KEYS, DatasetError)
     if not isinstance(manifest.get("views"), list) or not manifest["views"]:
         raise DatasetError("manifest lists no views")
     base = manifest_path.parent
     views = []
     for idx, entry in enumerate(manifest["views"]):
-        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+        entry = json_object(entry, f"manifest view {idx}", VIEW_KEYS, DatasetError)
+        if not isinstance(entry.get("path"), str):
             raise DatasetError(f"manifest view {idx} needs a 'path' string")
-        check_known_keys(entry, VIEW_KEYS, f"manifest view {idx}", DatasetError)
         has_header = entry.get("has_header", False)
         if not isinstance(has_header, bool):
             raise DatasetError(
                 f"manifest view {idx} has_header must be true or false, got {has_header!r}"
             )
         views.append(read_matrix_csv(base / entry["path"], has_header))
-    labels = None
-    if manifest.get("labels"):
-        if not isinstance(manifest["labels"], str):
+    labels = manifest.get("labels")
+    if labels is not None:
+        if not isinstance(labels, str) or not labels:
             raise DatasetError("manifest labels must be a path string or null")
-        path = base / manifest["labels"]
+        path = base / labels
         values = read_matrix_csv(path, has_header=False)
         if values.shape[1] != 1:
             raise DatasetError(f"labels file {path} has {values.shape[1]} columns, expected 1")

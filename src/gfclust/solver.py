@@ -401,20 +401,15 @@ def _view_auxiliary_factor(C: np.ndarray, mu: float, cfg: SolverConfig) -> np.nd
 
 
 def update_view_auxiliary(
-    state: SolverState,
-    i: int,
-    cfg: SolverConfig,
-    project: bool = True,
-    *,
-    factor: np.ndarray | None,
+    state: SolverState, i: int, cfg: SolverConfig, *, factor: np.ndarray | None
 ) -> np.ndarray:
-    """Auxiliary Z^i: linear solve (or multiplier shift) then constraint projection.
+    """Auxiliary Z^i before the constraint projection: the stationary point
+    of its quadratic subproblem, by a linear solve (or multiplier shift).
 
     Solves (2 alpha C^T C + mu I) Z = 2 alpha C^T C^i + mu C^i + Lam^i
     against ``factor`` (from ``_view_auxiliary_factor``). ``factor`` is None
     for the ``frobenius`` variant, which lacks the data term, leaving
-    Z = C^i + Lam^i/mu. ``project=False`` returns the pre-projection
-    solution, which is the stationary point of the quadratic subproblem.
+    Z = C^i + Lam^i/mu.
     """
     if factor is None:
         Z = state.Lam[i] / state.mu
@@ -427,7 +422,7 @@ def update_view_auxiliary(
         Z += state.mu * state.Ci[i]
         Z += state.Lam[i]
         Z = spd_apply_left(factor, Z)
-    return project_constraints(Z) if project else Z
+    return Z
 
 
 def _feature_gram(ds: MultiViewDataset) -> np.ndarray:
@@ -532,11 +527,12 @@ class _ConsensusSums:
             self.A += YXt
 
 
-def update_consensus_auxiliary(state: SolverState, project: bool = True) -> np.ndarray:
-    """Auxiliary Z = C + Theta/mu, then the constraint projection."""
+def update_consensus_auxiliary(state: SolverState) -> np.ndarray:
+    """Auxiliary Z = C + Theta/mu before the constraint projection: the
+    stationary point of its quadratic subproblem."""
     Z = state.Theta / state.mu
     Z += state.C
-    return project_constraints(Z) if project else Z
+    return Z
 
 
 class _ViewMeasures(NamedTuple):
@@ -763,7 +759,7 @@ def _view_before_consensus(
     if systems is not None:
         systems[i] = _representation_system(state.Ci[i], _grown_penalty(state.mu, cfg))
     state.Zi[i] = None
-    state.Zi[i] = update_view_auxiliary(state, i, cfg, factor=factor)
+    state.Zi[i] = project_constraints(update_view_auxiliary(state, i, cfg, factor=factor))
     return _consensus_terms(state, ds, cfg, i, split=CZ is not None, smoothing=CX is not None)
 
 
@@ -967,7 +963,7 @@ def solve(
     def after_consensus() -> None:
         nonlocal residual_Z, residuals, factor
         Z_prev = state.Z
-        state.Z = update_consensus_auxiliary(state)
+        state.Z = project_constraints(update_consensus_auxiliary(state))
         residual_Z = _squared_distance(state.Z, Z_prev)
         del Z_prev
         residuals = _consensus_residuals(state)

@@ -331,7 +331,7 @@ def dense_solve(ds, cfg, variant, iterations):
             state.Ci[i] = dense_view_coefficients(state, i, cfg, variant)
             state.Zi[i] = project_constraints(dense_view_auxiliary(state, i, cfg, variant))
         state.C = dense_consensus_coefficients(state, ds, cfg, variant)
-        state.Z = update_consensus_auxiliary(state)
+        state.Z = project_constraints(update_consensus_auxiliary(state))
         steps = dense_multiplier_steps(state, ds, variant)
         for name, value in steps.items():
             setattr(state, name, value)
@@ -375,7 +375,8 @@ def serial_solve(ds, cfg, variant):
                     )
                 CZi = C_prev @ state.Zi[i] if split else None
                 state.Ci[i] = S.update_view_coefficients(state, i, cfg, CZi=CZi)
-                state.Zi[i] = S.update_view_auxiliary(state, i, cfg, factor=factor)
+                Zi = S.update_view_auxiliary(state, i, cfg, factor=factor)
+                state.Zi[i] = S.project_constraints(Zi)
             B = np.full(C_prev.shape, mu, order="F")
             A = mu * (Z_prev + 1.0) - state.Theta - state.Phi[:, None]
             for i in range(ds.n_views):
@@ -392,7 +393,7 @@ def serial_solve(ds, cfg, variant):
         except np.linalg.LinAlgError as exc:
             message = f"linear solve failed at iteration {iteration}: {exc}"
             raise S.SolverNumericalError(message, iteration, diagnostics) from None
-        state.Z = S.update_consensus_auxiliary(state)
+        state.Z = S.project_constraints(S.update_consensus_auxiliary(state))
         residuals = S._consensus_residuals(state)
         views = []
         for i, X in enumerate(ds.views):

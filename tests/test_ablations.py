@@ -68,7 +68,7 @@ def test_frobenius_ci_update_stationarity():
 def test_frobenius_zi_update_is_multiplier_shift():
     ds = toy_dataset(n=5, v=2, d=4, seed=64)
     state = random_state(ds, seed=65)
-    raw = update_view_auxiliary(state, 0, CFG, project=False, factor=None)
+    raw = update_view_auxiliary(state, 0, CFG, factor=None)
     np.testing.assert_allclose(raw, state.Ci[0] + state.Lam[0] / state.mu, atol=1e-14)
 
     def f(Zi):

@@ -96,7 +96,7 @@ def test_criterion_01_stationarity_suite():
         )
         Ci = update_view_coefficients(state, i, cfg, CZi=state.C @ state.Zi[i])
         factor = _view_auxiliary_factor(state.C, state.mu, cfg)
-        Zi = update_view_auxiliary(state, i, cfg, project=False, factor=factor)
+        Zi = update_view_auxiliary(state, i, cfg, factor=factor)
         C = update_consensus_coefficients(
             state, ds, cfg, XXt=_feature_gram(ds), sums=consensus_sums(state, ds, cfg)
         )
@@ -105,7 +105,7 @@ def test_criterion_01_stationarity_suite():
             (ci_subproblem(state, i, cfg), Ci),
             (zi_subproblem(state, i, cfg), Zi),
             (c_subproblem(state, ds, cfg), C),
-            (z_subproblem(state), update_consensus_auxiliary(state, project=False)),
+            (z_subproblem(state), update_consensus_auxiliary(state)),
         ]
         for func, point in checks:
             grad = np.abs(central_difference_gradient(func, point)).max()

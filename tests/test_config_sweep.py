@@ -3,13 +3,17 @@
 Whatever value a single config or manifest field holds, `gfclust run` either
 exits 1 with a `config error:` line, runs (0), or reports that every grid
 point failed (2). It never raises or warns. Each field of a valid tiny config is
-swapped for each value of a fixed pool; the whole sweep runs in process.
+swapped for each value of a fixed pool; the whole sweep runs in process. Each
+JSON object a run reads that is not an object, has an unknown key or lacks a
+required key is a `config error:` line that names the object.
 """
 
 import copy
+import functools
 import itertools
 import json
 import math
+import operator
 import re
 import warnings
 from dataclasses import fields
@@ -63,7 +67,10 @@ def breaches(tmp_path, capsys, variants):
 
 
 def with_field(raw: dict, path: tuple, value) -> dict:
-    """A deep copy of ``raw`` with the key (or list index) at ``path`` set to ``value``."""
+    """A deep copy of ``raw`` with the key (or list index) at ``path`` set to
+    ``value``; the empty path stands for ``raw`` itself."""
+    if not path:
+        return copy.deepcopy(value)
     raw = copy.deepcopy(raw)
     node = raw
     for step in path[:-1]:
@@ -100,6 +107,87 @@ def test_every_manifest_value_runs_or_is_a_config_error(tmp_path, capsys, path):
         config = {**TINY_CONFIG, "dataset": {"manifest": str(manifest_path)}}
         variants.append((value, config))
     assert breaches(tmp_path, capsys, variants) == []
+
+
+# Each JSON object a run reads: the name its messages give it, the keys that
+# lead to it in OBJECT_CONFIG or in a manifest, and the message for each of
+# its required keys that is left out (TINY_SYNTHETIC holds just the required
+# keys of a synthetic spec).
+OBJECT_CONFIG = {**TINY_CONFIG, "grid": {"alpha": [0.5]}}
+CONFIG_OBJECTS = [
+    ("config", (), {}),
+    ("dataset", ("dataset",), {}),
+    (
+        "synthetic spec",
+        ("dataset", "synthetic"),
+        {key: f"missing synthetic spec keys ['{key}']" for key in TINY_SYNTHETIC},
+    ),
+    ("solver", ("solver",), {}),
+    ("grid", ("grid",), {}),
+]
+MANIFEST_OBJECTS = [
+    ("manifest", (), {}),
+    ("manifest view 0", ("views", 0), {"path": "manifest view 0 needs a 'path' string"}),
+]
+
+
+def object_mutations(raw: dict, what: str, path: tuple, required: dict) -> list:
+    """(value, mutated ``raw``, message) for the JSON object ``what`` at
+    ``path`` in ``raw``: each POOL value that is not an object in its place
+    (but null for the grid, which means no grid), an extra key "zz", and each
+    ``required`` key left out, with the start of the message each must give."""
+    node = functools.reduce(operator.getitem, path, raw)
+    cases = [
+        (value, with_field(raw, path, value), f"{what} must be a JSON object")
+        for value in POOL
+        if not isinstance(value, dict) and not (what == "grid" and value is None)
+    ]
+    extra = with_field(raw, path, {**node, "zz": 1})
+    cases.append(("zz", extra, f"unknown {what} keys ['zz']; known: "))
+    for key, message in required.items():
+        cases.append((key, with_field(raw, path, {k: node[k] for k in node if k != key}), message))
+    return cases
+
+
+def misreported(tmp_path, capsys, cases):
+    """The (value, outcome) of each ``(value, raw config, message)`` in
+    ``cases`` whose run does not exit 1 with one line `config error:
+    <message>...`, shows the text of a Python call error, or warns."""
+    found = []
+    for case, (value, raw, message) in enumerate(cases):
+        code, err, warned = run_config(tmp_path / str(case), raw, capsys)
+        one_line = err.startswith(f"config error: {message}") and err.count("\n") == 1
+        internal = re.search(r"__init__\(\)|argument after \*\*|positional argument", err)
+        if code != 1 or not one_line or internal or warned:
+            found.append((value, code, err, warned))
+    return found
+
+
+@pytest.mark.parametrize("what, path, required", CONFIG_OBJECTS, ids=[c[0] for c in CONFIG_OBJECTS])
+def test_every_malformed_config_object_is_a_config_error_naming_it(
+    tmp_path, capsys, what, path, required
+):
+    cases = object_mutations(OBJECT_CONFIG, what, path, required)
+    assert misreported(tmp_path, capsys, cases) == []
+
+
+@pytest.mark.parametrize(
+    "what, path, required", MANIFEST_OBJECTS, ids=[c[0] for c in MANIFEST_OBJECTS]
+)
+def test_every_malformed_manifest_object_is_a_config_error_naming_it(
+    tmp_path, capsys, what, path, required
+):
+    spec = SyntheticSpec(**TINY_SYNTHETIC)
+    manifest = json.loads(write_dataset(generate_synthetic(spec), tmp_path / "data").read_text())
+    cases = []
+    for case, (value, mutated, message) in enumerate(
+        object_mutations(manifest, what, path, required)
+    ):
+        manifest_path = tmp_path / "data" / f"manifest_{case}.json"
+        manifest_path.write_text(json.dumps(mutated), encoding="utf-8")
+        config = {**TINY_CONFIG, "dataset": {"manifest": str(manifest_path)}}
+        cases.append((value, config, message))
+    assert misreported(tmp_path, capsys, cases) == []
 
 
 ARTIFACTS = ("trace.csv", "consensus.csv", "plot.svg")

@@ -82,7 +82,7 @@ def test_load_dataset_missing_manifest(tmp_path):
     [
         ([], "JSON object"),
         ({"views": [{"has_header": False}]}, "view 0 needs a 'path'"),
-        ({"views": ["v0.csv"]}, "view 0 needs a 'path'"),
+        ({"views": ["v0.csv"]}, "manifest view 0 must be a JSON object"),
         ({"views": [{"path": "v0.csv"}], "labels": 3}, "labels must be a path"),
         (
             {"views": [{"path": "v0.csv"}], "label": "y.csv"},
@@ -96,6 +96,14 @@ def test_load_dataset_missing_manifest(tmp_path):
             {"views": [{"path": "v0.csv", "has_header": "false"}]},
             "view 0 has_header must be true or false, got 'false'",
         ),
+        # Only null or no key means unlabeled; any other non-path is an error.
+        *[
+            (
+                {"views": [{"path": "v0.csv"}], "labels": labels},
+                "labels must be a path string or null",
+            )
+            for labels in (False, 0, 0.0, "", [], {})
+        ],
     ],
 )
 def test_load_dataset_malformed_manifest(tmp_path, manifest, message):

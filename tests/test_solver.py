@@ -323,17 +323,15 @@ def test_view_auxiliary_mu_cancels_without_consensus():
     state.C = np.zeros((4, 4))
     state.Lam = [np.zeros((4, 4))]
     factor = _view_auxiliary_factor(state.C, state.mu, CFG)
-    raw = update_view_auxiliary(state, 0, CFG, project=False, factor=factor)
-    np.testing.assert_allclose(raw, state.Ci[0], atol=1e-12)
-    projected = update_view_auxiliary(state, 0, CFG, factor=factor)
-    np.testing.assert_allclose(projected, project_constraints(state.Ci[0]), atol=1e-12)
+    Zi = update_view_auxiliary(state, 0, CFG, factor=factor)
+    np.testing.assert_allclose(Zi, state.Ci[0], atol=1e-12)
 
 
 def test_view_auxiliary_projection_contract():
     ds = toy_dataset(n=5, v=2, seed=13)
     state = random_state(ds, seed=14)
     factor = _view_auxiliary_factor(state.C, state.mu, CFG)
-    Zi = update_view_auxiliary(state, 0, CFG, factor=factor)
+    Zi = project_constraints(update_view_auxiliary(state, 0, CFG, factor=factor))
     np.testing.assert_array_equal(Zi, Zi.T)
     assert Zi.min() >= 0.0
     np.testing.assert_array_equal(np.diag(Zi), np.zeros(5))
@@ -343,7 +341,7 @@ def test_view_auxiliary_stationarity_pre_projection():
     ds = toy_dataset(n=5, v=2, seed=15)
     state = random_state(ds, seed=16)
     factor = _view_auxiliary_factor(state.C, state.mu, CFG)
-    Zi = update_view_auxiliary(state, 1, CFG, project=False, factor=factor)
+    Zi = update_view_auxiliary(state, 1, CFG, factor=factor)
     assert_stationary(zi_subproblem(state, 1, CFG), Zi)
 
 
@@ -441,7 +439,8 @@ def test_consensus_auxiliary_passthrough():
     state = random_state(ds, seed=24)
     state.C = project_constraints(state.C)
     state.Theta = np.zeros((4, 4))
-    np.testing.assert_array_equal(update_consensus_auxiliary(state), state.C)
+    Z = project_constraints(update_consensus_auxiliary(state))
+    np.testing.assert_array_equal(Z, state.C)
 
 
 def test_consensus_auxiliary_antisymmetric_cancels():
@@ -449,7 +448,8 @@ def test_consensus_auxiliary_antisymmetric_cancels():
     state = random_state(ds, seed=26)
     state.C = np.array([[0.0, -2.0], [2.0, 0.0]])
     state.Theta = np.zeros((2, 2))
-    np.testing.assert_array_equal(update_consensus_auxiliary(state), np.zeros((2, 2)))
+    Z = project_constraints(update_consensus_auxiliary(state))
+    np.testing.assert_array_equal(Z, np.zeros((2, 2)))
 
 
 def test_consensus_auxiliary_hand_projection():
@@ -457,15 +457,14 @@ def test_consensus_auxiliary_hand_projection():
     state = random_state(ds, seed=28)
     state.C = np.array([[0.5, 1.0], [0.0, 0.5]])
     state.Theta = np.zeros((2, 2))
-    np.testing.assert_array_equal(
-        update_consensus_auxiliary(state), np.array([[0.0, 0.5], [0.5, 0.0]])
-    )
+    Z = project_constraints(update_consensus_auxiliary(state))
+    np.testing.assert_array_equal(Z, np.array([[0.0, 0.5], [0.5, 0.0]]))
 
 
 def test_consensus_auxiliary_stationarity_pre_projection():
     ds = toy_dataset(n=5, v=2, seed=29)
     state = random_state(ds, seed=30)
-    Z = update_consensus_auxiliary(state, project=False)
+    Z = update_consensus_auxiliary(state)
     assert_stationary(z_subproblem(state), Z)
 
 
@@ -1541,7 +1540,7 @@ def test_updates_match_dense_reference(variant, n, d):
             oracles.dense_view_coefficients(state, i, CFG, variant),
         )
         assert_equivalent(
-            update_view_auxiliary(state, i, CFG, project=False, factor=factor),
+            update_view_auxiliary(state, i, CFG, factor=factor),
             oracles.dense_view_auxiliary(state, i, CFG, variant),
         )
     assert_equivalent(
@@ -1636,10 +1635,7 @@ def test_in_place_updates_match_their_expression_forms(variant):
             else:
                 rhs = 2.0 * CFG.alpha * (state.C.T @ Ci) + mu * Ci + state.Lam[i]
                 expected = spd_apply_left(factor, rhs)
-            raw = update_view_auxiliary(state, i, CFG, project=False, factor=factor)
-            same_bits(raw, expected)
-            projected = update_view_auxiliary(state, i, CFG, factor=factor)
-            same_bits(projected, expression_projection(expected))
+            same_bits(update_view_auxiliary(state, i, CFG, factor=factor), expected)
 
         XXt = _feature_gram(ds) if variant != "no_smoothing" else None
         sums = consensus_sums(state, ds, CFG, variant)
@@ -1654,7 +1650,7 @@ def test_in_place_updates_match_their_expression_forms(variant):
             state, ds, CFG, XXt=XXt, sums=consensus_sums(state, ds, CFG, variant)
         )
         same_bits(C, expected)
-        same_bits(update_consensus_auxiliary(state, project=False), state.C + state.Theta / mu)
+        same_bits(update_consensus_auxiliary(state), state.C + state.Theta / mu)
 
         # the views' steps and measures beside and after the C update
         omegas = [Omega + mu * (Ci.sum(axis=1) - 1.0) for Omega, Ci in zip(state.Omega, state.Ci)]
