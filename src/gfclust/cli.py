@@ -108,21 +108,10 @@ DATASET_KEYS = ("manifest", "synthetic")
 
 METRIC_NAMES = ("acc", "nmi", "ari", "f_score")
 
-# Every `run` flag but --config and --output, with its argparse type. A flag
-# named after a SolverConfig field sets that field, the others a top-level
-# config key of the same name.
-RUN_FLAGS = {
-    "alpha": float,
-    "beta": float,
-    "eta": float,
-    "max_iter": int,
-    "eps": float,
-    "seed": int,
-    "repetitions": int,
-    "variant": str,
-    "k": int,
-    "normalize": str,
-}
+# Every `run` flag but --config and --output. A flag named after a
+# SolverConfig field sets that field, the others a top-level config key of
+# the same name.
+RUN_FLAGS = ("alpha", "beta", "eta", "max_iter", "eps", "seed", "repetitions", "variant", "k", "normalize")
 
 
 def _expand_default_grid(grid):
@@ -480,8 +469,8 @@ def _with_flags(raw, args: argparse.Namespace):
 
     Solver flags beat both the JSON ``solver`` values and a preset, and an
     explicit ``--alpha``, ``--beta`` or ``--eta`` drops that key from the
-    grid. ``ExperimentConfig.from_dict`` checks the result, so a bad flag
-    value fails exactly as the same value in the JSON does.
+    grid. ``ExperimentConfig.from_dict`` alone checks the result, so a bad
+    flag value fails exactly as the same value in the JSON does.
     """
     if not isinstance(raw, dict):
         return raw
@@ -501,6 +490,17 @@ def _with_flags(raw, args: argparse.Namespace):
     return raw
 
 
+def _flag_value(text: str):
+    """The JSON value a flag's text stands for: an integer if ``int()`` reads
+    it, else a number if ``float()`` does, else the text itself."""
+    for read in (int, float):
+        try:
+            return read(text)
+        except ValueError:
+            pass
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gfclust",
@@ -510,8 +510,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment described by a JSON config")
     run_p.add_argument("--config", required=True, help="experiment config JSON")
-    for name, type_ in RUN_FLAGS.items():
-        run_p.add_argument("--" + name.replace("_", "-"), type=type_, dest=name)
+    for name in RUN_FLAGS:
+        run_p.add_argument("--" + name.replace("_", "-"), type=_flag_value, dest=name)
     run_p.add_argument("--output", default=None, help="output directory override")
 
     plot_p = sub.add_parser("plot", help="render a residual trace CSV as SVG")
@@ -536,15 +536,13 @@ def main(argv=None) -> int:
         else:
             print("all grid points failed", file=sys.stderr)
         return code
-    if args.command == "plot":
-        try:
-            out = emit_convergence_plot(args.trace, args.out)
-        except (OSError, ValueError) as exc:
-            print(f"plot error: {exc}", file=sys.stderr)
-            return 1
-        print(f"plot written to {out}")
-        return 0
-    return 1
+    try:
+        out = emit_convergence_plot(args.trace, args.out)
+    except (OSError, ValueError) as exc:
+        print(f"plot error: {exc}", file=sys.stderr)
+        return 1
+    print(f"plot written to {out}")
+    return 0
 
 
 if __name__ == "__main__":

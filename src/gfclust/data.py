@@ -378,6 +378,8 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     manifest_path = Path(manifest_path)
     raw = read_json(manifest_path, DatasetError, "manifest not found", "invalid manifest JSON")
     manifest = json_object(raw, "manifest", MANIFEST_KEYS, DatasetError)
+    if not isinstance(manifest.get("name", ""), str):
+        raise DatasetError("manifest name must be a string")
     if not isinstance(manifest.get("views"), list) or not manifest["views"]:
         raise DatasetError("manifest lists no views")
     base = manifest_path.parent

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import re
+import tomllib
+from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +420,14 @@ def test_exit_code_when_point_directory_is_a_file(tmp_path, capsys):
         ("--normalize", "bogus", "normalize", "bogus"),
         ("--alpha", "nan", "solver.alpha", float("nan")),
         ("--eps", "inf", "solver.eps", float("inf")),
+        # Each flag value is read as the JSON value it spells, so a value
+        # of the wrong kind is the checker's error too, not argparse's.
+        ("--alpha", "abc", "solver.alpha", "abc"),
+        ("--max-iter", "1.5", "solver.max_iter", 1.5),
+        ("--k", "3.0", "k", 3.0),
+        ("--repetitions", "1e3", "repetitions", 1000.0),
+        ("--seed", "", "seed", ""),
+        ("--variant", "1", "variant", 1),
     ],
 )
 def test_bad_flag_fails_like_bad_json(tmp_path, capsys, flag, value, key, json_value):
@@ -435,6 +445,22 @@ def test_bad_flag_fails_like_bad_json(tmp_path, capsys, flag, value, key, json_v
     config.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 1
     assert capsys.readouterr().err == flag_err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--config", "CONFIG", "--alhpa", "0.5"], ["--config", "CONFIG", "--alpha"], ["--alpha", "0.5"]],
+    ids=["unknown_flag", "flag_without_value", "no_config"],
+)
+def test_malformed_command_line_is_a_usage_error(tmp_path, capsys, argv):
+    # Exit 2 is argparse's: the flag values themselves are the config checker's.
+    config = str(write_config(tmp_path))
+    with pytest.raises(SystemExit) as info:
+        main(["run", *(config if arg == "CONFIG" else arg for arg in argv)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gfclust ") and "error: " in err.splitlines()[-1]
     assert not (tmp_path / "out").exists()
 
 
@@ -791,6 +817,16 @@ def test_manifest_dataset_with_normalization(tmp_path):
     assert result["n"] == 16
     assert result["metrics"] is not None
     assert result["converged"] is True
+
+
+def test_console_scripts_resolve_to_callables():
+    # README runs the `gfclust` console script; the other tests call main or
+    # run `python -m gfclust.cli`, which bypass the entry point.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        assert callable(EntryPoint(name, target, "console_scripts").load()), name
 
 
 def test_cli_process_does_not_import_scipy_optimize():

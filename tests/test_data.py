@@ -104,6 +104,11 @@ def test_load_dataset_missing_manifest(tmp_path):
             )
             for labels in (False, 0, 0.0, "", [], {})
         ],
+        # A name, when given, is a string; null is not "no name".
+        *[
+            ({"views": [{"path": "v0.csv"}], "name": name}, "manifest name must be a string")
+            for name in ([[1]], 5, {}, None, True)
+        ],
     ],
 )
 def test_load_dataset_malformed_manifest(tmp_path, manifest, message):

@@ -2,7 +2,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
-from gfclust.cli import ExperimentConfig
+from gfclust.cli import RUN_FLAGS, ExperimentConfig
 from gfclust.data import SyntheticSpec
 from gfclust.solver import SolverConfig
 from pipeline import run_in_fresh_interpreter
@@ -47,3 +47,11 @@ def test_readme_range_table_lists_the_declared_ranges():
     rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", section, re.M)
     assert dict(rows) == declared_ranges()
     assert len(rows) == len(dict(rows))
+
+
+def test_readme_flag_list_lists_the_run_flags():
+    # The list and the parser must not drift apart.
+    text = README.read_text(encoding="utf-8")
+    listed = text.split("Flag overrides beat config values and presets: `", 1)[1].split("`", 1)[0]
+    flags = ["--" + name.replace("_", "-") for name in RUN_FLAGS]
+    assert listed.split() == [*flags, "--output"]
