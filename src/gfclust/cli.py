@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -88,21 +88,6 @@ DEFAULT_GRID = {
     "eta": DEFAULT_ETA_GRID,
 }
 
-# The top-level keys of an experiment config.
-CONFIG_KEYS = (
-    "dataset",
-    "normalize",
-    "preset",
-    "solver",
-    "grid",
-    "k",
-    "repetitions",
-    "restarts",
-    "seed",
-    "variant",
-    "output_dir",
-)
-
 # The keys of the config's dataset object; exactly one of them is given.
 DATASET_KEYS = ("manifest", "synthetic")
 
@@ -112,11 +97,6 @@ METRIC_NAMES = ("acc", "nmi", "ari", "f_score")
 # SolverConfig field sets that field, the others a top-level config key of
 # the same name.
 RUN_FLAGS = ("alpha", "beta", "eta", "max_iter", "eps", "seed", "repetitions", "variant", "k", "normalize")
-
-
-def _expand_default_grid(grid):
-    """A whole-grid ``"default"`` as one ``"default"`` entry per grid key."""
-    return dict.fromkeys(DEFAULT_GRID, "default") if grid == "default" else grid
 
 
 def _grid_axis(key: str, values, solver: SolverConfig) -> list[float]:
@@ -139,25 +119,34 @@ def _grid_axis(key: str, values, solver: SolverConfig) -> list[float]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked experiment config. ``from_dict`` resolves the fields without
+    a default; each field with a default takes its top-level JSON value."""
+
     manifest: Path | None
     synthetic: SyntheticSpec | None
-    normalize: str = within(NORMALIZATION_MODES)
     solver: SolverConfig
     grid: dict[str, list[float]] | None
-    k: int | None = within(AT_LEAST_ONE)
-    repetitions: int = within(COUNT)
-    restarts: int = within(COUNT)
-    seed: int = within(NONNEGATIVE)
-    variant: str = within(VARIANTS)
     output_dir: Path
+    normalize: str = within(NORMALIZATION_MODES, "none")
+    k: int | None = within(AT_LEAST_ONE, None)  # None: the number of label classes
+    repetitions: int = within(COUNT, 1)
+    restarts: int = within(COUNT, 20)
+    seed: int = within(NONNEGATIVE, 0)
+    variant: str = within(VARIANTS, "full")
 
     def __post_init__(self):
         check_field_types(self, ConfigError)
 
     @staticmethod
-    def from_dict(raw: dict, base_dir: Path | None = None) -> "ExperimentConfig":
+    def from_dict(raw, base_dir: Path | None = None, flags: dict | None = None) -> ExperimentConfig:
+        """The config of the JSON object ``raw``, its paths relative to ``base_dir``
+        (default: the working directory). Each of ``flags``, keyed by RUN_FLAGS
+        name or ``output_dir``, replaces its JSON value before that is checked:
+        a solver flag beats the ``solver`` value and the preset, and drops its grid key."""
         base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
-        raw = json_object(raw, "config", CONFIG_KEYS, ConfigError)
+        flags = dict(flags or {})
+        solver_flags = {f.name: flags.pop(f.name) for f in fields(SolverConfig) if f.name in flags}
+        raw = {**json_object(raw, "config", CONFIG_KEYS, ConfigError), **flags}
         dataset = json_object(raw.get("dataset"), "dataset", DATASET_KEYS, ConfigError)
         if ("manifest" in dataset) == ("synthetic" in dataset):
             raise ConfigError("dataset must specify exactly one of 'manifest' or 'synthetic'")
@@ -172,18 +161,20 @@ class ExperimentConfig:
                 synthetic = SyntheticSpec(**spec)
             except DatasetError as exc:
                 raise ConfigError(f"invalid synthetic spec: {exc}") from None
-        solver_fields = {**json_object(raw.get("solver", {}), "solver", SolverConfig, ConfigError)}
+        solver_fields = json_object(raw.get("solver", {}), "solver", SolverConfig, ConfigError)
         preset = raw.get("preset")
-        if preset is not None:
-            if not isinstance(preset, str) or preset not in PRESETS:
-                raise ConfigError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
-            for key, value in zip(DEFAULT_GRID, PRESETS[preset]):
-                solver_fields.setdefault(key, value)
+        if not (preset is None or isinstance(preset, str) and preset in PRESETS):
+            raise ConfigError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
+        preset_fields = dict(zip(DEFAULT_GRID, PRESETS[preset])) if preset is not None else {}
         try:
-            solver = SolverConfig(**solver_fields)
+            solver = SolverConfig(**{**preset_fields, **solver_fields, **solver_flags})
         except ValueError as exc:
             raise ConfigError(f"invalid solver config: {exc}") from None
-        grid = _expand_default_grid(raw.get("grid"))
+        grid = raw.get("grid")
+        if grid == "default":
+            grid = dict.fromkeys(DEFAULT_GRID, "default")
+        if isinstance(grid, dict):
+            grid = {key: values for key, values in grid.items() if key not in solver_flags} or None
         if grid is not None:
             grid = json_object(grid, "grid", DEFAULT_GRID, ConfigError)
             grid = {key: _grid_axis(key, values, solver) for key, values in grid.items()}
@@ -192,29 +183,28 @@ class ExperimentConfig:
         output_dir = raw.get("output_dir", "results")
         if not isinstance(output_dir, (str, os.PathLike)):
             raise ConfigError("output_dir must be a path string")
-        output_dir = base_dir / output_dir
+        given = {f.name for f in fields(ExperimentConfig) if f.default is not MISSING} & raw.keys()
         return ExperimentConfig(
             manifest=manifest,
             synthetic=synthetic,
-            normalize=raw.get("normalize", "none"),
             solver=solver,
             grid=grid,
-            k=raw.get("k"),
-            repetitions=raw.get("repetitions", 1),
-            restarts=raw.get("restarts", 20),
-            seed=raw.get("seed", 0),
-            variant=raw.get("variant", "full"),
-            output_dir=output_dir,
+            output_dir=base_dir / output_dir,
+            **{key: raw[key] for key in given},
         )
 
 
-def _read_config(path: Path):
-    return read_json(path, ConfigError, "config file not found", "invalid config JSON")
+# The top-level keys of an experiment config; the dataset object holds manifest or synthetic.
+CONFIG_KEYS = (
+    "dataset", "preset", *(f.name for f in fields(ExperimentConfig) if f.name not in DATASET_KEYS)
+)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, flags: dict | None = None) -> ExperimentConfig:
+    """``ExperimentConfig.from_dict`` of the JSON file ``path``, relative to its directory."""
     path = Path(path)
-    return ExperimentConfig.from_dict(_read_config(path), base_dir=path.parent)
+    raw = read_json(path, ConfigError, "config file not found", "invalid config JSON")
+    return ExperimentConfig.from_dict(raw, path.parent, flags)
 
 
 def grid_points(cfg: ExperimentConfig) -> list[dict[str, float]]:
@@ -359,7 +349,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             ) from None
         try:
             record = run_grid_point(ds, cfg, params, point_dir)
-        except (SolverNumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        except (SolverNumericalError, ValueError, ArithmeticError) as exc:
             record = {"params": params, "variant": cfg.variant, "error": str(exc)}
         record["timestamp"] = datetime.now(timezone.utc).isoformat()
         write_json(point_dir / "result.json", record)
@@ -464,32 +454,6 @@ def emit_convergence_plot(trace_path: str | Path, out_path: str | Path) -> Path:
     return out_path
 
 
-def _with_flags(raw, args: argparse.Namespace):
-    """The raw config with every given flag written over its JSON value.
-
-    Solver flags beat both the JSON ``solver`` values and a preset, and an
-    explicit ``--alpha``, ``--beta`` or ``--eta`` drops that key from the
-    grid. ``ExperimentConfig.from_dict`` alone checks the result, so a bad
-    flag value fails exactly as the same value in the JSON does.
-    """
-    if not isinstance(raw, dict):
-        return raw
-    raw = dict(raw)
-    given = {name: getattr(args, name) for name in RUN_FLAGS if getattr(args, name) is not None}
-    solver_names = {f.name for f in fields(SolverConfig)}
-    solver_flags = {name: value for name, value in given.items() if name in solver_names}
-    raw.update({name: value for name, value in given.items() if name not in solver_names})
-    solver = raw.get("solver", {})
-    if isinstance(solver, dict):
-        raw["solver"] = {**solver, **solver_flags}
-    grid = _expand_default_grid(raw.get("grid"))
-    if isinstance(grid, dict):
-        raw["grid"] = {key: vals for key, vals in grid.items() if key not in solver_flags} or None
-    if args.output is not None:
-        raw["output_dir"] = str(Path(args.output).absolute())
-    return raw
-
-
 def _flag_value(text: str):
     """The JSON value a flag's text stands for: an integer if ``int()`` reads
     it, else a number if ``float()`` does, else the text itself."""
@@ -499,6 +463,20 @@ def _flag_value(text: str):
         except ValueError:
             pass
     return text
+
+
+def _number_values_joined(argv: list[str]) -> list[str]:
+    """``argv`` with each run flag joined as ``--flag=word`` to a next word
+    that ``_flag_value`` reads as a number. argparse takes a word starting with
+    ``-`` for an option unless it deems it a negative number, and Python
+    versions differ in which it does: 3.11 takes ``-1e1`` and ``-inf`` for options."""
+    names = {"--" + name.replace("_", "-") for name in RUN_FLAGS}
+    joined = []
+    for word in argv:
+        if joined and joined[-1] in names and not isinstance(_flag_value(word), str):
+            word = joined.pop() + "=" + word
+        joined.append(word)
+    return joined
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -521,12 +499,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_number_values_joined(sys.argv[1:] if argv is None else argv))
     if args.command == "run":
+        flags = {name: getattr(args, name) for name in RUN_FLAGS if getattr(args, name) is not None}
+        if args.output is not None:
+            flags["output_dir"] = Path(args.output).absolute()
         try:
-            path = Path(args.config)
-            raw = _with_flags(_read_config(path), args)
-            cfg = ExperimentConfig.from_dict(raw, base_dir=path.parent)
+            cfg = load_config(args.config, flags)
             code = run_experiment(cfg)
         except (ConfigError, DatasetError) as exc:
             print(f"config error: {exc}", file=sys.stderr)

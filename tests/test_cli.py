@@ -85,7 +85,16 @@ def test_preset_sets_solver_parameters(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "eta,regime", [("0.5", "maximizer"), ("2", "minimizer"), ("-1", "minimizer"), ("0", "constant")]
+    "eta,regime",
+    [
+        ("0.5", "maximizer"),
+        ("2", "minimizer"),
+        ("-1", "minimizer"),
+        ("0", "constant"),
+        # argparse alone would take these words for options, not values.
+        ("-1e1", "minimizer"),
+        ("-1E-3", "minimizer"),
+    ],
 )
 def test_result_records_weight_regime(tmp_path, eta, regime):
     config = write_config(tmp_path)
@@ -160,6 +169,47 @@ def test_flag_overrides_beat_config(tmp_path):
     assert result["params"]["alpha"] == 0.9
     assert result["seed"] == 7
     assert result["repetitions"] == 2
+
+
+FLAG_VALUES = {
+    "alpha": 0.3,
+    "beta": 0.7,
+    "eta": 2.0,
+    "max_iter": 17,
+    "eps": 1e-3,
+    "seed": 5,
+    "repetitions": 3,
+    "variant": "frobenius",
+    "k": 2,
+    "normalize": "unit_row_norm",
+}
+
+
+@pytest.mark.parametrize("preset", [None, "HW"])
+@pytest.mark.parametrize("grid", [None, "default"])
+@pytest.mark.parametrize("name", cli.RUN_FLAGS)
+def test_flag_builds_the_config_of_its_json_value(tmp_path, monkeypatch, name, grid, preset):
+    # A solver flag beats the solver object and the preset (HW sets beta and
+    # eta here) and drops its grid key; any other flag replaces its top-level value.
+    solver_keys = {f.name for f in dataclasses.fields(solver.SolverConfig)}
+    assert name in solver_keys or name in {f.name for f in dataclasses.fields(ExperimentConfig)}
+    built = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: built.append(cfg) or 0)
+    config = write_config(tmp_path, solver={"alpha": 0.5, "max_iter": 400}, grid=grid, preset=preset)
+    flag = "--" + name.replace("_", "-")
+    assert main(["run", "--config", str(config), flag, str(FLAG_VALUES[name])]) == 0
+
+    raw = json.loads(config.read_text())
+    if name in solver_keys:
+        raw["solver"][name] = FLAG_VALUES[name]
+        if grid == "default":
+            raw["grid"] = {key: "default" for key in cli.DEFAULT_GRID if key != name}
+    else:
+        raw[name] = FLAG_VALUES[name]
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    assert built[0] == built[1]
+    assert getattr(built[0].solver if name in solver_keys else built[0], name) == FLAG_VALUES[name]
 
 
 def test_flags_collapse_default_grid_and_output_is_cwd_relative(tmp_path, monkeypatch):
@@ -420,6 +470,7 @@ def test_exit_code_when_point_directory_is_a_file(tmp_path, capsys):
         ("--normalize", "bogus", "normalize", "bogus"),
         ("--alpha", "nan", "solver.alpha", float("nan")),
         ("--eps", "inf", "solver.eps", float("inf")),
+        ("--alpha", "-inf", "solver.alpha", float("-inf")),
         # Each flag value is read as the JSON value it spells, so a value
         # of the wrong kind is the checker's error too, not argparse's.
         ("--alpha", "abc", "solver.alpha", "abc"),

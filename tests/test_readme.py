@@ -1,5 +1,6 @@
+import json
 import re
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from gfclust.cli import RUN_FLAGS, ExperimentConfig
@@ -24,29 +25,42 @@ def test_readme_library_snippet_runs():
     run_in_fresh_interpreter(library_usage_snippet())
 
 
-def declared_ranges() -> dict[str, str]:
-    """Each number field's declared range, by its config key; a str field's
-    domain is a tuple of names instead."""
-    ranges = {}
+def number_fields() -> dict:
+    """Each number field, by its config key: the fields with a declared
+    range; a str field's domain is a tuple of names instead."""
+    found = {}
     for prefix, config in (
         ("solver.", SolverConfig),
         ("dataset.synthetic.", SyntheticSpec),
         ("", ExperimentConfig),
     ):
         for f in fields(config):
-            domain = f.metadata.get("domain")
-            if isinstance(domain, str):
-                ranges[prefix + f.name] = domain
-    return ranges
+            if isinstance(f.metadata.get("domain"), str):
+                found[prefix + f.name] = f
+    return found
+
+
+def range_table() -> list[tuple[str, str, str]]:
+    """The key, range and default cells of each row of README's "Config field ranges" table."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Config field ranges\n", 1)[1].split("\n#", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \| `([^`]+)` \| (required|`[^`]+`) \|", section, re.M)
 
 
 def test_readme_range_table_lists_the_declared_ranges():
     # The table and the checker must not drift apart.
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n### Config field ranges\n", 1)[1].split("\n#", 1)[0]
-    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", section, re.M)
-    assert dict(rows) == declared_ranges()
+    rows = [(key, bounds) for key, bounds, _ in range_table()]
+    assert dict(rows) == {key: f.metadata["domain"] for key, f in number_fields().items()}
     assert len(rows) == len(dict(rows))
+
+
+def test_readme_range_table_lists_the_declared_defaults():
+    # A JSON value in backticks, or `required` for a field without a default.
+    listed = {
+        key: MISSING if cell == "required" else json.loads(cell.strip("`"))
+        for key, _, cell in range_table()
+    }
+    assert listed == {key: f.default for key, f in number_fields().items()}
 
 
 def test_readme_flag_list_lists_the_run_flags():
