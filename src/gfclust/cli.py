@@ -98,6 +98,9 @@ METRIC_NAMES = ("acc", "nmi", "ari", "f_score")
 # the same name.
 RUN_FLAGS = ("alpha", "beta", "eta", "max_iter", "eps", "seed", "repetitions", "variant", "k", "normalize")
 
+# Every option that takes a value: `run`'s --config, --output and run flags, `plot`'s --out.
+VALUE_OPTIONS = {"--config", "--output", "--out", *("--" + name.replace("_", "-") for name in RUN_FLAGS)}
+
 
 def _grid_axis(key: str, values, solver: SolverConfig) -> list[float]:
     """The grid values of one solver field, each checked as that field of ``solver``."""
@@ -135,6 +138,8 @@ class ExperimentConfig:
     variant: str = within(VARIANTS, "full")
 
     def __post_init__(self):
+        if (self.manifest is None) == (self.synthetic is None):
+            raise ConfigError("dataset must specify exactly one of 'manifest' or 'synthetic'")
         check_field_types(self, ConfigError)
 
     @staticmethod
@@ -148,14 +153,12 @@ class ExperimentConfig:
         solver_flags = {f.name: flags.pop(f.name) for f in fields(SolverConfig) if f.name in flags}
         raw = {**json_object(raw, "config", CONFIG_KEYS, ConfigError), **flags}
         dataset = json_object(raw.get("dataset"), "dataset", DATASET_KEYS, ConfigError)
-        if ("manifest" in dataset) == ("synthetic" in dataset):
-            raise ConfigError("dataset must specify exactly one of 'manifest' or 'synthetic'")
         manifest = synthetic = None
         if "manifest" in dataset:
             if not isinstance(dataset["manifest"], (str, os.PathLike)):
                 raise ConfigError("dataset manifest must be a path string")
             manifest = base_dir / dataset["manifest"]  # an absolute path replaces base_dir
-        else:
+        if "synthetic" in dataset:
             spec = json_object(dataset["synthetic"], "synthetic spec", SyntheticSpec, ConfigError)
             try:
                 synthetic = SyntheticSpec(**spec)
@@ -465,15 +468,13 @@ def _flag_value(text: str):
     return text
 
 
-def _number_values_joined(argv: list[str]) -> list[str]:
-    """``argv`` with each run flag joined as ``--flag=word`` to a next word
-    that ``_flag_value`` reads as a number. argparse takes a word starting with
-    ``-`` for an option unless it deems it a negative number, and Python
-    versions differ in which it does: 3.11 takes ``-1e1`` and ``-inf`` for options."""
-    names = {"--" + name.replace("_", "-") for name in RUN_FLAGS}
+def _values_joined(argv: list[str]) -> list[str]:
+    """``argv`` with each value option joined as ``--option=word`` to its next
+    word unless that starts with ``--``, so that argparse, whose reading of a
+    word starting with ``-`` differs between Python versions, never judges one."""
     joined = []
     for word in argv:
-        if joined and joined[-1] in names and not isinstance(_flag_value(word), str):
+        if joined and joined[-1] in VALUE_OPTIONS and not word.startswith("--"):
             word = joined.pop() + "=" + word
         joined.append(word)
     return joined
@@ -483,23 +484,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gfclust",
         description="Multi-view subspace clustering with an adaptive consensus graph filter",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment described by a JSON config")
+    run_p = sub.add_parser("run", help="run an experiment described by a JSON config", allow_abbrev=False)
     run_p.add_argument("--config", required=True, help="experiment config JSON")
     for name in RUN_FLAGS:
         run_p.add_argument("--" + name.replace("_", "-"), type=_flag_value, dest=name)
     run_p.add_argument("--output", default=None, help="output directory override")
 
-    plot_p = sub.add_parser("plot", help="render a residual trace CSV as SVG")
+    plot_p = sub.add_parser("plot", help="render a residual trace CSV as SVG", allow_abbrev=False)
     plot_p.add_argument("trace", help="trace.csv produced by a run")
     plot_p.add_argument("--out", required=True, help="output SVG path")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(_number_values_joined(sys.argv[1:] if argv is None else argv))
+    args = _build_parser().parse_args(_values_joined(sys.argv[1:] if argv is None else argv))
     if args.command == "run":
         flags = {name: getattr(args, name) for name in RUN_FLAGS if getattr(args, name) is not None}
         if args.output is not None:

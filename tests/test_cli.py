@@ -21,6 +21,7 @@ from gfclust.cli import (
     main,
     run_experiment,
 )
+from gfclust.data import SyntheticSpec
 from gfclust.solver import solve_peak_bytes
 from pipeline import run_in_fresh_interpreter
 
@@ -479,6 +480,10 @@ def test_exit_code_when_point_directory_is_a_file(tmp_path, capsys):
         ("--repetitions", "1e3", "repetitions", 1000.0),
         ("--seed", "", "seed", ""),
         ("--variant", "1", "variant", 1),
+        # The word after a flag is its value even when it starts with "-".
+        ("--variant", "-x", "variant", "-x"),
+        ("--normalize", "-x", "normalize", "-x"),
+        ("--alpha", "-h", "solver.alpha", "-h"),
     ],
 )
 def test_bad_flag_fails_like_bad_json(tmp_path, capsys, flag, value, key, json_value):
@@ -501,8 +506,14 @@ def test_bad_flag_fails_like_bad_json(tmp_path, capsys, flag, value, key, json_v
 
 @pytest.mark.parametrize(
     "argv",
-    [["--config", "CONFIG", "--alhpa", "0.5"], ["--config", "CONFIG", "--alpha"], ["--alpha", "0.5"]],
-    ids=["unknown_flag", "flag_without_value", "no_config"],
+    [
+        ["--config", "CONFIG", "--alhpa", "0.5"],
+        ["--config", "CONFIG", "--alpha"],
+        ["--alpha", "0.5"],
+        ["--config", "CONFIG", "--alp", "0.5"],
+        ["--config", "CONFIG", "--alpha", "--x"],
+    ],
+    ids=["unknown_flag", "flag_without_value", "no_config", "abbreviated_flag", "flag_before_option"],
 )
 def test_malformed_command_line_is_a_usage_error(tmp_path, capsys, argv):
     # Exit 2 is argparse's: the flag values themselves are the config checker's.
@@ -513,6 +524,66 @@ def test_malformed_command_line_is_a_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage: gfclust ") and "error: " in err.splitlines()[-1]
     assert not (tmp_path / "out").exists()
+
+
+# Every option that takes a value, each with its one name.
+VALUE_OPTIONS = [
+    "--config", "--output", "--alpha", "--beta", "--eta", "--max-iter", "--eps", "--seed",
+    "--repetitions", "--variant", "--k", "--normalize", "--out",
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("option", VALUE_OPTIONS)
+def test_value_option_takes_the_next_word_and_has_one_name(monkeypatch, capsys, option):
+    # argparse neither judges the word after a value option nor reads a
+    # prefix of the option's name as the option.
+    assert cli.VALUE_OPTIONS == set(VALUE_OPTIONS)
+    seen = {}
+
+    def read_config(path, flags):
+        seen.update(flags, config=path)
+        raise ConfigError("stubbed")
+
+    monkeypatch.setattr(cli, "load_config", read_config)
+    monkeypatch.setattr(cli, "emit_convergence_plot", lambda trace, out: seen.update(out=out) or out)
+    command = ["plot", "t.csv"] if option == "--out" else ["run"]
+    if option not in ("--config", "--out"):
+        command += ["--config", "c.json"]
+    main([*command, option, "-x"])
+    capsys.readouterr()
+    names = {"--config": "config", "--output": "output_dir", "--out": "out"}
+    key = names.get(option, option[2:].replace("-", "_"))
+    assert seen[key] == (Path("-x").absolute() if option == "--output" else "-x")
+
+    if option != "--k":  # "--" is not an option
+        with pytest.raises(SystemExit) as info:
+            main([*command, option, "v", option[:-1], "0.5"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gfclust ")
+        assert err.splitlines()[-1].endswith(f"unrecognized arguments: {option[:-1]} 0.5")
+
+
+def test_paths_starting_with_a_dash_are_values(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, name="-c.json")
+    assert main(["run", "--config", "-c.json", "--eta", "-1e1", "--max-iter", "3", "--output", "-1e1"]) == 0
+    assert (tmp_path / "-1e1" / "summary.json").is_file()
+    (trace,) = (tmp_path / "-1e1").glob("*/trace.csv")
+    assert main(["plot", str(trace), "--out", "-p.svg"]) == 0
+    # A trace path starting with "-" is a positional word, so it follows "--".
+    assert main(["plot", "--out", "-q.svg", "--", str(trace.relative_to(tmp_path))]) == 0
+    assert (tmp_path / "-p.svg").read_text() == (tmp_path / "-q.svg").read_text()
+
+
+@pytest.mark.parametrize(
+    "manifest, synthetic",
+    [(None, None), (Path("m.json"), SyntheticSpec(**SMALL_SYNTHETIC))],
+    ids=["neither", "both"],
+)
+def test_config_built_directly_names_exactly_one_dataset(manifest, synthetic):
+    with pytest.raises(ConfigError, match="dataset must specify exactly one of 'manifest' or 'synthetic'"):
+        ExperimentConfig(manifest, synthetic, solver.SolverConfig(), None, Path("out"))
 
 
 @pytest.mark.parametrize("eta", ["0.97", "0.98", "1.02", "1.03"])

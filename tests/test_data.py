@@ -63,6 +63,7 @@ def test_load_dataset_without_labels(tmp_path):
     path = _manifest(tmp_path, [VIEW_A, VIEW_B])
     ds = load_dataset(path)
     assert ds.labels is None
+    assert ds.n_classes is None
 
 
 def test_load_dataset_missing_view_file(tmp_path):

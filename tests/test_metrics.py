@@ -209,6 +209,8 @@ def test_length_mismatch_raises():
     for metric in (clustering_accuracy, nmi, ari, f_score):
         with pytest.raises(ValueError, match="length mismatch"):
             metric([0, 1], [0, 1, 2])
+        with pytest.raises(ValueError, match="labels must be 1-D"):
+            metric([[0, 1]], [0, 1])
 
 
 def test_empty_labels_raise():

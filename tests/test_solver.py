@@ -856,6 +856,21 @@ def test_spd_solve_reports_failed_factorization():
         spd_solve(cholesky(np.diag([1.0, -1.0])), np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gram(np.ones(3)), r"expected a matrix, got an array of shape \(3,\)"),
+        (lambda: cholesky(np.ones((2, 3))), r"expected a 2 x 2 matrix, got shape \(2, 3\)"),
+        (lambda: spd_solve(np.eye(2), np.ones((3, 1))), r"expected a 3 x 3 matrix, got shape \(2, 2\)"),
+    ],
+    ids=["gram_vector", "cholesky_non_square", "spd_solve_order_mismatch"],
+)
+def test_lapack_wrappers_reject_wrong_shapes(call, message):
+    # A wrong shape would make the LAPACK routine read out of bounds.
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_spd_inverse_factor_reports_failed_factorization():
     with pytest.raises(np.linalg.LinAlgError, match=FAILED_FACTOR):
         spd_inverse_factor(np.diag([1.0, -1.0]))

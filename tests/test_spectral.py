@@ -88,6 +88,8 @@ def test_spectral_rejects_bad_inputs():
         spectral_clustering(np.triu(np.ones((3, 3)), 1), k=2, seeds=[0])
     with pytest.raises(ValueError, match="nonnegative"):
         spectral_clustering(np.array([[0.0, -1.0], [-1.0, 0.0]]), k=2, seeds=[0])
+    with pytest.raises(ValueError, match=r"affinity must be square, got shape \(2, 3\)"):
+        spectral_clustering(np.ones((2, 3)), k=2, seeds=[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -182,6 +184,8 @@ def test_kmeans_validates_k():
         kmeans(points, k=4)
     with pytest.raises(ValueError, match="k="):
         kmeans(points, k=0)
+    with pytest.raises(ValueError, match="points must be a 2-D array"):
+        kmeans(np.zeros(3), k=1)
 
 
 
