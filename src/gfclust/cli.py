@@ -100,6 +100,8 @@ RUN_FLAGS = ("alpha", "beta", "eta", "max_iter", "eps", "seed", "repetitions", "
 
 # Every option that takes a value: `run`'s --config, --output and run flags, `plot`'s --out.
 VALUE_OPTIONS = {"--config", "--output", "--out", *("--" + name.replace("_", "-") for name in RUN_FLAGS)}
+# The options of each subcommand besides -h and --help.
+COMMAND_OPTIONS = {"run": VALUE_OPTIONS - {"--out"}, "plot": {"--out"}}
 
 
 def _grid_axis(key: str, values, solver: SolverConfig) -> list[float]:
@@ -223,14 +225,6 @@ def grid_point_hash(params: dict[str, float]) -> str:
     return hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def _load_experiment_dataset(cfg: ExperimentConfig) -> MultiViewDataset:
-    if cfg.manifest is not None:
-        ds = load_dataset(cfg.manifest)
-    else:
-        ds = generate_synthetic(cfg.synthetic)
-    return normalize_views(ds, cfg.normalize)
-
-
 def _write_trace_csv(path: Path, output: SolverOutput) -> None:
     """One row per iteration: ``iter``, then every scalar series of the
     diagnostics in field order (J holds one array per iteration)."""
@@ -241,12 +235,9 @@ def _write_trace_csv(path: Path, output: SolverOutput) -> None:
 
 
 def _metric_summary(values: list[float]) -> dict:
+    """The mean, population std and values of one metric over the repetitions."""
     arr = np.asarray(values, dtype=float)
-    return {
-        "mean": float(arr.mean()),
-        "std": float(arr.std()),  # population std over repetitions
-        "values": [float(x) for x in values],
-    }
+    return {"mean": float(arr.mean()), "std": float(arr.std()), "values": arr.tolist()}
 
 
 def _weight_regime(eta: float) -> str:
@@ -257,6 +248,14 @@ def _weight_regime(eta: float) -> str:
     if eta == 0.0:
         return "constant"
     return "maximizer" if 0.0 < eta < 1.0 else "minimizer"
+
+
+def cluster_scores(consensus_C, labels, k: int, seeds, restarts: int) -> dict[str, list[float]]:
+    """Each METRIC_NAMES score against ``labels`` of one ``k``-cluster spectral embedding of
+    ``consensus_C``, rounded by k-means (``restarts`` restarts) once per seed, in seed order."""
+    assignments = spectral_clustering(build_affinity(consensus_C), k, seeds, restarts=restarts)
+    reports = [evaluate(a.labels, labels) for a in assignments]
+    return {name: [getattr(report, name) for report in reports] for name in METRIC_NAMES}
 
 
 def run_grid_point(
@@ -276,14 +275,8 @@ def run_grid_point(
     if ds.labels is not None:
         # An unlabeled dataset is not clustered: nothing would score or keep its labels.
         seeds = range(cfg.seed, cfg.seed + cfg.repetitions)
-        assignments = spectral_clustering(
-            build_affinity(output.consensus_C), k, seeds, restarts=cfg.restarts
-        )
-        reports = [evaluate(a.labels, ds.labels) for a in assignments]
-        metrics = {
-            name: _metric_summary([getattr(report, name) for report in reports])
-            for name in METRIC_NAMES
-        }
+        scores = cluster_scores(output.consensus_C, ds.labels, k, seeds, cfg.restarts)
+        metrics = {name: _metric_summary(values) for name, values in scores.items()}
 
     return {
         "params": params,
@@ -308,8 +301,7 @@ def _check_memory(need: int, what: str) -> None:
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(
-            f"{what} needs about {need:,} bytes, more than the {have:,} bytes"
-            " of physical memory"
+            f"{what} needs about {need:,} bytes, more than the {have:,} bytes of physical memory"
         )
 
 
@@ -330,9 +322,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         # long to: its shape is checked before anything is built.
         _check_solve_memory(spec.k * spec.n_per_cluster, spec.view_dims)
         _check_memory(synthetic_peak_bytes(spec), "generating the synthetic dataset")
-    ds = _load_experiment_dataset(cfg)
-    if cfg.k is None and ds.labels is None:
-        raise ConfigError("k is required when the dataset has no labels")
+    ds = load_dataset(cfg.manifest) if spec is None else generate_synthetic(spec)
+    ds = normalize_views(ds, cfg.normalize)
     if cfg.k is not None and cfg.k > ds.n_samples:
         raise ConfigError(f"k={cfg.k} exceeds the {ds.n_samples} samples of the dataset")
     _check_solve_memory(ds.n_samples, [x.shape[1] for x in ds.views])
@@ -364,11 +355,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         best = {}
         for metric in METRIC_NAMES:
             digest, top = max(scored, key=lambda p: p[1]["metrics"][metric]["mean"])
-            best[metric] = {
-                "hash": digest,
-                "params": top["params"],
-                "mean": top["metrics"][metric]["mean"],
-            }
+            mean = top["metrics"][metric]["mean"]
+            best[metric] = {"hash": digest, "params": top["params"], "mean": mean}
     summary = {
         "variant": cfg.variant,
         "n_points": len(points),
@@ -381,9 +369,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     write_json(cfg.output_dir / "summary.json", summary)
-    if points and n_failed == len(points):
-        return 2
-    return 0
+    return 2 if points and n_failed == len(points) else 0
 
 
 def emit_convergence_plot(trace_path: str | Path, out_path: str | Path) -> Path:
@@ -469,15 +455,24 @@ def _flag_value(text: str):
 
 
 def _values_joined(argv: list[str]) -> list[str]:
-    """``argv`` with each value option joined as ``--option=word`` to its next
-    word unless that starts with ``--``, so that argparse, whose reading of a
-    word starting with ``-`` differs between Python versions, never judges one."""
-    joined = []
-    for word in argv:
-        if joined and joined[-1] in VALUE_OPTIONS and not word.startswith("--"):
+    """``argv`` with each option of its subcommand joined as ``--option=word`` to
+    its next word unless that starts with ``--``, so that argparse never judges
+    a word starting with ``-`` (its reading differs between Python versions);
+    without -h and --help if a word before ``--`` is an option the subcommand lacks."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    command, joined, unknown = None, [], False
+    for word in argv[:end]:
+        options = COMMAND_OPTIONS.get(command, set())
+        if joined and joined[-1] in options and not word.startswith("--"):
             word = joined.pop() + "=" + word
+        elif command is None and not word.startswith("-"):
+            command = word
+        elif word.startswith("-") and word.partition("=")[0] not in {*options, "-h", "--help"}:
+            unknown = True
         joined.append(word)
-    return joined
+    if unknown:
+        joined = [word for word in joined if word not in ("-h", "--help")]
+    return joined + argv[end:]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -108,11 +108,13 @@ def json_object(value, what: str, keys, error: type[Exception]) -> dict:
 
 
 def read_text(path: Path, error: type[Exception]) -> str:
-    """The UTF-8 text of ``path``; ``error`` naming the file if it does not decode."""
+    """The UTF-8 text of ``path``; ``error`` naming the file if it cannot be read or decoded."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
 
 
 def read_json(path: Path, error: type[Exception], missing: str, invalid: str):
@@ -354,15 +356,17 @@ def read_matrix_csv(path: Path, has_header: bool) -> np.ndarray:
     """
     if not path.is_file():
         raise DatasetError(f"file not found: {path}")
-    if _loadtxt_reads_alike(path, has_header):
-        try:
+    try:
+        if _loadtxt_reads_alike(path, has_header):
             # Given a path, np.loadtxt would decompress a file named *.gz.
             with path.open(encoding="ascii") as fh:
                 return np.loadtxt(
                     fh, delimiter=",", comments=None, skiprows=int(has_header), ndmin=2
                 )
-        except ValueError:
-            pass
+    except ValueError:
+        pass
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc.strerror}") from None
     return _parse_matrix_csv(path, has_header)
 
 

@@ -1,5 +1,5 @@
-"""Shared glue for end-to-end checks: consensus matrix -> clustering scores,
-and code run in a fresh interpreter."""
+"""Shared glue for end-to-end checks: the median clustering score of a
+consensus matrix, and code run in a fresh interpreter."""
 
 import os
 import subprocess
@@ -8,25 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
-from gfclust.metrics import evaluate
-from gfclust.spectral import build_affinity, spectral_clustering
-
-
-def cluster_scores(consensus_C, labels, k, seeds, restarts=20):
-    """Per-metric score lists across k-means seeds for one consensus matrix."""
-    W = build_affinity(consensus_C)
-    scores = {"acc": [], "nmi": [], "ari": [], "f_score": []}
-    for assignment in spectral_clustering(W, k, seeds, restarts=restarts):
-        report = evaluate(assignment.labels, labels)
-        scores["acc"].append(report.acc)
-        scores["nmi"].append(report.nmi)
-        scores["ari"].append(report.ari)
-        scores["f_score"].append(report.f_score)
-    return scores
+from gfclust.cli import cluster_scores
 
 
 def median_score(consensus_C, labels, k, metric="nmi", seeds=range(10)):
-    return float(np.median(cluster_scores(consensus_C, labels, k, seeds)[metric]))
+    """The median ``metric`` of ``gfclust run``'s clustering stage over ``seeds``."""
+    return float(np.median(cluster_scores(consensus_C, labels, k, seeds, restarts=20)[metric]))
 
 
 # Rounding allowance for comparing NMIs. A perfect partition's NMI can miss 1

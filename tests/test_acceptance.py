@@ -50,7 +50,7 @@ from gfclust.solver import (
     view_mismatches,
 )
 from gfclust.spectral import spectral_clustering
-from gfclust.cli import main as cli_main
+from gfclust.cli import cluster_scores, main as cli_main
 from oracles import (
     all_partitions,
     brute_force_acc,
@@ -61,7 +61,7 @@ from oracles import (
     central_difference_gradient,
     connected_component_labels,
 )
-from pipeline import ablation_rule, cluster_scores, median_score
+from pipeline import ablation_rule, median_score
 from test_solver import (
     after_consensus,
     c_subproblem,
@@ -163,7 +163,7 @@ def test_criterion_03_convergence(benchmark_run):
 
 def test_criterion_04_end_to_end_clustering(benchmark_run, benchmark_dataset):
     scores = cluster_scores(
-        benchmark_run["output"].consensus_C, benchmark_dataset.labels, k=3, seeds=range(10)
+        benchmark_run["output"].consensus_C, benchmark_dataset.labels, 3, range(10), restarts=20
     )
     acc_median = float(np.median(scores["acc"]))
     nmi_median = float(np.median(scores["nmi"]))

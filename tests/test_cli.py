@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -126,25 +127,6 @@ def test_grid_sweep_and_summary_recompute(tmp_path):
             results[summary["best"][metric]["hash"]]["metrics"][metric]["mean"]
             == summary["best"][metric]["mean"]
         )
-
-
-def strip_timestamps(obj):
-    if isinstance(obj, dict):
-        return {k: strip_timestamps(v) for k, v in obj.items() if k != "timestamp"}
-    if isinstance(obj, list):
-        return [strip_timestamps(v) for v in obj]
-    return obj
-
-
-def test_rerun_reproduces_identical_json(tmp_path):
-    config = write_config(tmp_path, repetitions=2, grid={"alpha": [0.2, 0.6]})
-    main(["run", "--config", str(config), "--output", str(tmp_path / "a")])
-    main(["run", "--config", str(config), "--output", str(tmp_path / "b")])
-    for path_a in sorted((tmp_path / "a").rglob("*.json")):
-        path_b = tmp_path / "b" / path_a.relative_to(tmp_path / "a")
-        doc_a = strip_timestamps(json.loads(path_a.read_text()))
-        doc_b = strip_timestamps(json.loads(path_b.read_text()))
-        assert doc_a == doc_b, path_a.name
 
 
 def test_flag_overrides_beat_config(tmp_path):
@@ -277,20 +259,6 @@ def test_config_error_message(tmp_path, capsys, raw, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def test_exit_code_when_k_unresolvable(tmp_path):
-    # no labels and no k: the runner cannot choose a cluster count
-    views_dir = tmp_path / "data"
-    views_dir.mkdir()
-    rng = np.random.default_rng(0)
-    np.savetxt(views_dir / "v0.csv", rng.standard_normal((6, 3)), delimiter=",")
-    manifest = views_dir / "manifest.json"
-    manifest.write_text(
-        json.dumps({"views": [{"path": "v0.csv"}], "labels": None, "name": "x"})
-    )
-    config = write_config(tmp_path, dataset={"manifest": str(manifest)})
-    assert main(["run", "--config", str(config)]) == 1
-
-
 def test_k_above_the_sample_count_is_a_config_error(tmp_path, capsys):
     # Caught before any solve: every grid point would solve, then fail to
     # cluster 18 samples into 50 clusters.
@@ -421,8 +389,12 @@ def test_exit_code_on_huge_class_id(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("bad", ["config", "manifest", "view", "labels", "output_dir"])
-def test_exit_code_on_unreadable_input_or_output(tmp_path, capsys, bad):
+@pytest.mark.parametrize(
+    "bad",
+    ["config", "manifest", "view", "labels", "output_dir",
+     "config_denied", "manifest_denied", "view_denied", "labels_denied"],
+)  # fmt: skip
+def test_exit_code_on_unreadable_input_or_output(tmp_path, capsys, monkeypatch, bad):
     np.savetxt(tmp_path / "v0.csv", np.eye(6)[:, :3], delimiter=",")
     np.savetxt(tmp_path / "labels.csv", np.arange(6) % 2, fmt="%d")
     manifest = tmp_path / "manifest.json"
@@ -433,6 +405,18 @@ def test_exit_code_on_unreadable_input_or_output(tmp_path, capsys, bad):
     if bad == "output_dir":
         files[bad].write_text("a file")
         expected = "cannot create output_dir"
+    elif bad.endswith("_denied"):
+        # Every read of a file opens it through Path.open. The read is denied
+        # here, since file modes do not stop a process run as root.
+        denied, real_open = files[bad.removesuffix("_denied")], Path.open
+
+        def open_unless_denied(path, *args, **kwargs):
+            if path == denied:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_unless_denied)
+        expected = f"cannot read {denied}: {os.strerror(errno.EACCES)}\n"
     else:
         files[bad].write_bytes(b"\xff\xfe1,2\n")
         expected = "is not UTF-8 text"
@@ -505,25 +489,40 @@ def test_bad_flag_fails_like_bad_json(tmp_path, capsys, flag, value, key, json_v
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ["--config", "CONFIG", "--alhpa", "0.5"],
-        ["--config", "CONFIG", "--alpha"],
-        ["--alpha", "0.5"],
-        ["--config", "CONFIG", "--alp", "0.5"],
-        ["--config", "CONFIG", "--alpha", "--x"],
+        (["--config", "CONFIG", "--alhpa", "0.5"], "unrecognized arguments: --alhpa 0.5"),
+        (["--config", "CONFIG", "--alpha"], "argument --alpha: expected one argument"),
+        (["--alpha", "0.5"], "the following arguments are required: --config"),
+        (["--config", "CONFIG", "--alp", "0.5"], "unrecognized arguments: --alp 0.5"),
+        (["--config", "CONFIG", "--alpha", "--x"], "argument --alpha: expected one argument"),
+        # An unknown option is refused before -h or --help would print help.
+        (["--config", "CONFIG", "--alp", "-h"], "unrecognized arguments: --alp"),
+        (["--config", "CONFIG", "--max", "--help"], "unrecognized arguments: --max"),
+        # plot's --out is no option of run, so its word is not joined to it.
+        (["--config", "CONFIG", "--out", "x"], "unrecognized arguments: --out x"),
     ],
-    ids=["unknown_flag", "flag_without_value", "no_config", "abbreviated_flag", "flag_before_option"],
-)
-def test_malformed_command_line_is_a_usage_error(tmp_path, capsys, argv):
+    ids=["unknown_flag", "flag_without_value", "no_config", "abbreviated_flag", "flag_before_option",
+         "unknown_flag_before_help", "unknown_flag_before_long_help", "option_of_plot"],
+)  # fmt: skip
+def test_malformed_command_line_is_a_usage_error(tmp_path, capsys, argv, error):
     # Exit 2 is argparse's: the flag values themselves are the config checker's.
     config = str(write_config(tmp_path))
     with pytest.raises(SystemExit) as info:
         main(["run", *(config if arg == "CONFIG" else arg for arg in argv)])
     assert info.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: gfclust ") and "error: " in err.splitlines()[-1]
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("usage: gfclust ")
+    assert err.splitlines()[-1].endswith("error: " + error)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["run", "-h"], ["run", "--help"], ["plot", "-h"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gfclust ")
 
 
 # Every option that takes a value, each with its one name.
@@ -656,8 +655,10 @@ def test_oversized_synthetic_spec_is_a_config_error(tmp_path, capsys, fields):
     assert not (tmp_path / "out").exists()
 
 
-def test_unlabeled_manifest_with_explicit_k(tmp_path, monkeypatch):
-    # Nothing would score or keep the labels, so nothing is clustered.
+def run_unlabeled_manifest(tmp_path, monkeypatch, *flags):
+    """Run an 8-sample unlabeled manifest with ``flags``; assert that nothing
+    is clustered, since nothing would score or keep the labels, and return
+    the one point's result."""
     calls = spectral_recorder(monkeypatch)
     views_dir = tmp_path / "data"
     views_dir.mkdir()
@@ -668,13 +669,22 @@ def test_unlabeled_manifest_with_explicit_k(tmp_path, monkeypatch):
     config = write_config(
         tmp_path, dataset={"manifest": str(manifest)}, solver={"max_iter": 50}, repetitions=2
     )
-    assert main(["run", "--config", str(config), "--k", "2"]) == 0
+    assert main(["run", "--config", str(config), *flags]) == 0
     (result,) = read_results(tmp_path / "out").values()
-    assert result["k"] == 2
     assert result["metrics"] is None
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["best"] is None
     assert calls == []
+    return result
+
+
+def test_unlabeled_manifest_with_explicit_k(tmp_path, monkeypatch):
+    assert run_unlabeled_manifest(tmp_path, monkeypatch, "--k", "2")["k"] == 2
+
+
+def test_unlabeled_manifest_without_k(tmp_path, monkeypatch):
+    # Only the clustering stage needs k, and it never runs here.
+    assert run_unlabeled_manifest(tmp_path, monkeypatch)["k"] is None
 
 
 def test_exit_code_when_all_points_fail(tmp_path, capsys, monkeypatch):
