@@ -454,11 +454,12 @@ def _flag_value(text: str):
     return text
 
 
-def _values_joined(argv: list[str]) -> list[str]:
+def _values_joined(argv: list[str]) -> tuple[list[str], bool]:
     """``argv`` with each option of its subcommand joined as ``--option=word`` to
     its next word unless that starts with ``--``, so that argparse never judges
-    a word starting with ``-`` (its reading differs between Python versions);
-    without -h and --help if a word before ``--`` is an option the subcommand lacks."""
+    a word starting with ``-`` (its reading differs between Python versions),
+    and whether a word before ``--`` is an option the subcommand lacks; if one
+    is, without -h and --help."""
     end = argv.index("--") if "--" in argv else len(argv)
     command, joined, unknown = None, [], False
     for word in argv[:end]:
@@ -472,31 +473,34 @@ def _values_joined(argv: list[str]) -> list[str]:
         joined.append(word)
     if unknown:
         joined = [word for word in joined if word not in ("-h", "--help")]
-    return joined + argv[end:]
+    return joined + argv[end:], unknown
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(required: bool = True) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gfclust",
         description="Multi-view subspace clustering with an adaptive consensus graph filter",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=required)
 
     run_p = sub.add_parser("run", help="run an experiment described by a JSON config", allow_abbrev=False)
-    run_p.add_argument("--config", required=True, help="experiment config JSON")
+    run_p.add_argument("--config", required=required, help="experiment config JSON")
     for name in RUN_FLAGS:
         run_p.add_argument("--" + name.replace("_", "-"), type=_flag_value, dest=name)
     run_p.add_argument("--output", default=None, help="output directory override")
 
     plot_p = sub.add_parser("plot", help="render a residual trace CSV as SVG", allow_abbrev=False)
-    plot_p.add_argument("trace", help="trace.csv produced by a run")
-    plot_p.add_argument("--out", required=True, help="output SVG path")
+    plot_p.add_argument("trace", nargs=None if required else "?", help="trace.csv produced by a run")
+    plot_p.add_argument("--out", required=required, help="output SVG path")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(_values_joined(sys.argv[1:] if argv is None else argv))
+    words, unknown = _values_joined(sys.argv[1:] if argv is None else argv)
+    if unknown:  # argparse names an unknown option only once no required argument is missing
+        _build_parser(required=False).parse_args(words)
+    args = _build_parser().parse_args(words)
     if args.command == "run":
         flags = {name: getattr(args, name) for name in RUN_FLAGS if getattr(args, name) is not None}
         if args.output is not None:

@@ -7,13 +7,14 @@ Conventions (documented because the literature varies):
   entropies, with natural logarithms.
 * The F-score is the pairwise variant: precision and recall are computed
   over same-cluster sample pairs.
-* Accuracy matches predicted to true clusters by a minimum-cost assignment
-  on the negated contingency table, zero-padded to square. The assignment
-  solver is in this module (shortest augmenting paths, Jonker-Volgenant as
-  laid out by Crouse 2016), so no gfclust process imports scipy.optimize,
-  which would add about 0.3 s and 20 MB to every start. Ties between
-  optimal matchings go to the lexicographically smallest one, found from
-  the solve's dual potentials.
+* Accuracy is the optimum of a minimum-cost assignment on the negated
+  contingency table, zero-padded to square: the matched total, which every
+  optimal matching shares, so it needs no tie-break. The assignment solver is
+  in this module (shortest augmenting paths, Jonker-Volgenant as laid out by
+  Crouse 2016), so no gfclust process imports scipy.optimize, which would
+  add about 0.3 s and 20 MB to every start. The lexicographic tie-break
+  between optimal matchings belongs to `hungarian`, which returns a matching.
+* All four scores are read from one int64 contingency table.
 * NMI and the F-score are clipped to [0, 1] and ARI to at most 1: rounding
   can put a perfect match a few ulps past 1 (NMI read 1.0000000000000004 on
   three equal clusters of 100 samples).
@@ -136,7 +137,9 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def _as_labels(pred, truth):
+def _contingency(pred, truth) -> np.ndarray:
+    """The int64 contingency table of two label vectors: one row per distinct
+    predicted label, one column per distinct true label, each in sorted order."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.ndim != 1 or truth.ndim != 1:
@@ -145,46 +148,26 @@ def _as_labels(pred, truth):
         raise ValueError(f"length mismatch: {pred.shape[0]} vs {truth.shape[0]}")
     if pred.shape[0] == 0:
         raise ValueError("labels must be non-empty")
-    _, pred = np.unique(pred, return_inverse=True)
-    _, truth = np.unique(truth, return_inverse=True)
-    return pred, truth
+    pred_values, pred = np.unique(pred, return_inverse=True)
+    truth_values, truth = np.unique(truth, return_inverse=True)
+    kp, kt = pred_values.size, truth_values.size
+    return np.bincount(pred * kt + truth, minlength=kp * kt).astype(np.int64, copy=False).reshape(kp, kt)
 
 
-def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    kp = pred.max() + 1
-    kt = truth.max() + 1
-    table = np.zeros((kp, kt), dtype=np.int64)
-    np.add.at(table, (pred, truth), 1)
-    return table
+def _pair_counts(table: np.ndarray):
+    """Same-cluster pair counts as exact integers: (both, pred-only base, truth-only base)."""
+    return tuple(int(np.sum(c * (c - 1) // 2)) for c in (table, table.sum(axis=1), table.sum(axis=0)))
 
 
-def _clamp(score: float) -> float:
-    return float(min(max(score, 0.0), 1.0))
-
-
-def clustering_accuracy(pred, truth) -> float:
-    """Fraction of samples matched under the best cluster-label bijection."""
-    pred, truth = _as_labels(pred, truth)
-    table = _contingency(pred, truth)
+def _accuracy(table: np.ndarray) -> float:
     size = max(table.shape)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[: table.shape[0], : table.shape[1]] = table
-    assignment = hungarian(-padded.astype(float))
-    matched = padded[np.arange(size), assignment].sum()
-    return float(matched / pred.shape[0])
+    padded = np.pad(table, [(0, size - table.shape[0]), (0, size - table.shape[1])])
+    col4row = _shortest_augmenting_path(-padded)[0]
+    return float(padded[np.arange(size), col4row].sum() / table.sum())
 
 
-def nmi(pred, truth) -> float:
-    """Mutual information normalized by sqrt(H(pred) * H(truth)).
-
-    Defined as 1.0 when both partitions are the same single cluster, 0.0 when
-    exactly one side has zero entropy. Entropies and mutual information are
-    computed from the integer contingency counts so the degenerate cases are
-    detected exactly.
-    """
-    pred, truth = _as_labels(pred, truth)
-    n = pred.shape[0]
-    table = _contingency(pred, truth)
+def _nmi(table: np.ndarray) -> float:
+    n = int(table.sum())
     counts_pred = table.sum(axis=1)
     counts_truth = table.sum(axis=0)
     if counts_pred.size == 1 and counts_truth.size == 1:
@@ -198,17 +181,47 @@ def nmi(pred, truth) -> float:
     rows, cols = np.nonzero(table)
     c = table[rows, cols]
     mi = float(np.sum((c / n) * np.log(n * c / (counts_pred[rows] * counts_truth[cols]))))
-    return _clamp(mi / np.sqrt(entropy(counts_pred) * entropy(counts_truth)))
+    return float(min(max(mi / np.sqrt(entropy(counts_pred) * entropy(counts_truth)), 0.0), 1.0))
 
 
-def _pair_counts(pred: np.ndarray, truth: np.ndarray):
-    """Same-cluster pair counts as exact integers: (both, pred-only base, truth-only base)."""
-    table = _contingency(pred, truth)
+def _ari(table: np.ndarray) -> float:
+    n = int(table.sum())
+    both, in_pred, in_truth = _pair_counts(table)
+    total = n * (n - 1) // 2
+    expected = in_pred * in_truth / total if total else 0.0
+    maximum = 0.5 * (in_pred + in_truth)
+    if maximum == expected:
+        return 1.0
+    return float(min((both - expected) / (maximum - expected), 1.0))
 
-    def pairs(counts) -> int:
-        return int(sum(int(c) * (int(c) - 1) // 2 for c in np.ravel(counts)))
 
-    return pairs(table), pairs(table.sum(axis=1)), pairs(table.sum(axis=0))
+def _f_score(table: np.ndarray) -> float:
+    both, in_pred, in_truth = _pair_counts(table)
+    if in_pred == 0 and in_truth == 0:
+        return 1.0
+    if in_pred == 0 or in_truth == 0:
+        return 0.0
+    precision = both / in_pred
+    recall = both / in_truth
+    if precision + recall == 0.0:
+        return 0.0
+    return float(min(2.0 * precision * recall / (precision + recall), 1.0))
+
+
+def clustering_accuracy(pred, truth) -> float:
+    """Fraction of samples matched under the best cluster-label bijection."""
+    return _accuracy(_contingency(pred, truth))
+
+
+def nmi(pred, truth) -> float:
+    """Mutual information normalized by sqrt(H(pred) * H(truth)).
+
+    Defined as 1.0 when both partitions are the same single cluster, 0.0 when
+    exactly one side has zero entropy. Entropies and mutual information are
+    computed from the integer contingency counts so the degenerate cases are
+    detected exactly.
+    """
+    return _nmi(_contingency(pred, truth))
 
 
 def ari(pred, truth) -> float:
@@ -218,15 +231,7 @@ def ari(pred, truth) -> float:
     happens exactly when both partitions are all singletons or both are a
     single cluster.
     """
-    pred, truth = _as_labels(pred, truth)
-    n = pred.shape[0]
-    both, in_pred, in_truth = _pair_counts(pred, truth)
-    total = n * (n - 1) // 2
-    expected = in_pred * in_truth / total if total else 0.0
-    maximum = 0.5 * (in_pred + in_truth)
-    if maximum == expected:
-        return 1.0
-    return float(min((both - expected) / (maximum - expected), 1.0))
+    return _ari(_contingency(pred, truth))
 
 
 def f_score(pred, truth) -> float:
@@ -235,28 +240,18 @@ def f_score(pred, truth) -> float:
     When one side has no same-cluster pairs the score is 0; when neither side
     has any (both all singletons) the partitions coincide and the score is 1.
     """
-    pred, truth = _as_labels(pred, truth)
-    both, in_pred, in_truth = _pair_counts(pred, truth)
-    if in_pred == 0 and in_truth == 0:
-        return 1.0
-    if in_pred == 0 or in_truth == 0:
-        return 0.0
-    precision = both / in_pred
-    recall = both / in_truth
-    if precision + recall == 0.0:
-        return 0.0
-    return _clamp(2.0 * precision * recall / (precision + recall))
+    return _f_score(_contingency(pred, truth))
 
 
 def evaluate(pred, truth) -> EvaluationReport:
-    """All four metrics plus partition sizes in one report."""
-    pred_ids, truth_ids = _as_labels(pred, truth)
+    """All four metrics plus partition sizes in one report, from one contingency table."""
+    table = _contingency(pred, truth)
     return EvaluationReport(
-        acc=clustering_accuracy(pred, truth),
-        nmi=nmi(pred, truth),
-        ari=ari(pred, truth),
-        f_score=f_score(pred, truth),
-        n=int(pred_ids.shape[0]),
-        k_pred=int(pred_ids.max()) + 1,
-        k_true=int(truth_ids.max()) + 1,
+        acc=_accuracy(table),
+        nmi=_nmi(table),
+        ari=_ari(table),
+        f_score=_f_score(table),
+        n=int(table.sum()),
+        k_pred=table.shape[0],
+        k_true=table.shape[1],
     )

@@ -491,25 +491,32 @@ def test_bad_flag_fails_like_bad_json(tmp_path, capsys, flag, value, key, json_v
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (["--config", "CONFIG", "--alhpa", "0.5"], "unrecognized arguments: --alhpa 0.5"),
-        (["--config", "CONFIG", "--alpha"], "argument --alpha: expected one argument"),
-        (["--alpha", "0.5"], "the following arguments are required: --config"),
-        (["--config", "CONFIG", "--alp", "0.5"], "unrecognized arguments: --alp 0.5"),
-        (["--config", "CONFIG", "--alpha", "--x"], "argument --alpha: expected one argument"),
+        (["run", "--config", "CONFIG", "--alhpa", "0.5"], "unrecognized arguments: --alhpa 0.5"),
+        (["run", "--config", "CONFIG", "--alpha"], "argument --alpha: expected one argument"),
+        (["run", "--alpha", "0.5"], "the following arguments are required: --config"),
+        (["run", "--config", "CONFIG", "--alp", "0.5"], "unrecognized arguments: --alp 0.5"),
+        (["run", "--config", "CONFIG", "--alpha", "--x"], "argument --alpha: expected one argument"),
         # An unknown option is refused before -h or --help would print help.
-        (["--config", "CONFIG", "--alp", "-h"], "unrecognized arguments: --alp"),
-        (["--config", "CONFIG", "--max", "--help"], "unrecognized arguments: --max"),
+        (["run", "--config", "CONFIG", "--alp", "-h"], "unrecognized arguments: --alp"),
+        (["run", "--config", "CONFIG", "--max", "--help"], "unrecognized arguments: --max"),
         # plot's --out is no option of run, so its word is not joined to it.
-        (["--config", "CONFIG", "--out", "x"], "unrecognized arguments: --out x"),
+        (["run", "--config", "CONFIG", "--out", "x"], "unrecognized arguments: --out x"),
+        # An unknown option is named before a missing required argument.
+        (["run", "--alp", "-h"], "unrecognized arguments: --alp"),
+        (["run", "--alp", "0.5"], "unrecognized arguments: --alp 0.5"),
+        (["--alp", "-h"], "unrecognized arguments: --alp"),
+        (["plot", "--bad"], "unrecognized arguments: --bad"),
     ],
     ids=["unknown_flag", "flag_without_value", "no_config", "abbreviated_flag", "flag_before_option",
-         "unknown_flag_before_help", "unknown_flag_before_long_help", "option_of_plot"],
+         "unknown_flag_before_help", "unknown_flag_before_long_help", "option_of_plot",
+         "unknown_flag_before_help_without_config", "unknown_flag_without_config", "unknown_option_without_command",
+         "unknown_option_of_plot_without_trace"],
 )  # fmt: skip
 def test_malformed_command_line_is_a_usage_error(tmp_path, capsys, argv, error):
     # Exit 2 is argparse's: the flag values themselves are the config checker's.
     config = str(write_config(tmp_path))
     with pytest.raises(SystemExit) as info:
-        main(["run", *(config if arg == "CONFIG" else arg for arg in argv)])
+        main([config if arg == "CONFIG" else arg for arg in argv])
     assert info.value.code == 2
     out, err = capsys.readouterr()
     assert not out and err.startswith("usage: gfclust ")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from gfclust import metrics
 from gfclust.metrics import ari, clustering_accuracy, evaluate, f_score, hungarian, nmi
 from oracles import (
     brute_force_acc,
@@ -137,6 +138,50 @@ def test_accuracy_unequal_cluster_counts_matches_scipy(k_pred, k_true):
         np.add.at(table, (pred, truth), 1.0)
         expected = -scipy_total(-table) / 120
         assert clustering_accuracy(pred, truth) == expected
+
+
+def labels_of_table(table):
+    """Label vectors whose contingency table is ``table`` (less its all-zero rows and columns)."""
+    pred, truth = np.nonzero(table)
+    counts = table[pred, truth]
+    return np.repeat(pred, counts), np.repeat(truth, counts)
+
+
+def hungarian_total(table):
+    """Matched total of `hungarian`'s matching on the negated table, zero-padded to square."""
+    size = max(table.shape)
+    padded = np.zeros((size, size))
+    padded[: table.shape[0], : table.shape[1]] = table
+    return padded[np.arange(size), hungarian(-padded)].sum()
+
+
+def test_accuracy_is_hungarian_matched_total_on_tied_tables():
+    # Entries 0-2 give many optimal matchings; accuracy reads their shared total.
+    rng = np.random.default_rng(400)
+    for _ in range(60):
+        table = rng.integers(0, 3, size=rng.integers(1, 13, size=2))
+        if not table.any():
+            continue
+        pred, truth = labels_of_table(table)
+        assert clustering_accuracy(pred, truth) == hungarian_total(table) / table.sum()
+
+
+def test_accuracy_and_evaluate_never_call_hungarian(monkeypatch):
+    def refuse(cost):
+        raise AssertionError("hungarian called")
+
+    monkeypatch.setattr(metrics, "hungarian", refuse)
+    pred, truth = [0, 0, 1, 1, 2, 2, 3], [1, 1, 0, 2, 2, 0, 0]
+    assert clustering_accuracy(pred, truth) == evaluate(pred, truth).acc == brute_force_acc(pred, truth)
+
+
+def test_evaluate_builds_the_table_once(monkeypatch):
+    calls = []
+    contingency = metrics._contingency
+    monkeypatch.setattr(metrics, "_contingency", lambda *labels: calls.append(1) or contingency(*labels))
+    report = evaluate([0, 0, 1, 1, 2], [1, 1, 0, 2, 2])
+    assert len(calls) == 1
+    assert (report.n, report.k_pred, report.k_true) == (5, 3, 3)
 
 
 def test_nmi_identical_partitions():
